@@ -79,7 +79,8 @@ def variance_x_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
     Random transmission phases mix the two input quadratures, so the
     anti-squeezed noise leaks in: 2 v_bar + 1 + t_bar (cosh 2r - 1).
     """
-    return coherent_baseline(coef) + coef.t_bar * (math.cosh(2.0 * state.squeeze_r) - 1.0)
+    growth = math.cosh(state.anti_squeezing_exponent)
+    return coherent_baseline(coef) + coef.t_bar * (growth - 1.0)
 
 
 def variance_p_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
@@ -105,7 +106,7 @@ def wfs_gain(coef: EnsembleCoefficients, state: InputState) -> float:
 
     Equals t_bar * sinh 2r; grows with both transmission and squeezing.
     """
-    return coef.t_bar * math.sinh(2.0 * state.squeeze_r)
+    return coef.t_bar * math.sinh(state.anti_squeezing_exponent)
 
 
 def rescaled_fluctuation(

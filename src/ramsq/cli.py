@@ -2,7 +2,8 @@
 
 Subcommands emit deterministic CSV datasets (stdout or ``--out PATH``
 plus ``PATH.manifest.json``) or run the validation suite.  Exit codes:
-0 success, 1 failed validation or scan integrity, 2 parameter errors.
+0 success, 1 failed validation or scan integrity, 2 parameter errors
+and output files that cannot be written.
 """
 
 from __future__ import annotations
@@ -308,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

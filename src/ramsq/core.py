@@ -10,11 +10,15 @@ count, so laboratory units enter exclusively through ``units_to_spec``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # The diffusive gain medium starts lasing at L/La = pi; every formula in
 # this package is meaningful only below that point.
 LASER_THRESHOLD = math.pi
+
+# Largest squeezing whose anti-squeezed variance e^(2r) is a finite double.
+MAX_SQUEEZE_R = math.log(sys.float_info.max) / 2.0
 
 
 class ParameterError(ValueError):
@@ -83,9 +87,12 @@ class InputState:
 
     ``squeeze_r`` is the squeezing parameter of the x quadrature, so the
     input variances are Var(x) = e^(-2r) and Var(p) = e^(+2r) against a
-    vacuum level of 1.  ``amplitude`` is the coherent displacement; it
-    moves quadrature means but never variances, and is retained so mean
-    checks can exercise that fact.
+    vacuum level of 1.  Any r >= 0 is accepted, since sub-shot-noise
+    results need only e^(-2r), but whatever grows as e^(2r) raises
+    ``ParameterError`` once r exceeds ``MAX_SQUEEZE_R`` (about 354.9).
+    ``amplitude`` is the coherent displacement; it moves quadrature means
+    but never variances, and is retained so mean checks can exercise
+    that fact.
     """
 
     squeeze_r: float
@@ -101,7 +108,18 @@ class InputState:
 
     @property
     def p_variance(self) -> float:
-        return math.exp(2.0 * self.squeeze_r)
+        return math.exp(self.anti_squeezing_exponent)
+
+    @property
+    def anti_squeezing_exponent(self) -> float:
+        """2r, the exponent of e^(2r), cosh 2r and sinh 2r; checked against overflow."""
+        if self.squeeze_r > MAX_SQUEEZE_R:
+            raise ParameterError(
+                f"squeeze_r must be <= {MAX_SQUEEZE_R!r} wherever the anti-squeezed "
+                f"noise e^(2r) enters (got {self.squeeze_r}); beyond it e^(2r) "
+                "overflows a double"
+            )
+        return 2.0 * self.squeeze_r
 
 
 @dataclass(frozen=True)

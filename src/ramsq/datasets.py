@@ -20,14 +20,14 @@ from .analytic import (
     rescaled_fluctuation,
     wfs_gain,
 )
-from .core import InputState, MediumSpec, validate_medium
+from .core import InputState, MediumSpec, ParameterError, validate_medium
 from .snl import LARGE_SQUEEZING_R, region_scan
 
 
 def grid(lo: float, hi: float, steps: int) -> list[float]:
     """Inclusive deterministic grid with human-readable endpoints."""
     if steps < 1:
-        raise ValueError(f"steps must be >= 1 (got {steps})")
+        raise ParameterError(f"steps must be >= 1 (got {steps})")
     if steps == 1:
         return [float(lo)]
     return [float(x) for x in np.round(np.linspace(lo, hi, steps), 12)]

@@ -17,6 +17,32 @@ so (seed, draw index) -> realization is a pure function.  Draws can be
 evaluated in any order or partition; estimates are reduced from the
 index-ordered value vector and are bit-identical across runs.
 
+Draw table
+----------
+Row ``k`` of the uniform table holds the first ``columns`` doubles of
+Philox4x64-10 (Salmon et al., SC'11) with key words
+``(s mod 2**64, s >> 64)`` and counter words ``(j, 0, k, 0)`` for
+``j = 1..ceil(columns / 4)``; each 64-bit output word ``u`` becomes the
+double ``(u >> 11) * 2**-53``.  That is exactly the stream of numpy's
+``Generator(Philox(key=s, counter=k * 2**128))``, which increments the
+counter before each four-word block.  A bulk table runs the ten rounds
+in numpy over many rows at once, with the 64x64 -> 128-bit products
+emulated in 32-bit halves, and fills the table in fixed chunks of
+``_TABLE_CHUNK_ROWS`` rows so the round temporaries stay cache-sized
+rather than table-sized.  A single draw keeps numpy's own ``Philox``:
+on one row the few hundred small array operations of the emulation
+cost about ten times more than numpy's generator.
+
+Reduction
+---------
+Every per-draw variance is an affine combination of four channel sums:
+sum T, sum T cos^2 phi and sum T sin^2 phi over the transmission
+channels (phases phi), and sum R + V.  A bulk run reduces the draws of
+each medium to these sums once and evaluates every (squeezing,
+quantity) pair from them.  The ``*_single`` evaluators form the same
+sums in the same order, so a draw evaluated alone equals its entry in
+the batch bit for bit.
+
 Magnitude modes
 ---------------
 MEAN_MAGNITUDES freezes every magnitude at its ensemble mean and leaves
@@ -43,9 +69,9 @@ means it is the mean-exact generalization.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betaincinv
@@ -56,6 +82,26 @@ from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, 
 # Each draw index owns a disjoint 2**128-wide counter block, far more
 # stream than any realization consumes.
 _COUNTER_BLOCK = 1 << 128
+
+# Philox keys are 128 bits wide.
+_SEED_LIMIT = 1 << 128
+
+# Philox4x64-10 round multipliers and Weyl key increments (Random123).
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# A double takes the top 53 bits of a word.
+_DOUBLE_SHIFT = np.uint64(11)
+_DOUBLE_UNIT = 2.0**-53
+
+# Rows per chunk of a bulk table: a few hundred KB of round temporaries
+# instead of several copies of the whole table.
+_TABLE_CHUNK_ROWS = 4096
 
 # Beta concentration for the transmission/reflection split: the total
 # shape matches the 2N unit-shape (exponential) channel draws it stands
@@ -81,6 +127,8 @@ class SamplerConfig:
             raise ParameterError(
                 f"realizations must be >= 1 (got {self.realizations})"
             )
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ParameterError(f"seed must lie in [0, 2**128) (got {self.seed})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +168,44 @@ def _uniform_columns(mode: SamplerMode, channels: int) -> int:
     return 4 * channels + 3
 
 
-@functools.lru_cache(maxsize=4)
+def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products, built from 32-bit halves."""
+    m_lo, m_hi = multiplier & _LOW32, multiplier >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo = x_lo * m_lo
+    hi_lo = x_hi * m_lo
+    lo_hi = x_lo * m_hi
+    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
+    high = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+    return x * multiplier, high
+
+
+def _philox_rows(seed: int, columns: int, start: int, stop: int) -> np.ndarray:
+    """Uniforms of draws [start, stop), all rows' Philox blocks at once."""
+    key0, key1 = seed & _MASK64, seed >> 64
+    blocks = -(-columns // 4)
+    # Counter words (j, 0, k, 0) stay broadcast shapes until the rounds
+    # mix them into full (rows, blocks) arrays.
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c2 = np.arange(start, stop, dtype=np.uint64)[:, None]
+    c1 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    for _ in range(_PHILOX_ROUNDS):
+        lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
+        key0 = (key0 + _PHILOX_W0) & _MASK64
+        key1 = (key1 + _PHILOX_W1) & _MASK64
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    words = words.reshape(stop - start, 4 * blocks)[:, :columns]
+    return (words >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
+
+
 def _uniform_table(seed: int, columns: int, count: int) -> np.ndarray:
-    """Uniforms for draws [0, count); row k is pure in (seed, k)."""
+    """Uniforms for draws [0, count); row k equals ``_uniforms_for`` at k."""
     table = np.empty((count, columns))
-    for k in range(count):
-        stream = np.random.Generator(np.random.Philox(key=seed, counter=k * _COUNTER_BLOCK))
-        table[k] = stream.random(columns)
-    table.flags.writeable = False
+    for start in range(0, count, _TABLE_CHUNK_ROWS):
+        stop = min(start + _TABLE_CHUNK_ROWS, count)
+        table[start:stop] = _philox_rows(seed, columns, start, stop)
     return table
 
 
@@ -184,47 +262,77 @@ def _phases(channels: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _magnitude_table(
-    t_bar: float,
-    r_bar: float,
-    v_bar: float,
-    channels: int,
-    mode: SamplerMode,
-    seed: int,
-    count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Magnitude arrays for the full draw table, shared across quantities.
+@dataclass(frozen=True, eq=False)
+class DrawTable:
+    """Uniforms of draws [0, realizations) for one sampler configuration.
 
-    Keyed on the coefficient values rather than the medium so the four
-    quadrature estimates of one parameter point reuse one
-    materialization; the exponential-mode beta inversion dominates the
-    per-point cost otherwise.
+    Built once per run and shared by every medium with the same channel
+    count; ``cos_sq`` and ``sin_sq`` hold cos^2 and sin^2 of the
+    transmission phases, which do not depend on the medium either.
     """
-    coef = EnsembleCoefficients(t_bar=t_bar, r_bar=r_bar, v_bar=v_bar)
-    table = _uniform_table(seed, _uniform_columns(mode, channels), count)
-    trans, refl, spont = _magnitudes(coef, channels, mode, table)
-    for arr in (trans, refl, spont):
-        arr.flags.writeable = False
-    return trans, refl, spont
+
+    config: SamplerConfig
+    channels: int
+    uniforms: np.ndarray
+    cos_sq: np.ndarray
+    sin_sq: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
-def _phase_mix_table(
-    seed: int, channels: int, columns: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos^2 and sin^2 of the transmission phases for the full table.
+def draw_table(config: SamplerConfig, channels: int) -> DrawTable:
+    """Build the uniform table of ``config`` and its transmission-phase mix."""
+    uniforms = _uniform_table(
+        config.seed, _uniform_columns(config.mode, channels), config.realizations
+    )
+    trans_ph = _phases(channels, uniforms)[0]
+    return DrawTable(
+        config=config,
+        channels=channels,
+        uniforms=uniforms,
+        cos_sq=np.cos(trans_ph) ** 2,
+        sin_sq=np.sin(trans_ph) ** 2,
+    )
 
-    Phase columns do not depend on the medium, so one entry serves every
-    parameter point of a scan at fixed seed and draw count.
-    """
-    table = _uniform_table(seed, columns, count)
-    trans_ph = 2.0 * math.pi * table[:, :channels]
-    cos_sq = np.cos(trans_ph) ** 2
-    sin_sq = np.sin(trans_ph) ** 2
-    cos_sq.flags.writeable = False
-    sin_sq.flags.writeable = False
-    return cos_sq, sin_sq
+
+class _ChannelSums(NamedTuple):
+    trans: np.ndarray  # sum T
+    trans_cos: np.ndarray  # sum T cos^2 phi
+    trans_sin: np.ndarray  # sum T sin^2 phi
+    rest: np.ndarray  # sum R + V
+
+
+# Channel sums over the last axis.  This is the reduction np.sum runs,
+# without the wrapper that costs more than the sum on one draw's channels.
+_channel_sum = np.add.reduce
+
+
+def _rest_sum(refl, spont):
+    # Reflection and spontaneous vacuum noise is phase-isotropic, so it
+    # enters every variance with unit weight.
+    return _channel_sum(refl, axis=-1) + spont
+
+
+def _batch_values(
+    trans: np.ndarray,
+    refl: np.ndarray,
+    spont: np.ndarray,
+    cos_sq: np.ndarray,
+    sin_sq: np.ndarray,
+) -> _ChannelSums:
+    """Reduce (draws, channels) arrays once to the four per-draw channel sums."""
+    return _ChannelSums(
+        trans=_channel_sum(trans, axis=-1),
+        trans_cos=_channel_sum(trans * cos_sq, axis=-1),
+        trans_sin=_channel_sum(trans * sin_sq, axis=-1),
+        rest=_rest_sum(refl, spont),
+    )
+
+
+def _shaped(trans_sum, rest, variance):
+    return trans_sum * variance + rest
+
+
+def _unshaped(trans_cos, trans_sin, rest, along, across):
+    return trans_cos * along + trans_sin * across + rest
 
 
 def sample_realization(
@@ -255,10 +363,18 @@ def variance_x_wfs_single(real: DisorderRealization, state: InputState) -> float
     sum T e^(-2r) + sum R + V.  Reflection and spontaneous phases drop
     out exactly (their vacuum variances are phase-isotropic).
     """
-    return float(
-        np.sum(real.trans_mags) * state.x_variance
-        + np.sum(real.refl_mags)
-        + real.spont_mag
+    rest = _rest_sum(real.refl_mags, real.spont_mag)
+    return float(_shaped(_channel_sum(real.trans_mags), rest, state.x_variance))
+
+
+def _mixed_sums(real: DisorderRealization) -> tuple[np.float64, np.float64, np.float64]:
+    # The three channel sums the unshaped evaluators need, formed as in _batch_values.
+    cos_sq = np.cos(real.trans_phases) ** 2
+    sin_sq = np.sin(real.trans_phases) ** 2
+    return (
+        _channel_sum(real.trans_mags * cos_sq),
+        _channel_sum(real.trans_mags * sin_sq),
+        _rest_sum(real.refl_mags, real.spont_mag),
     )
 
 
@@ -268,10 +384,7 @@ def variance_x_nowfs_single(real: DisorderRealization, state: InputState) -> flo
     The random transmission phase of each channel rotates its input
     quadratures: sum T (cos^2 phi e^(-2r) + sin^2 phi e^(+2r)) + sum R + V.
     """
-    cos_sq = np.cos(real.trans_phases) ** 2
-    sin_sq = np.sin(real.trans_phases) ** 2
-    mixed = np.sum(real.trans_mags * (cos_sq * state.x_variance + sin_sq * state.p_variance))
-    return float(mixed + np.sum(real.refl_mags) + real.spont_mag)
+    return float(_unshaped(*_mixed_sums(real), state.x_variance, state.p_variance))
 
 
 def variance_p_single(real: DisorderRealization, state: InputState, shaped: bool) -> float:
@@ -281,15 +394,9 @@ def variance_p_single(real: DisorderRealization, state: InputState, shaped: bool
     transmission term.
     """
     if shaped:
-        return float(
-            np.sum(real.trans_mags) * state.p_variance
-            + np.sum(real.refl_mags)
-            + real.spont_mag
-        )
-    cos_sq = np.cos(real.trans_phases) ** 2
-    sin_sq = np.sin(real.trans_phases) ** 2
-    mixed = np.sum(real.trans_mags * (cos_sq * state.p_variance + sin_sq * state.x_variance))
-    return float(mixed + np.sum(real.refl_mags) + real.spont_mag)
+        rest = _rest_sum(real.refl_mags, real.spont_mag)
+        return float(_shaped(_channel_sum(real.trans_mags), rest, state.p_variance))
+    return float(_unshaped(*_mixed_sums(real), state.p_variance, state.x_variance))
 
 
 def mean_amplitude_check(real: DisorderRealization, state: InputState) -> tuple[float, float]:
@@ -309,28 +416,31 @@ def mean_amplitude_check(real: DisorderRealization, state: InputState) -> tuple[
 _QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
 
 
-def _batch_values(
-    quantity: str,
-    state: InputState,
-    trans: np.ndarray,
-    refl: np.ndarray,
-    spont: np.ndarray,
-    cos_sq: np.ndarray | None,
-    sin_sq: np.ndarray | None,
-) -> np.ndarray:
-    # Mirrors the *_single evaluators term for term so scalar and batch
-    # paths agree bit for bit.
+def channel_sums(spec: MediumSpec, table: DrawTable) -> _ChannelSums:
+    """Per-draw channel sums of one medium over the draws of ``table``."""
+    validate_medium(spec)
+    if spec.channels != table.channels:
+        raise ParameterError(
+            f"medium has {spec.channels} channels, draw table {table.channels}"
+        )
+    trans, refl, spont = _magnitudes(
+        mean_coefficients(spec), spec.channels, table.config.mode, table.uniforms
+    )
+    return _batch_values(trans, refl, spont, table.cos_sq, table.sin_sq)
+
+
+def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> np.ndarray:
+    """Per-draw values of one output variance from a medium's channel sums."""
     if quantity == "x_wfs":
-        return np.sum(trans, axis=1) * state.x_variance + np.sum(refl, axis=1) + spont
+        return _shaped(sums.trans, sums.rest, state.x_variance)
     if quantity == "p_wfs":
-        return np.sum(trans, axis=1) * state.p_variance + np.sum(refl, axis=1) + spont
+        return _shaped(sums.trans, sums.rest, state.p_variance)
+    mixed = sums.trans_cos, sums.trans_sin, sums.rest
     if quantity == "x_nowfs":
-        mixed = np.sum(trans * (cos_sq * state.x_variance + sin_sq * state.p_variance), axis=1)
-    elif quantity == "p_nowfs":
-        mixed = np.sum(trans * (cos_sq * state.p_variance + sin_sq * state.x_variance), axis=1)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    return mixed + np.sum(refl, axis=1) + spont
+        return _unshaped(*mixed, state.x_variance, state.p_variance)
+    if quantity == "p_nowfs":
+        return _unshaped(*mixed, state.p_variance, state.x_variance)
+    raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
 
 
 def realization_values(
@@ -338,24 +448,27 @@ def realization_values(
 ) -> np.ndarray:
     """Index-ordered per-realization values for draws [0, realizations)."""
     validate_medium(spec)
-    coef = mean_coefficients(spec)
-    trans, refl, spont = _magnitude_table(
-        coef.t_bar,
-        coef.r_bar,
-        coef.v_bar,
-        spec.channels,
-        config.mode,
-        config.seed,
-        config.realizations,
-    )
-    if quantity in ("x_wfs", "p_wfs"):
-        cos_sq = sin_sq = None
-    else:
-        columns = _uniform_columns(config.mode, spec.channels)
-        cos_sq, sin_sq = _phase_mix_table(
-            config.seed, spec.channels, columns, config.realizations
-        )
-    return _batch_values(quantity, state, trans, refl, spont, cos_sq, sin_sq)
+    sums = channel_sums(spec, draw_table(config, spec.channels))
+    return quadrature_values(sums, state, quantity)
+
+
+def mc_estimate(values: np.ndarray) -> McEstimate:
+    """Sample mean and standard error of index-ordered per-draw values.
+
+    The mean and spread are accumulated about values[0] (shifted
+    two-pass), which keeps a phase-independent integrand at exactly zero
+    spread instead of accumulating rounding noise.
+    """
+    count = values.size
+    if count < 2:
+        raise ParameterError(f"need >= 2 realizations for a standard error (got {count})")
+    shift = values[0]
+    centered = values - shift
+    offset = float(np.mean(centered))
+    mean = float(shift + offset)
+    sum_sq = float(np.sum((centered - offset) ** 2))
+    std_error = math.sqrt(sum_sq / (count - 1)) / math.sqrt(count)
+    return McEstimate(mean=mean, std_error=std_error, realizations=count)
 
 
 def mc_average(
@@ -365,19 +478,6 @@ def mc_average(
 
     Values are always reduced in draw-index order from the full value
     vector, so the estimate does not depend on how the draws were
-    scheduled.  The mean and spread are accumulated about values[0]
-    (shifted two-pass), which keeps a phase-independent integrand at
-    exactly zero spread instead of accumulating rounding noise.
+    scheduled.
     """
-    if config.realizations < 2:
-        raise ParameterError(
-            f"need >= 2 realizations for a standard error (got {config.realizations})"
-        )
-    values = realization_values(spec, state, config, quantity)
-    shift = values[0]
-    centered = values - shift
-    offset = float(np.mean(centered))
-    mean = float(shift + offset)
-    sum_sq = float(np.sum((centered - offset) ** 2))
-    std_error = math.sqrt(sum_sq / (config.realizations - 1)) / math.sqrt(config.realizations)
-    return McEstimate(mean=mean, std_error=std_error, realizations=config.realizations)
+    return mc_estimate(realization_values(spec, state, config, quantity))

@@ -7,16 +7,15 @@ the gain -> 0 limit); Monte Carlo means must sit within 3 standard
 errors of the closed forms, with 1e-12 taking over as the bound when a
 phase-independent integrand makes the spread exactly zero.
 
-``RAMSQ_THREADS`` caps the worker threads used for the grid sweep; unset
-or 1 means sequential.  Results are reduced in grid order either way,
-so the report does not depend on the worker count.
+Each Monte Carlo check builds one draw table for its sampler, reduces
+the draws of each grid medium once to channel sums, and derives all
+four quadrature estimates at every squeezing from those sums, in grid
+order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .analytic import (
@@ -29,7 +28,15 @@ from .analytic import (
     wfs_gain,
 )
 from .core import InputState, MediumSpec
-from .ensemble import SamplerConfig, SamplerMode, mc_average
+from .ensemble import (
+    McEstimate,
+    SamplerConfig,
+    SamplerMode,
+    channel_sums,
+    draw_table,
+    mc_estimate,
+    quadrature_values,
+)
 from .snl import snl_condition
 
 STANDARD_THICKNESS = (2.0, 5.0, 10.0, 20.0)
@@ -51,25 +58,6 @@ MIN_TRUSTED_REALIZATIONS = 100
 
 _QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
 _SHAPED = ("x_wfs", "p_wfs")
-
-
-def worker_count() -> int:
-    """Worker cap from RAMSQ_THREADS; 1 (sequential) when unset or bad."""
-    raw = os.environ.get("RAMSQ_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def standard_grid() -> list[tuple[float, float, float]]:
@@ -213,65 +201,69 @@ def _check_snl_sign() -> CheckResult:
     )
 
 
-def _mc_point(args) -> dict:
-    th, g, r, channels, config = args
-    spec = MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
-    state = InputState(squeeze_r=r)
-    rep = full_report(spec, state)
-    analytic = {
-        "x_wfs": rep.x_wfs,
-        "x_nowfs": rep.x_nowfs,
-        "p_wfs": rep.p_wfs,
-        "p_nowfs": rep.p_nowfs,
-    }
-    out = {"point": (th, g, r), "quantities": {}}
-    for quantity in _QUANTITIES:
-        est = mc_average(spec, state, config, quantity)
-        err = abs(est.mean - analytic[quantity])
-        # Below the draw-count floor the sample spread is too noisy an
-        # estimate of sigma for a 3-sigma comparison to mean anything.
-        trusted = config.realizations >= MIN_TRUSTED_REALIZATIONS
-        out["quantities"][quantity] = {
-            "abs_err": err,
-            "std_error": est.std_error,
-            "analytic": analytic[quantity],
-            "ok": err <= max(3.0 * est.std_error, IDENTITY_TOL),
-            "precise": trusted
-            and 3.0 * est.std_error
-            <= PRECISION_FRACTION * max(1.0, abs(analytic[quantity])),
-        }
+def _mc_estimates(
+    mode: SamplerMode, channels: int, seed: int, realizations: int
+) -> list[tuple[tuple[float, float, float], str, McEstimate, float]]:
+    """(point, quantity, estimate, closed form) over the standard grid, in grid order."""
+    table = draw_table(SamplerConfig(mode=mode, realizations=realizations, seed=seed), channels)
+    out = []
+    for th in STANDARD_THICKNESS:
+        for g in STANDARD_GAIN:
+            spec = MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
+            sums = channel_sums(spec, table)
+            for r in STANDARD_SQUEEZE:
+                state = InputState(squeeze_r=r)
+                rep = full_report(spec, state)
+                for quantity in _QUANTITIES:
+                    est = mc_estimate(quadrature_values(sums, state, quantity))
+                    out.append(((th, g, r), quantity, est, getattr(rep, quantity)))
     return out
 
 
 def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) -> CheckResult:
-    config = SamplerConfig(mode=mode, realizations=realizations, seed=seed)
-    points = [(th, g, r, channels, config) for th, g, r in standard_grid()]
-    results = _pool_map(_mc_point, points)
+    estimates = _mc_estimates(mode, channels, seed, realizations)
+    # Below the draw-count floor the sample spread is too noisy an
+    # estimate of sigma for a 3-sigma comparison to mean anything.
+    trusted = realizations >= MIN_TRUSTED_REALIZATIONS
     worst_sigma = 0.0
     worst_exact = 0.0
     shaped_max_std = 0.0
     failures = []
     imprecise = 0
     imprecise_violations = 0
-    for res in results:
-        for quantity, q in res["quantities"].items():
-            if not q["ok"]:
-                # A sigma violation is only trustworthy where the error
-                # bar itself is trustworthy; at tiny K the sample spread
-                # underestimates heavy tails, so an imprecise point can
-                # only demote the run to a warning, never fail it.
-                if q["precise"]:
-                    failures.append({"point": res["point"], "quantity": quantity, **q})
-                else:
-                    imprecise_violations += 1
-            if q["std_error"] > 0.0:
-                worst_sigma = max(worst_sigma, q["abs_err"] / q["std_error"])
+    for point, quantity, est, analytic in estimates:
+        err = abs(est.mean - analytic)
+        ok = err <= max(3.0 * est.std_error, IDENTITY_TOL)
+        precise = trusted and 3.0 * est.std_error <= PRECISION_FRACTION * max(
+            1.0, abs(analytic)
+        )
+        if not ok:
+            # A sigma violation is only trustworthy where the error
+            # bar itself is trustworthy; at tiny K the sample spread
+            # underestimates heavy tails, so an imprecise point can
+            # only demote the run to a warning, never fail it.
+            if precise:
+                failures.append(
+                    {
+                        "point": point,
+                        "quantity": quantity,
+                        "abs_err": err,
+                        "std_error": est.std_error,
+                        "analytic": analytic,
+                        "ok": ok,
+                        "precise": precise,
+                    }
+                )
             else:
-                worst_exact = max(worst_exact, q["abs_err"])
-            if quantity in _SHAPED and mode is SamplerMode.MEAN_MAGNITUDES:
-                shaped_max_std = max(shaped_max_std, q["std_error"])
-            if not q["precise"]:
-                imprecise += 1
+                imprecise_violations += 1
+        if est.std_error > 0.0:
+            worst_sigma = max(worst_sigma, err / est.std_error)
+        else:
+            worst_exact = max(worst_exact, err)
+        if quantity in _SHAPED and mode is SamplerMode.MEAN_MAGNITUDES:
+            shaped_max_std = max(shaped_max_std, est.std_error)
+        if not precise:
+            imprecise += 1
     if failures:
         status = "fail"
     elif imprecise:
@@ -283,7 +275,7 @@ def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) ->
         "realizations": realizations,
         "seed": seed,
         "channels": channels,
-        "grid_points": len(results),
+        "grid_points": len(estimates) // len(_QUANTITIES),
         "worst_sigma_margin": worst_sigma,
         "sigma_bound": 3.0,
         "worst_exact_error": worst_exact,

@@ -78,6 +78,30 @@ def test_above_threshold_exits_2(capfd):
     assert "parameter error" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_out_of_range_exits_2(capfd, seed):
+    code, out, err = run(capfd, ["validate", "--sampler", "mean", "--realizations", "10",
+                                 "--seed", seed])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parameter error: seed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--panel", "a", "--x-steps", "0"],
+    ["fig4", "--panel", "a", "--x-max", "400"],
+    ["fig4", "--panel", "a", "--out", "{missing}/x.csv"],
+], ids=["zero-steps", "overflowing-squeeze", "unwritable-out"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capfd, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, out, err = run(capfd, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(("parameter error: ", "error: "))
+
+
 def test_version():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -10,6 +10,7 @@ from ramsq.core import (
     GainAboveThreshold,
     InputState,
     LASER_THRESHOLD,
+    MAX_SQUEEZE_R,
     MediumSpec,
     ParameterError,
     PhysicalUnits,
@@ -76,6 +77,19 @@ def test_medium_spec_hashable_and_frozen():
 def test_negative_squeeze_rejected():
     with pytest.raises(ParameterError):
         InputState(squeeze_r=-0.1)
+
+
+def test_anti_squeezing_bounded_where_exp_overflows():
+    # e^(2r) is finite up to MAX_SQUEEZE_R and refused past it, while
+    # saturated squeezing stays usable wherever only e^(-2r) enters
+    assert math.isfinite(InputState(squeeze_r=MAX_SQUEEZE_R).p_variance)
+    for r in (math.nextafter(MAX_SQUEEZE_R, math.inf), 600.0, math.inf):
+        state = InputState(squeeze_r=r)
+        assert 0.0 <= state.x_variance < 1e-300
+        with pytest.raises(ParameterError):
+            state.p_variance
+        with pytest.raises(ParameterError):
+            state.anti_squeezing_exponent
 
 
 def test_input_state_variances():

@@ -11,6 +11,7 @@ from ramsq.analytic import (
     variance_x_nowfs,
     variance_x_wfs,
 )
+from ramsq import ensemble, validation
 from ramsq.core import InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
     DisorderRealization,
@@ -83,6 +84,36 @@ def test_scalar_and_batch_paths_identical(mode, reference_spec, reference_state)
     for q in QUANTITIES:
         batch = realization_values(reference_spec, reference_state, cfg, q)
         assert np.array_equal(singles[q], batch)
+
+
+def _reference_rows(seed, columns, rows):
+    # numpy's own Philox, one generator per draw index
+    return np.array([
+        np.random.Generator(np.random.Philox(key=seed, counter=k * 2**128)).random(columns)
+        for k in rows
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 5, 2**128 - 1])
+@pytest.mark.parametrize("columns", [3, 9, 19])
+def test_uniform_table_matches_numpy_philox(monkeypatch, seed, columns):
+    # a small chunk so 40 rows cross two chunk boundaries and end mid-chunk
+    monkeypatch.setattr(ensemble, "_TABLE_CHUNK_ROWS", 16)
+    table = ensemble._uniform_table(seed, columns, 40)
+    assert np.array_equal(table, _reference_rows(seed, columns, range(40)))
+
+
+def test_uniform_table_across_default_chunk():
+    chunk = ensemble._TABLE_CHUNK_ROWS
+    rows = [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 2]
+    table = ensemble._uniform_table(7, 19, 2 * chunk + 3)
+    assert np.array_equal(table[rows], _reference_rows(7, 19, rows))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_config_rejects_seed_outside_philox_key(seed):
+    with pytest.raises(ParameterError):
+        SamplerConfig(mode=MODES[0], seed=seed)
 
 
 def test_mc_average_repeatable(reference_spec, reference_state):
@@ -338,3 +369,22 @@ def test_linear_limit_sampling():
     assert est.std_error == 0.0
     assert abs(est.mean - variance_x_wfs(mean_coefficients(spec), state)) <= 1e-12
     assert est.mean < 1.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_validation_reduces_like_mc_average(monkeypatch, mode):
+    # the grid sweep reduces each medium once; every estimate it reports
+    # must equal the per-quantity mc_average bit for bit
+    monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 10.0))
+    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 2.5))
+    monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0, 1.0))
+    rows = validation._mc_estimates(mode, channels=4, seed=5, realizations=500)
+    expected = [
+        ((th, g, r), q) for th in (2.0, 10.0) for g in (0.0, 2.5) for r in (0.0, 1.0)
+        for q in QUANTITIES
+    ]
+    assert [(point, q) for point, q, _, _ in rows] == expected
+    cfg = config(mode, realizations=500, seed=5)
+    for (th, g, r), quantity, est, _ in rows:
+        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
+        assert est == mc_average(spec, InputState(squeeze_r=r), cfg, quantity)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 from . import __version__
@@ -91,6 +93,15 @@ def _cmd_fig2(args) -> int:
     return 0
 
 
+def _curve_values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--curve-values must be comma-separated numbers (got {text!r})"
+        ) from None
+
+
 def _cmd_fig3(args) -> int:
     preset = FIG3_DEFAULTS[args.panel]
     fixed = {
@@ -99,11 +110,7 @@ def _cmd_fig3(args) -> int:
         "c": args.L_over_l,
         "d": args.squeeze_r,
     }[args.panel]
-    curves = (
-        [float(v) for v in args.curve_values.split(",")]
-        if args.curve_values
-        else list(preset["curves"])
-    )
+    curves = _curve_values(args.curve_values) if args.curve_values else list(preset["curves"])
     lo, hi, steps = preset["x_grid"]
     x_min = args.x_min if args.x_min is not None else lo
     x_max = args.x_max if args.x_max is not None else hi
@@ -196,24 +203,43 @@ def _cmd_snl_region(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = run_validation(
-        channels=args.channels,
-        seed=args.seed,
-        realizations=args.realizations,
-        sampler=args.sampler,
-        corrupt_constraint=args.corrupt_constraint,
-    )
+    # Open --out before the oracle runs, so an unwritable path fails at
+    # once.  Append mode leaves an existing report intact until the new
+    # one replaces it; a file opened here is removed if the run raises.
+    # Only a regular file is emptied first: a device, pipe or FIFO
+    # (/dev/null, /dev/stdout, process substitution) cannot be truncated.
+    created = bool(args.out) and not os.path.exists(args.out)
+    out = open(args.out, "a") if args.out else None
+    try:
+        report = run_validation(
+            channels=args.channels,
+            seed=args.seed,
+            realizations=args.realizations,
+            sampler=args.sampler,
+            corrupt_constraint=args.corrupt_constraint,
+        )
+    except BaseException:
+        if out:
+            out.close()
+            if created:
+                os.remove(args.out)
+        raise
     payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}", file=sys.stderr)
+    if out:
+        with out:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)
+            out.write(payload)
     else:
         sys.stdout.write(payload)
+    # One stderr line either way: a failure names the report file itself.
     if report.status == "fail":
         names = [c.name for c in report.checks if c.status == "fail"]
-        print(f"validation FAILED: {', '.join(names)}", file=sys.stderr)
+        where = f" (report in {args.out})" if args.out else ""
+        print(f"validation FAILED: {', '.join(names)}{where}", file=sys.stderr)
         return 1
+    if args.out:
+        print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 

@@ -28,9 +28,18 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
     """Inclusive deterministic grid with human-readable endpoints."""
     if steps < 1:
         raise ParameterError(f"steps must be >= 1 (got {steps})")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"grid endpoints must be finite (got {lo}, {hi})")
     if steps == 1:
         return [float(lo)]
-    return [float(x) for x in np.round(np.linspace(lo, hi, steps), 12)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.linspace(lo, hi, steps)
+        # Rounding scales by 1e12, which overflows only far above the
+        # magnitudes that have any fractional digits left to round.
+        rounded = np.round(points, 12)
+    if not np.all(np.isfinite(points)):
+        raise ParameterError(f"grid from {lo} to {hi} overflows a double")
+    return [float(x) for x in np.where(np.isfinite(rounded), rounded, points)]
 
 
 def coeffs_rows(thickness: float, gain: float) -> tuple[list[str], list[list]]:

@@ -64,12 +64,29 @@ exponentials conditioned on their sum) spread each group total over its
 channels.  When t_bar = r_bar this reproduces exactly the law of iid
 exponential draws rescaled onto the constraint surface; for unequal
 means it is the mean-exact generalization.
+
+The normalized channel splits depend on the uniforms only, so a draw
+table computes them once (``DrawTable.splits``) and each medium forms
+only V, the Beta share and the two scalings.  The Beta share, one
+``betaincinv`` per draw, is nearly all the cost of a bulk exponential
+run.  From ``_PARALLEL_MIN_ROWS`` draws up it runs in contiguous,
+index-ordered slices, one per CPU in the process's affinity mask (but
+none shorter than half that constant), on a thread pool opened for that
+call; each slice writes its part of one output array.  ``betaincinv``
+is elementwise and releases the GIL, so every entry is the same
+function of the same uniform whatever the slicing, and the result is
+bit-identical for any worker count.  Fewer draws, a single draw
+included, run on the calling thread.  Which uniform feeds which
+quantity is fixed in one place, ``_columns``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,6 +119,18 @@ _DOUBLE_UNIT = 2.0**-53
 # Rows per chunk of a bulk table: a few hundred KB of round temporaries
 # instead of several copies of the whole table.
 _TABLE_CHUNK_ROWS = 4096
+
+# Largest uniform table a run may build: 2**26 doubles (512 MiB).  A
+# table holds every draw at once, so beyond this a run would exhaust
+# memory instead of failing with a parameter error.
+_TABLE_LIMIT = 1 << 26
+
+# Below this many draws betaincinv runs on the calling thread, and no
+# slice is ever shorter than half of it.  Timed per medium on a 2-vCPU
+# VM (4 channels, the 24 oracle media), two slices cost 1.3-1.6x the
+# serial time at 512 draws, break even around 1-2k and take 0.7-0.9x
+# from 4096 up (0.7x at 10k).  A single draw never starts a thread.
+_PARALLEL_MIN_ROWS = 4096
 
 # Beta concentration for the transmission/reflection split: the total
 # shape matches the 2N unit-shape (exponential) channel draws it stands
@@ -160,12 +189,44 @@ class McEstimate:
     realizations: int
 
 
+class _Columns(NamedTuple):
+    """Fixed per-draw uniform layout, indices into one table row.
+
+    Phases come first (transmission, reflection, spontaneous); the
+    exponential mode appends its magnitude draws (V, the split share and
+    the two groups' channel splits).
+    """
+
+    trans_phase: slice
+    refl_phase: slice
+    spont_phase: int
+    spont: int
+    share: int
+    trans_split: slice
+    refl_split: slice
+
+
+# Memoized: single draws look the layout up several times each.
+@functools.lru_cache(maxsize=16)
+def _columns(channels: int) -> _Columns:
+    n = channels
+    return _Columns(
+        trans_phase=slice(0, n),
+        refl_phase=slice(n, 2 * n),
+        spont_phase=2 * n,
+        spont=2 * n + 1,
+        share=2 * n + 2,
+        trans_split=slice(2 * n + 3, 3 * n + 3),
+        refl_split=slice(3 * n + 3, 4 * n + 3),
+    )
+
+
 def _uniform_columns(mode: SamplerMode, channels: int) -> int:
-    # Fixed per-draw layout: phases first (trans, refl, spont), then the
-    # exponential-mode magnitude draws (V, split share, two group splits).
+    cols = _columns(channels)
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        return 2 * channels + 1
-    return 4 * channels + 3
+        # Mean mode draws the phases only.
+        return cols.spont_phase + 1
+    return cols.refl_split.stop
 
 
 def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,10 +280,71 @@ def _uniforms_for(config: SamplerConfig, channels: int, draw_index: int) -> np.n
     return stream.random(columns)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on.
+
+    This is the affinity mask, not a cgroup CPU quota: a container held
+    to 2 CPUs of a 64-CPU host counts 64 here.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_share(a: float, b: float, u_split: np.ndarray) -> np.ndarray:
+    """Beta(a, b) quantiles of ``u_split``, in contiguous slices on every CPU.
+
+    Slices keep at least ``_PARALLEL_MIN_ROWS // 2`` rows each, so a
+    table only fans out to as many threads as it has rows to keep busy.
+    """
+    rows = u_split.shape[0]
+    if rows < _PARALLEL_MIN_ROWS:
+        workers = 1
+    else:
+        workers = min(_worker_count(), rows // (_PARALLEL_MIN_ROWS // 2))
+    if workers < 2:
+        return betaincinv(a, b, u_split)
+    share = np.empty(rows)
+    edges = [rows * i // workers for i in range(workers + 1)]
+
+    def fill(lo: int, hi: int) -> None:
+        betaincinv(a, b, u_split[lo:hi], out=share[lo:hi])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, edges[:-1], edges[1:]))
+    return share
+
+
+def _channel_splits(
+    mode: SamplerMode, channels: int, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Normalized exponential splits of the transmission and reflection totals.
+
+    Each row sums to 1 and does not depend on the medium; mean mode has
+    no splits (None).
+    """
+    if mode is SamplerMode.MEAN_MAGNITUDES:
+        return None
+    cols = _columns(channels)
+    trans_draws = -np.log1p(-uniforms[:, cols.trans_split])
+    refl_draws = -np.log1p(-uniforms[:, cols.refl_split])
+    return (
+        trans_draws / trans_draws.sum(axis=1, keepdims=True),
+        refl_draws / refl_draws.sum(axis=1, keepdims=True),
+    )
+
+
 def _magnitudes(
-    coef: EnsembleCoefficients, channels: int, mode: SamplerMode, uniforms: np.ndarray
+    coef: EnsembleCoefficients,
+    channels: int,
+    mode: SamplerMode,
+    uniforms: np.ndarray,
+    splits: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Magnitude arrays (T, R, V) for a (draws, columns) uniform block."""
+    """Magnitude arrays (T, R, V) for a (draws, columns) uniform block.
+
+    ``splits`` are the block's ``_channel_splits``.
+    """
     draws = uniforms.shape[0]
     if mode is SamplerMode.MEAN_MAGNITUDES:
         trans = np.full((draws, channels), coef.t_per_channel(channels))
@@ -230,35 +352,32 @@ def _magnitudes(
         spont = np.full(draws, coef.v_bar)
         return trans, refl, spont
 
-    base = 2 * channels + 1
-    u_spont = uniforms[:, base]
-    u_split = uniforms[:, base + 1]
-    u_trans = uniforms[:, base + 2 : base + 2 + channels]
-    u_refl = uniforms[:, base + 2 + channels : base + 2 + 2 * channels]
-
+    cols = _columns(channels)
     if coef.v_bar > 0.0:
-        spont = -coef.v_bar * np.log1p(-u_spont)
+        spont = -coef.v_bar * np.log1p(-uniforms[:, cols.spont])
     else:
         spont = np.zeros(draws)
     total = 1.0 + spont
 
     trans_weight = coef.t_bar / (coef.t_bar + coef.r_bar)
     shape = _SPLIT_SHAPE_PER_CHANNEL * channels
-    trans_share = betaincinv(shape * trans_weight, shape * (1.0 - trans_weight), u_split)
+    trans_share = _split_share(
+        shape * trans_weight, shape * (1.0 - trans_weight), uniforms[:, cols.share]
+    )
 
-    trans_draws = -np.log1p(-u_trans)
-    refl_draws = -np.log1p(-u_refl)
-    trans = (total * trans_share)[:, None] * (trans_draws / trans_draws.sum(axis=1, keepdims=True))
-    refl = (total * (1.0 - trans_share))[:, None] * (refl_draws / refl_draws.sum(axis=1, keepdims=True))
+    trans_split, refl_split = splits
+    trans = (total * trans_share)[:, None] * trans_split
+    refl = (total * (1.0 - trans_share))[:, None] * refl_split
     return trans, refl, spont
 
 
 def _phases(channels: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     two_pi = 2.0 * math.pi
+    cols = _columns(channels)
     return (
-        two_pi * uniforms[:, :channels],
-        two_pi * uniforms[:, channels : 2 * channels],
-        two_pi * uniforms[:, 2 * channels],
+        two_pi * uniforms[:, cols.trans_phase],
+        two_pi * uniforms[:, cols.refl_phase],
+        two_pi * uniforms[:, cols.spont_phase],
     )
 
 
@@ -267,8 +386,9 @@ class DrawTable:
     """Uniforms of draws [0, realizations) for one sampler configuration.
 
     Built once per run and shared by every medium with the same channel
-    count; ``cos_sq`` and ``sin_sq`` hold cos^2 and sin^2 of the
-    transmission phases, which do not depend on the medium either.
+    count.  ``cos_sq`` and ``sin_sq`` hold cos^2 and sin^2 of the
+    transmission phases and ``splits`` the exponential mode's normalized
+    channel splits (None in mean mode); neither depends on the medium.
     """
 
     config: SamplerConfig
@@ -276,13 +396,24 @@ class DrawTable:
     uniforms: np.ndarray
     cos_sq: np.ndarray
     sin_sq: np.ndarray
+    splits: tuple[np.ndarray, np.ndarray] | None
 
 
 def draw_table(config: SamplerConfig, channels: int) -> DrawTable:
-    """Build the uniform table of ``config`` and its transmission-phase mix."""
-    uniforms = _uniform_table(
-        config.seed, _uniform_columns(config.mode, channels), config.realizations
-    )
+    """Build the uniform table of ``config`` and its medium-independent parts.
+
+    Raises ``ParameterError`` before allocating if the table would
+    exceed ``_TABLE_LIMIT`` doubles.
+    """
+    if channels < 1:
+        raise ParameterError(f"channels must be >= 1 (got {channels})")
+    columns = _uniform_columns(config.mode, channels)
+    if config.realizations * columns > _TABLE_LIMIT:
+        raise ParameterError(
+            f"{config.realizations} realizations x {columns} uniforms exceed the "
+            f"{_TABLE_LIMIT} doubles of one draw table"
+        )
+    uniforms = _uniform_table(config.seed, columns, config.realizations)
     trans_ph = _phases(channels, uniforms)[0]
     return DrawTable(
         config=config,
@@ -290,6 +421,7 @@ def draw_table(config: SamplerConfig, channels: int) -> DrawTable:
         uniforms=uniforms,
         cos_sq=np.cos(trans_ph) ** 2,
         sin_sq=np.sin(trans_ph) ** 2,
+        splits=_channel_splits(config.mode, channels, uniforms),
     )
 
 
@@ -344,7 +476,8 @@ def sample_realization(
         raise ParameterError(f"draw_index must be >= 0 (got {draw_index})")
     coef = mean_coefficients(spec)
     block = _uniforms_for(config, spec.channels, draw_index)[None, :]
-    trans, refl, spont = _magnitudes(coef, spec.channels, config.mode, block)
+    splits = _channel_splits(config.mode, spec.channels, block)
+    trans, refl, spont = _magnitudes(coef, spec.channels, config.mode, block, splits)
     trans_ph, refl_ph, spont_ph = _phases(spec.channels, block)
     return DisorderRealization(
         trans_mags=trans[0],
@@ -424,7 +557,7 @@ def channel_sums(spec: MediumSpec, table: DrawTable) -> _ChannelSums:
             f"medium has {spec.channels} channels, draw table {table.channels}"
         )
     trans, refl, spont = _magnitudes(
-        mean_coefficients(spec), spec.channels, table.config.mode, table.uniforms
+        mean_coefficients(spec), spec.channels, table.config.mode, table.uniforms, table.splits
     )
     return _batch_values(trans, refl, spont, table.cos_sq, table.sin_sq)
 

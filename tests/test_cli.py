@@ -2,11 +2,13 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from ramsq import cli, ensemble
 from ramsq.analytic import coherent_baseline, mean_coefficients
 from ramsq.cli import main
 from ramsq.core import MediumSpec
@@ -280,3 +282,96 @@ def test_validate_corrupt_constraint_fails(capfd):
     assert code == 1
     assert "flux-conservation" in err
     assert json.loads(out)["status"] == "fail"
+
+
+def _refuse_run(**kwargs):
+    raise AssertionError("run_validation must not start")
+
+
+def test_validate_unwritable_out_fails_before_run(tmp_path, capfd, monkeypatch):
+    # the --out path is opened first, so a bad one costs no oracle run
+    monkeypatch.setattr(cli, "run_validation", _refuse_run)
+    code, out, err = run(capfd, ["validate", "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+
+
+def test_validate_removes_created_out_when_run_raises(tmp_path, capfd):
+    path = tmp_path / "report.json"
+    code, _, err = run(capfd, ["validate", "--channels", "0", "--out", str(path)])
+    assert code == 2
+    assert err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_validate_keeps_existing_out_when_run_raises(tmp_path, capfd):
+    path = tmp_path / "report.json"
+    path.write_text("previous report\n")
+    code, _, _ = run(capfd, ["validate", "--channels", "0", "--out", str(path)])
+    assert code == 2
+    assert path.read_text() == "previous report\n"
+
+
+def test_validate_replaces_existing_out(tmp_path, capfd):
+    path = tmp_path / "report.json"
+    path.write_text("x" * 100_000)
+    code, _, _ = run(capfd, ["validate", "--sampler", "mean", "--realizations", "200",
+                             "--out", str(path)])
+    assert code == 0
+    assert json.loads(path.read_text())["status"] == "pass"
+
+
+def test_validate_out_to_devnull(capfd):
+    # a character device cannot be truncated; the report is just written
+    code, out, err = run(capfd, ["validate", "--sampler", "mean", "--realizations", "200",
+                                 "--out", os.devnull])
+    assert code == 0
+    assert out == ""
+    assert err == f"wrote {os.devnull}\n"
+
+
+def test_validate_failure_with_out_prints_one_line(tmp_path, capfd):
+    path = tmp_path / "report.json"
+    code, _, err = run(capfd, ["validate", "--sampler", "mean", "--realizations", "200",
+                               "--corrupt-constraint", "--out", str(path)])
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "flux-conservation" in err and str(path) in err
+    assert json.loads(path.read_text())["status"] == "fail"
+
+
+def test_validate_oversized_draw_table_exits_2(capfd, monkeypatch):
+    # the size cap is checked before any uniform table is allocated
+    def refuse_table(*args):
+        raise AssertionError("no draw table may be built")
+
+    monkeypatch.setattr(ensemble, "_uniform_table", refuse_table)
+    code, out, err = run(capfd, ["validate", "--sampler", "exponential",
+                                 "--realizations", "10000000"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parameter error: 10000000 realizations")
+
+
+def test_fig3_bad_curve_values_exit_2(capfd):
+    code, out, err = run(capfd, ["fig3", "--curve-values", "1,,2"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parameter error: --curve-values")
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--x-min=inf"], ["--x-max=nan"], ["--x-min=-1e308", "--x-max=1e308"],
+])
+@pytest.mark.filterwarnings("error")
+def test_unusable_grid_exits_2(capfd, bounds):
+    # numpy's overflow warnings must not add lines to the one-line error
+    code, out, err = run(capfd, ["fig4", "--panel", "a", *bounds])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parameter error: grid")

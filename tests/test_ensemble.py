@@ -1,6 +1,7 @@
 """Monte Carlo sampler: determinism, constraint, collapse and convergence."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,96 @@ def test_uniform_table_across_default_chunk():
 def test_config_rejects_seed_outside_philox_key(seed):
     with pytest.raises(ParameterError):
         SamplerConfig(mode=MODES[0], seed=seed)
+
+
+# -- sliced betaincinv --------------------------------------------------------
+
+# Above ensemble._PARALLEL_MIN_ROWS, so the split share is computed in slices.
+SLICED_ROWS = 20_000
+
+
+def _slice_edges(rows, workers):
+    return [rows * i // workers for i in range(workers + 1)]
+
+
+@pytest.fixture(scope="module")
+def sliced_table():
+    cfg = config(MODES[1], realizations=SLICED_ROWS, seed=42)
+    return ensemble.draw_table(cfg, 4)
+
+
+def test_sliced_channel_sums_bit_identical(monkeypatch, reference_spec, sliced_table):
+    assert SLICED_ROWS >= ensemble._PARALLEL_MIN_ROWS
+    sizes = []
+    betaincinv = ensemble.betaincinv
+
+    def recorded(a, b, x, **kwargs):
+        sizes.append(x.shape[0])
+        return betaincinv(a, b, x, **kwargs)
+
+    monkeypatch.setattr(ensemble, "betaincinv", recorded)
+    sums = {}
+    # 3 workers give uneven slices; 7 outnumber the cores, and a short
+    # switch interval interleaves the slice threads as often as it can.
+    # 64 CPUs are more than the table has rows for: no slice may be
+    # shorter than half the threshold.
+    max_slices = SLICED_ROWS // (ensemble._PARALLEL_MIN_ROWS // 2)
+    assert 7 <= max_slices < 64
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
+            sizes.clear()
+            sums[workers] = ensemble.channel_sums(reference_spec, sliced_table)
+            edges = _slice_edges(SLICED_ROWS, min(workers, max_slices))
+            assert sorted(sizes) == sorted(hi - lo for lo, hi in zip(edges, edges[1:]))
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3, 7, 64):
+        for field in sums[1]._fields:
+            assert getattr(sums[workers], field).tobytes() == getattr(sums[1], field).tobytes()
+
+
+def test_sliced_rows_match_single_draws(monkeypatch, reference_spec, reference_state, sliced_table):
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
+    sums = ensemble.channel_sums(reference_spec, sliced_table)
+    edges = sorted({e for w in (2, 3) for e in _slice_edges(SLICED_ROWS, w)[1:-1]})
+    rows = [0, SLICED_ROWS - 1] + [k for e in edges for k in (e - 1, e)]
+    batch = {q: ensemble.quadrature_values(sums, reference_state, q) for q in QUANTITIES}
+    for k in rows:
+        real = sample_realization(reference_spec, sliced_table.config, k)
+        assert batch["x_wfs"][k] == variance_x_wfs_single(real, reference_state)
+        assert batch["x_nowfs"][k] == variance_x_nowfs_single(real, reference_state)
+        assert batch["p_wfs"][k] == variance_p_single(real, reference_state, shaped=True)
+        assert batch["p_nowfs"][k] == variance_p_single(real, reference_state, shaped=False)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_small_batches_start_no_thread(monkeypatch, mode, reference_spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no thread pool below _PARALLEL_MIN_ROWS")
+
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 4)
+    cfg = config(mode, realizations=ensemble._PARALLEL_MIN_ROWS - 1, seed=3)
+    ensemble.channel_sums(reference_spec, ensemble.draw_table(cfg, 4))
+    sample_realization(reference_spec, cfg, 2**62)
+
+
+def test_draw_table_size_cap(monkeypatch):
+    # refused before any uniform is computed
+    monkeypatch.setattr(ensemble, "_uniform_table", None)
+    columns = ensemble._uniform_columns(MODES[1], 4)
+    too_many = ensemble._TABLE_LIMIT // columns + 1
+    with pytest.raises(ParameterError):
+        ensemble.draw_table(config(MODES[1], realizations=too_many), 4)
+
+
+@pytest.mark.parametrize("channels", [0, -3])
+def test_draw_table_rejects_channel_count(channels):
+    with pytest.raises(ParameterError):
+        ensemble.draw_table(config(MODES[1]), channels)
 
 
 def test_mc_average_repeatable(reference_spec, reference_state):

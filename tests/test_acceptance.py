@@ -5,6 +5,7 @@ runtime budget, so ``pytest -v -s tests/test_acceptance.py`` reads as a
 release checklist.
 """
 import functools
+import hashlib
 import math
 import subprocess
 import sys
@@ -27,6 +28,59 @@ from ramsq.validation import run_validation
 from oracles import WFS_GAIN_10_25_R1, bisect_fixed_point_boundary, bisect_gain_threshold
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# sha256 of every file scripts/build_all_datasets.py writes, pinned so the
+# presets stay byte-identical across versions, not only across reruns.
+GOLDEN_SHA256 = {
+    "coeffs_reference.csv":
+        "06d7f905c7f0ec3c2a62ed77d5d429b74f89a4ddbfb59f8295ebd3eb130db371",
+    "coeffs_reference.csv.manifest.json":
+        "dc871d98647037acc752657c0034b05354ce884356f4854a4f7a45696b5bbb1b",
+    "fig2_a.csv":
+        "3920e6b5cea090924e6b4de30feb71a2d9995cd1e65412adf72c3e35486ddaf9",
+    "fig2_a.csv.manifest.json":
+        "d95f08eb22ed6c6342e1fb1d4abcf9ae5e3b5b7dd05147555af5a4dba46cdd06",
+    "fig2_b.csv":
+        "e3dcee77b06b98c15b1e1edfbf5fefdb8b8baf8fd0e5ef8d6202830e08d8fa5d",
+    "fig2_b.csv.manifest.json":
+        "c7a879d2e5ad4cb218499ca4aa06a8604ab470704e15376d09d679831d9b1399",
+    "fig3_a.csv":
+        "442fa5567a1704c958c297f2d90516d52b102eec8036ce11b090ee84924637e4",
+    "fig3_a.csv.manifest.json":
+        "6924c570e9e5bcee073e17675b9ea4910d3d5756c255e2317793d8670ff07a59",
+    "fig3_b.csv":
+        "dca7c568e0bcb02a40f71aaf878bd4027fa61313dd6e0704a367daf77483f3ae",
+    "fig3_b.csv.manifest.json":
+        "350cf2e7c15d43b91b347eefabc942a707c6c77c69aef94ba11d384aa9c3a1f2",
+    "fig3_c.csv":
+        "c88a1d9c6f2bf66855d851215e44ed3cbef13d4d94fc5d7f6c1bdcdc052652c4",
+    "fig3_c.csv.manifest.json":
+        "fb5d89a9844dac27257391d8db9a1a5a5a3a2a63bb60302c9c2c095346b3cdc6",
+    "fig3_d.csv":
+        "e168ce89a9f7844ac9f9f46fd986248b876b1e4c62e4c8947eeab49a06805f9d",
+    "fig3_d.csv.manifest.json":
+        "2e6d1f225c7628ec7908aa9e5cc60f49bc516cf5dc2ef11efd44e8e93e27e46f",
+    "fig4_a.csv":
+        "62a476351a21fb39401194b34156b0e0fb550168ac938850829de6023ba58bc4",
+    "fig4_a.csv.manifest.json":
+        "06dbe7e04c099e7c7292ea3c072da64ffab68d3b898ee831a9babc8bbc532eca",
+    "fig4_b.csv":
+        "ceee3776580b4bab009e7b8379cb3f715dbf295f0172f1c8109173abd7af46f3",
+    "fig4_b.csv.manifest.json":
+        "841c3d2a6495803cfab310a0b4c02ce6f3926c9acf5c5a4771af20322b7fa106",
+    "figxr_a.csv":
+        "2bdeb179cd41c5eb07bfab1710c376c47405ff37d6b036699e917c7ea13cc24a",
+    "figxr_a.csv.manifest.json":
+        "c6c2f4f220b538a897736beee32a51e92997a3ccb6b3a54fd2d4da6b76c15cda",
+    "figxr_b.csv":
+        "dd032b4d03668dedc3b1bb4eb1ebcc548be286703f6e2e441c58c9e2c98c2199",
+    "figxr_b.csv.manifest.json":
+        "2cf89b4e7193d3c579a31f1a5ee2a4756b2f8aa21d8dda43e35c530ff825482f",
+    "snl_region.csv":
+        "1835a3384d2e34b87a662b75e7787b9c90b1dbb6b280d54800944461486ab3e9",
+    "snl_region.csv.manifest.json":
+        "34d4f5dae252a82a9538d5614330875b5f5566043fc21d85451899552242f813",
+}
 
 
 def criterion(number, label, budget_s):
@@ -177,9 +231,11 @@ def test_criterion_9(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in first.iterdir())
-    assert len(names) == 24  # 12 datasets + 12 manifests
+    assert names == sorted(GOLDEN_SHA256)  # 12 datasets + 12 manifests
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        digest = hashlib.sha256((first / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[name], name
 
     # shaping benefit surface: nonnegative, zero iff r = 0
     for fname in ("fig2_a.csv", "fig2_b.csv"):

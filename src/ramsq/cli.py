@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands emit deterministic CSV datasets (stdout or ``--out PATH``
-plus ``PATH.manifest.json``) or run the validation suite.  Exit codes:
-0 success, 1 failed validation or scan integrity, 2 parameter errors
-and output files that cannot be written.
+Each dataset subcommand is one ``COMMANDS`` entry: flags with their
+defaults (the figure presets), per-panel defaults and the builder.  One
+handler resolves the flags, records them unchanged as the manifest's
+``parameters`` and calls the builder; the CSV goes to stdout or to
+``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
+validation suite.  Exit codes: 0 success, 1 failed validation or scan
+integrity, 2 parameter errors and output files that cannot be written.
 """
 
 from __future__ import annotations
@@ -13,24 +16,15 @@ import json
 import os
 import stat
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .core import ParameterError
 from .datasets import (
-    FIG2_DEFAULTS,
-    FIG3_DEFAULTS,
-    FIG4_DEFAULTS,
-    FIGXR_DEFAULTS,
-    SNL_REGION_DEFAULTS,
-    coeffs_rows,
-    fig2_rows,
-    fig3_rows,
-    fig4_rows,
-    figxr_rows,
-    grid,
-    snl_region_rows,
+    coeffs_rows, fig2_rows, fig3_rows, fig4_rows, figxr_rows, grid, snl_region_rows,
 )
 from .manifest import RunManifest, manifest_json, render_csv
+from .snl import LARGE_SQUEEZING_R
 from .validation import run_validation
 
 
@@ -46,159 +40,136 @@ def _emit(header, rows, manifest: RunManifest, out: str | None) -> None:
     print(f"wrote {out} and {out}.manifest.json", file=sys.stderr)
 
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write CSV here plus PATH.manifest.json")
+def _flag(name: str, default=None, help: str | None = None, type=float, **extra) -> tuple:
+    """One option of a dataset command: its name and ``add_argument`` keywords."""
+    return name, dict(default=default, help=help, type=type, **extra)
 
 
-def _add_grid_flags(parser, prefix: str, lo: float, hi: float, steps: int) -> None:
-    parser.add_argument(f"--{prefix}-min", type=float, default=lo)
-    parser.add_argument(f"--{prefix}-max", type=float, default=hi)
-    parser.add_argument(f"--{prefix}-steps", type=int, default=steps)
+class Command(NamedTuple):
+    """One dataset subcommand.
+
+    ``x_grid`` and ``curves`` map each panel to the (min, max, steps) of
+    an unset ``--x-*`` and to the values of an unset ``--curve-values``.
+    ``preset`` is a (label, parameters) pair naming a parameter set, and
+    ``build`` gets the resolved flags as attributes.
+    """
+
+    help: str
+    flags: tuple[tuple, ...]
+    build: Callable[[argparse.Namespace], tuple]
+    x_grid: dict | None = None
+    curves: dict | None = None
+    preset: tuple[str, dict] | None = None
 
 
-def _cmd_coeffs(args) -> int:
-    params = {"L_over_l": args.L_over_l, "L_over_La": args.L_over_La}
-    header, rows = coeffs_rows(args.L_over_l, args.L_over_La)
-    _emit(header, rows, RunManifest("coeffs", params), args.out)
-    return 0
+def _axis(prefix: str, lo: float, hi: float, steps: int) -> tuple[tuple, ...]:
+    """The min, max and steps flags of one grid axis."""
+    return (_flag(f"--{prefix}-min", lo), _flag(f"--{prefix}-max", hi),
+            _flag(f"--{prefix}-steps", steps, type=int))
 
 
-def _cmd_fig2(args) -> int:
-    gain_grid = grid(args.L_over_La_min, args.L_over_La_max, args.L_over_La_steps)
-    lo, hi, steps = (
-        FIG2_DEFAULTS["r_grid"] if args.panel == "a" else FIG2_DEFAULTS["thickness_grid"]
-    )
-    x_min = args.x_min if args.x_min is not None else lo
-    x_max = args.x_max if args.x_max is not None else hi
-    x_steps = args.x_steps if args.x_steps is not None else steps
-    x_grid = grid(x_min, x_max, x_steps)
-    params = {
-        "panel": args.panel,
-        "L_over_l": args.L_over_l,
-        "squeeze_r": args.squeeze_r,
-        "x_min": x_min, "x_max": x_max, "x_steps": x_steps,
-        "L_over_La_min": args.L_over_La_min,
-        "L_over_La_max": args.L_over_La_max,
-        "L_over_La_steps": args.L_over_La_steps,
-    }
-    header, rows = fig2_rows(
-        args.panel,
-        thickness_fixed=args.L_over_l,
-        squeeze_fixed=args.squeeze_r,
-        r_grid=x_grid,
-        gain_grid=gain_grid,
-        thickness_grid=x_grid,
-    )
-    _emit(header, rows, RunManifest("fig2", params), args.out)
-    return 0
+def _grid(p, axis: str) -> list[float]:
+    return grid(getattr(p, f"{axis}_min"), getattr(p, f"{axis}_max"), getattr(p, f"{axis}_steps"))
 
 
 def _curve_values(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        raise ParameterError(
-            f"--curve-values must be comma-separated numbers (got {text!r})"
-        ) from None
+        msg = f"--curve-values must be comma-separated numbers (got {text!r})"
+        raise ParameterError(msg) from None
 
 
-def _cmd_fig3(args) -> int:
-    preset = FIG3_DEFAULTS[args.panel]
-    fixed = {
-        "a": args.L_over_La,
-        "b": args.L_over_l,
-        "c": args.L_over_l,
-        "d": args.squeeze_r,
-    }[args.panel]
-    curves = _curve_values(args.curve_values) if args.curve_values else list(preset["curves"])
-    lo, hi, steps = preset["x_grid"]
-    x_min = args.x_min if args.x_min is not None else lo
-    x_max = args.x_max if args.x_max is not None else hi
-    x_steps = args.x_steps if args.x_steps is not None else steps
-    params = {
-        "panel": args.panel,
-        "L_over_l": args.L_over_l,
-        "L_over_La": args.L_over_La,
-        "squeeze_r": args.squeeze_r,
-        "curve_values": ",".join(repr(c) for c in curves),
-        "x_min": x_min, "x_max": x_max, "x_steps": x_steps,
-    }
-    header, rows = fig3_rows(args.panel, fixed, curves, grid(x_min, x_max, x_steps))
-    _emit(header, rows, RunManifest("fig3", params), args.out)
-    return 0
+_PANEL_AB = _flag("--panel", "a", type=str, choices=("a", "b"))
+_X_FLAGS = _axis("x", None, None, None)
+_R_GRID = (0.0, 2.0, 41)
+_GAIN_GRID = (0.0, 3.0, 31)
+
+# Builders are looked up at call time, so wrappers on module names see every call.
+COMMANDS = {
+    "coeffs": Command(
+        "ensemble-averaged slab weights for one (L/l, L/La)",
+        (_flag("--L-over-l", required=True), _flag("--L-over-La", required=True)),
+        lambda p: coeffs_rows(p.L_over_l, p.L_over_La),
+    ),
+    "fig2": Command(
+        "shaping benefit surface over (r, L/La) or (L/l, L/La)",
+        (_PANEL_AB,
+         _flag("--L-over-l", 6.0, "fixed thickness for panel a"),
+         _flag("--squeeze-r", 1.5, "fixed squeezing for panel b"),
+         _flag("--x-min", help="surface x axis: r (panel a) or L/l (panel b)"),
+         *_X_FLAGS[1:],
+         *_axis("L-over-La", *_GAIN_GRID)),
+        lambda p: fig2_rows(p.panel, p.L_over_l, p.squeeze_r, _grid(p, "x"),
+                            _grid(p, "L_over_La")),
+        x_grid={"a": _R_GRID, "b": (2.0, 12.0, 41)},
+    ),
+    "fig3": Command(
+        "rescaled squeezed-quadrature fluctuation curves",
+        (_flag("--panel", "a", type=str, choices=("a", "b", "c", "d")),
+         _flag("--L-over-La", 2.5, "fixed gain for panel a"),
+         _flag("--L-over-l", 10.0, "fixed thickness for panels b, c"),
+         _flag("--squeeze-r", 1.0, "fixed squeezing for panel d"),
+         _flag("--curve-values", help="comma-separated family values overriding the preset",
+               type=str),
+         *_X_FLAGS),
+        lambda p: fig3_rows(
+            p.panel,
+            {"a": p.L_over_La, "b": p.L_over_l, "c": p.L_over_l, "d": p.squeeze_r}[p.panel],
+            _curve_values(p.curve_values),
+            _grid(p, "x"),
+        ),
+        x_grid={"a": _R_GRID, "b": _R_GRID, "c": _GAIN_GRID, "d": _GAIN_GRID},
+        curves={"a": (2.0, 5.0, 10.0, 20.0), "b": (0.5, 1.0, 2.0, 2.5),
+                "c": (0.5, 1.0, 1.5, 2.0), "d": (2.0, 5.0, 10.0, 20.0)},
+    ),
+    "fig4": Command(
+        "averaged output variances vs r or vs L/La",
+        (_PANEL_AB,
+         _flag("--L-over-l", 10.0),
+         _flag("--L-over-La", 2.5, "fixed gain for panel a"),
+         _flag("--squeeze-r", 0.7, "fixed squeezing for panel b"),
+         *_X_FLAGS),
+        lambda p: fig4_rows(p.panel, p.L_over_l, p.L_over_La, p.squeeze_r, _grid(p, "x")),
+        x_grid={"a": _R_GRID, "b": _GAIN_GRID},
+    ),
+    "figxr": Command(
+        "amplifying vs gain-free squeezed quadrature, five series",
+        (_PANEL_AB,
+         _flag("--L-over-l", 2.0, "fixed thickness for panel a"),
+         _flag("--L-over-La", 1.0, "gain of the amplifying series"),
+         _flag("--squeeze-r", 1.0, "fixed squeezing for panel b"),
+         *_X_FLAGS),
+        lambda p: figxr_rows(p.panel, p.L_over_l, p.L_over_La, p.squeeze_r, _grid(p, "x")),
+        x_grid={"a": _R_GRID, "b": (2.0, 20.0, 37)},
+    ),
+    "snl-region": Command(
+        "sub-shot-noise region map and boundary",
+        (_flag("--squeeze-r", LARGE_SQUEEZING_R,
+               'default is the "large-squeezing" preset e^(-2r) = 1e-8'),
+         *_axis("L-over-l", 1.2, 12.0, 55),
+         *_axis("L-over-La", 0.05, 3.1, 62)),
+        lambda p: snl_region_rows(_grid(p, "L_over_l"), _grid(p, "L_over_La"), p.squeeze_r),
+        preset=("large-squeezing", {"squeeze_r": LARGE_SQUEEZING_R}),
+    ),
+}
 
 
-def _cmd_fig4(args) -> int:
-    lo, hi, steps = (
-        FIG4_DEFAULTS["r_grid"] if args.panel == "a" else FIG4_DEFAULTS["gain_grid"]
-    )
-    x_min = args.x_min if args.x_min is not None else lo
-    x_max = args.x_max if args.x_max is not None else hi
-    x_steps = args.x_steps if args.x_steps is not None else steps
-    params = {
-        "panel": args.panel,
-        "L_over_l": args.L_over_l,
-        "L_over_La": args.L_over_La,
-        "squeeze_r": args.squeeze_r,
-        "x_min": x_min, "x_max": x_max, "x_steps": x_steps,
-    }
-    header, rows = fig4_rows(
-        args.panel,
-        thickness=args.L_over_l,
-        gain_fixed=args.L_over_La,
-        squeeze_fixed=args.squeeze_r,
-        x_grid=grid(x_min, x_max, x_steps),
-    )
-    _emit(header, rows, RunManifest("fig4", params), args.out)
-    return 0
-
-
-def _cmd_figxr(args) -> int:
-    lo, hi, steps = (
-        FIGXR_DEFAULTS["r_grid"] if args.panel == "a" else FIGXR_DEFAULTS["thickness_grid"]
-    )
-    x_min = args.x_min if args.x_min is not None else lo
-    x_max = args.x_max if args.x_max is not None else hi
-    x_steps = args.x_steps if args.x_steps is not None else steps
-    params = {
-        "panel": args.panel,
-        "L_over_l": args.L_over_l,
-        "L_over_La": args.L_over_La,
-        "squeeze_r": args.squeeze_r,
-        "x_min": x_min, "x_max": x_max, "x_steps": x_steps,
-    }
-    header, rows = figxr_rows(
-        args.panel,
-        thickness_fixed=args.L_over_l,
-        gain_amp=args.L_over_La,
-        squeeze_fixed=args.squeeze_r,
-        x_grid=grid(x_min, x_max, x_steps),
-    )
-    _emit(header, rows, RunManifest("figxr", params), args.out)
-    return 0
-
-
-def _cmd_snl_region(args) -> int:
-    params = {
-        "squeeze_r": args.squeeze_r,
-        "L_over_l_min": args.L_over_l_min,
-        "L_over_l_max": args.L_over_l_max,
-        "L_over_l_steps": args.L_over_l_steps,
-        "L_over_La_min": args.L_over_La_min,
-        "L_over_La_max": args.L_over_La_max,
-        "L_over_La_steps": args.L_over_La_steps,
-    }
-    header, rows = snl_region_rows(
-        grid(args.L_over_l_min, args.L_over_l_max, args.L_over_l_steps),
-        grid(args.L_over_La_min, args.L_over_La_max, args.L_over_La_steps),
-        args.squeeze_r,
-    )
-    preset = (
-        "large-squeezing"
-        if args.squeeze_r == SNL_REGION_DEFAULTS["squeeze_r"]
-        else None
-    )
-    _emit(header, rows, RunManifest("snl-region", params, preset=preset), args.out)
+def _run_dataset(args) -> int:
+    """Resolve the flags, record them as the manifest's parameters, build."""
+    spec = COMMANDS[args.command]
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    if spec.x_grid:
+        defaults = zip(("x_min", "x_max", "x_steps"), spec.x_grid[params["panel"]])
+        params.update((k, v) for k, v in defaults if params[k] is None)
+    if spec.curves:
+        text = params["curve_values"]
+        curves = spec.curves[params["panel"]] if text is None else _curve_values(text)
+        params["curve_values"] = ",".join(repr(c) for c in curves)
+    label, named = spec.preset or (None, {})
+    preset = label if all(params[k] == v for k, v in named.items()) else None
+    header, rows = spec.build(argparse.Namespace(**params))
+    _emit(header, rows, RunManifest(args.command, params, preset=preset), args.out)
     return 0
 
 
@@ -251,71 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ramsq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="ensemble-averaged slab weights for one (L/l, L/La)")
-    p.add_argument("--L-over-l", type=float, required=True)
-    p.add_argument("--L-over-La", type=float, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("fig2", help="shaping benefit surface over (r, L/La) or (L/l, L/La)")
-    p.add_argument("--panel", choices=("a", "b"), default="a")
-    p.add_argument("--L-over-l", type=float, default=FIG2_DEFAULTS["thickness_fixed"],
-                   help="fixed thickness for panel a")
-    p.add_argument("--squeeze-r", type=float, default=FIG2_DEFAULTS["squeeze_fixed"],
-                   help="fixed squeezing for panel b")
-    p.add_argument("--x-min", type=float, help="surface x axis: r (panel a) or L/l (panel b)")
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-steps", type=int)
-    _add_grid_flags(p, "L-over-La", *FIG2_DEFAULTS["gain_grid"])
-    _add_out(p)
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser("fig3", help="rescaled squeezed-quadrature fluctuation curves")
-    p.add_argument("--panel", choices=("a", "b", "c", "d"), default="a")
-    p.add_argument("--L-over-La", type=float, default=2.5, help="fixed gain for panel a")
-    p.add_argument("--L-over-l", type=float, default=10.0, help="fixed thickness for panels b, c")
-    p.add_argument("--squeeze-r", type=float, default=1.0, help="fixed squeezing for panel d")
-    p.add_argument("--curve-values", help="comma-separated family values overriding the preset")
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-steps", type=int)
-    _add_out(p)
-    p.set_defaults(func=_cmd_fig3)
-
-    p = sub.add_parser("fig4", help="averaged output variances vs r or vs L/La")
-    p.add_argument("--panel", choices=("a", "b"), default="a")
-    p.add_argument("--L-over-l", type=float, default=FIG4_DEFAULTS["thickness"])
-    p.add_argument("--L-over-La", type=float, default=FIG4_DEFAULTS["gain_fixed"],
-                   help="fixed gain for panel a")
-    p.add_argument("--squeeze-r", type=float, default=FIG4_DEFAULTS["squeeze_fixed"],
-                   help="fixed squeezing for panel b")
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-steps", type=int)
-    _add_out(p)
-    p.set_defaults(func=_cmd_fig4)
-
-    p = sub.add_parser("figxr", help="amplifying vs gain-free squeezed quadrature, five series")
-    p.add_argument("--panel", choices=("a", "b"), default="a")
-    p.add_argument("--L-over-l", type=float, default=FIGXR_DEFAULTS["thickness_fixed"],
-                   help="fixed thickness for panel a")
-    p.add_argument("--L-over-La", type=float, default=FIGXR_DEFAULTS["gain_amp"],
-                   help="gain of the amplifying series")
-    p.add_argument("--squeeze-r", type=float, default=FIGXR_DEFAULTS["squeeze_fixed"],
-                   help="fixed squeezing for panel b")
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-steps", type=int)
-    _add_out(p)
-    p.set_defaults(func=_cmd_figxr)
-
-    p = sub.add_parser("snl-region", help="sub-shot-noise region map and boundary")
-    p.add_argument("--squeeze-r", type=float, default=SNL_REGION_DEFAULTS["squeeze_r"],
-                   help='default is the "large-squeezing" preset e^(-2r) = 1e-8')
-    _add_grid_flags(p, "L-over-l", *SNL_REGION_DEFAULTS["thickness_grid"])
-    _add_grid_flags(p, "L-over-La", *SNL_REGION_DEFAULTS["gain_grid"])
-    _add_out(p)
-    p.set_defaults(func=_cmd_snl_region)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag, keywords in spec.flags:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--out", metavar="PATH", help="write CSV here plus PATH.manifest.json")
+        p.set_defaults(func=_run_dataset)
 
     p = sub.add_parser("validate", help="closed-form identities plus Monte Carlo oracle")
     p.add_argument("--channels", type=int, default=4)
@@ -323,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=10_000)
     p.add_argument("--sampler", choices=("mean", "exponential", "both"), default="both")
     p.add_argument("--corrupt-constraint", action="store_true", help=argparse.SUPPRESS)
-    _add_out(p)
+    p.add_argument("--out", metavar="PATH", help="write the JSON report here")
     p.set_defaults(func=_cmd_validate)
 
     return parser

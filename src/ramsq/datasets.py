@@ -1,9 +1,10 @@
-"""Dataset builders behind the CLI figure presets.
+"""Dataset builders behind the CLI dataset commands.
 
 Each builder returns ``(header, rows)`` with plain Python values; the
-CLI turns them into CSV.  Grids are built with ``grid`` below, which
-rounds linspace output to 12 decimals so the emitted files show 0.15
-rather than 0.15000000000000002 while staying fully deterministic.
+CLI, which holds the figure presets, turns them into CSV.  Grids are
+built with ``grid`` below, which rounds linspace output to 12 decimals
+so the emitted files show 0.15 rather than 0.15000000000000002 while
+staying fully deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .analytic import (
     wfs_gain,
 )
 from .core import InputState, MediumSpec, ParameterError, validate_medium
-from .snl import LARGE_SQUEEZING_R, region_scan
+from .snl import region_scan
 
 
 def grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -54,16 +55,15 @@ def fig2_rows(
     panel: str,
     thickness_fixed: float,
     squeeze_fixed: float,
-    r_grid: Sequence[float],
+    x_grid: Sequence[float],
     gain_grid: Sequence[float],
-    thickness_grid: Sequence[float],
 ) -> tuple[list[str], list[list]]:
     """Shaping benefit surface: over (r, L/La) at fixed L/l for panel a,
-    over (L/l, L/La) at fixed r for panel b."""
+    over (L/l, L/La) at fixed r for panel b; ``x_grid`` holds r or L/l."""
     header = ["panel", "L_over_l", "L_over_La", "r", "wfs_gain"]
     rows = []
     if panel == "a":
-        for r in r_grid:
+        for r in x_grid:
             state = InputState(squeeze_r=r)
             for g in gain_grid:
                 coef = mean_coefficients(
@@ -72,7 +72,7 @@ def fig2_rows(
                 rows.append([panel, thickness_fixed, g, r, wfs_gain(coef, state)])
     else:
         state = InputState(squeeze_r=squeeze_fixed)
-        for th in thickness_grid:
+        for th in x_grid:
             for g in gain_grid:
                 coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
                 rows.append([panel, th, g, squeeze_fixed, wfs_gain(coef, state)])
@@ -206,32 +206,3 @@ def snl_region_rows(
         b = scan.boundary[i]
         rows.append(["boundary", float(th), "", "", "" if math.isnan(b) else float(b)])
     return header, rows
-
-
-# Figure-dataset presets, overridable from the CLI.
-FIG2_DEFAULTS = dict(
-    thickness_fixed=6.0,
-    squeeze_fixed=1.5,
-    r_grid=(0.0, 2.0, 41),
-    gain_grid=(0.0, 3.0, 31),
-    thickness_grid=(2.0, 12.0, 41),
-)
-FIG3_DEFAULTS = {
-    "a": dict(fixed=2.5, curves=(2.0, 5.0, 10.0, 20.0), x_grid=(0.0, 2.0, 41)),
-    "b": dict(fixed=10.0, curves=(0.5, 1.0, 2.0, 2.5), x_grid=(0.0, 2.0, 41)),
-    "c": dict(fixed=10.0, curves=(0.5, 1.0, 1.5, 2.0), x_grid=(0.0, 3.0, 31)),
-    "d": dict(fixed=1.0, curves=(2.0, 5.0, 10.0, 20.0), x_grid=(0.0, 3.0, 31)),
-}
-FIG4_DEFAULTS = dict(
-    thickness=10.0, gain_fixed=2.5, squeeze_fixed=0.7,
-    r_grid=(0.0, 2.0, 41), gain_grid=(0.0, 3.0, 31),
-)
-FIGXR_DEFAULTS = dict(
-    thickness_fixed=2.0, gain_amp=1.0, squeeze_fixed=1.0,
-    r_grid=(0.0, 2.0, 41), thickness_grid=(2.0, 20.0, 37),
-)
-SNL_REGION_DEFAULTS = dict(
-    squeeze_r=LARGE_SQUEEZING_R,
-    thickness_grid=(1.2, 12.0, 55),
-    gain_grid=(0.05, 3.1, 62),
-)

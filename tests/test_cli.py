@@ -145,9 +145,24 @@ def test_out_writes_csv_and_manifest(tmp_path, capfd):
     assert manifest["command_line"] == "ramsq coeffs --L-over-La 2.5 --L-over-l 10.0"
 
 
-def test_recorded_command_line_reproduces(tmp_path, capfd):
+SMALL_REGION = ["--L-over-l-min", "2", "--L-over-l-max", "4", "--L-over-l-steps", "3",
+                "--L-over-La-min", "0.5", "--L-over-La-max", "2.5", "--L-over-La-steps", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--L-over-l", "3", "--L-over-La", "1.5"],
+    ["fig2", "--panel", "b"],
+    ["fig3", "--panel", "c", "--curve-values", "0.5,1.25"],
+    ["fig4", "--panel", "b", "--x-steps", "7"],
+    ["figxr", "--panel", "a", "--L-over-La", "0.5"],
+    ["snl-region", *SMALL_REGION],
+], ids=["coeffs", "fig2-b", "fig3-c-curves", "fig4-b", "figxr-a", "snl-region"])
+def test_recorded_command_line_reproduces(tmp_path, capfd, argv):
+    # the manifest's parameters are the resolved flags, so its command
+    # line must rebuild the same bytes
     first = tmp_path / "a.csv"
-    run(capfd, ["coeffs", "--L-over-l", "3", "--L-over-La", "1.5", "--out", str(first)])
+    code, _, _ = run(capfd, [*argv, "--out", str(first)])
+    assert code == 0
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
 
     second = tmp_path / "b.csv"
@@ -158,15 +173,13 @@ def test_recorded_command_line_reproduces(tmp_path, capfd):
 
 
 def test_snl_region_preset_label(tmp_path, capfd):
-    small = ["--L-over-l-min", "2", "--L-over-l-max", "4", "--L-over-l-steps", "3",
-             "--L-over-La-min", "0.5", "--L-over-La-max", "2.5", "--L-over-La-steps", "4"]
     path = tmp_path / "region.csv"
-    run(capfd, ["snl-region", *small, "--out", str(path)])
+    run(capfd, ["snl-region", *SMALL_REGION, "--out", str(path)])
     manifest = json.loads((tmp_path / "region.csv.manifest.json").read_text())
     assert manifest["preset"] == "large-squeezing"
 
     other = tmp_path / "custom.csv"
-    run(capfd, ["snl-region", *small, "--squeeze-r", "1.0", "--out", str(other)])
+    run(capfd, ["snl-region", *SMALL_REGION, "--squeeze-r", "1.0", "--out", str(other)])
     manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
     assert manifest["preset"] is None
 
@@ -356,8 +369,9 @@ def test_validate_oversized_draw_table_exits_2(capfd, monkeypatch):
     assert err.startswith("parameter error: 10000000 realizations")
 
 
-def test_fig3_bad_curve_values_exit_2(capfd):
-    code, out, err = run(capfd, ["fig3", "--curve-values", "1,,2"])
+@pytest.mark.parametrize("values", ["1,,2", " ", ""], ids=["double-comma", "blank", "empty"])
+def test_fig3_bad_curve_values_exit_2(capfd, values):
+    code, out, err = run(capfd, ["fig3", "--curve-values", values])
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1

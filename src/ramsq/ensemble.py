@@ -37,11 +37,12 @@ Reduction
 ---------
 Every per-draw variance is an affine combination of four channel sums:
 sum T, sum T cos^2 phi and sum T sin^2 phi over the transmission
-channels (phases phi), and sum R + V.  A bulk run reduces the draws of
-each medium to these sums once and evaluates every (squeezing,
-quantity) pair from them.  The ``*_single`` evaluators form the same
-sums in the same order, so a draw evaluated alone equals its entry in
-the batch bit for bit.
+channels (phases phi), and sum R + V.  ``_batch_values`` forms them and
+``quadrature_values`` holds the four variance formulas.  A bulk run
+reduces the draws of each medium once and evaluates every (squeezing,
+quantity) pair from the sums.  A single draw is the same reducer over a
+batch of one: a realization reduces itself once, on first use, so a
+draw evaluated alone equals its entry in the batch bit for bit.
 
 Magnitude modes
 ---------------
@@ -85,6 +86,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -97,7 +99,7 @@ from .analytic import mean_coefficients
 from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, validate_medium
 
 # Each draw index owns a disjoint 2**128-wide counter block, far more
-# stream than any realization consumes.
+# stream than any realization consumes; the 256-bit counter holds 2**128.
 _COUNTER_BLOCK = 1 << 128
 
 # Philox keys are 128 bits wide.
@@ -138,6 +140,14 @@ _PARALLEL_MIN_ROWS = 4096
 _SPLIT_SHAPE_PER_CHANNEL = 2
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; floats and other non-integers are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer (got {value!r})") from None
+
+
 class SamplerMode(enum.Enum):
     MEAN_MAGNITUDES = "mean"
     EXPONENTIAL_MAGNITUDES = "exponential"
@@ -152,10 +162,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _integer("realizations", self.realizations)
+        _integer("seed", self.seed)
         if self.realizations < 1:
-            raise ParameterError(
-                f"realizations must be >= 1 (got {self.realizations})"
-            )
+            raise ParameterError(f"realizations must be >= 1 (got {self.realizations})")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ParameterError(f"seed must lie in [0, 2**128) (got {self.seed})")
 
@@ -167,6 +177,8 @@ class DisorderRealization:
     Arrays hold one entry per channel; the spontaneous contribution is
     aggregated into a single weight and phase.  All magnitudes are
     nonnegative and satisfy the flux constraint to float precision.
+    The channel sums are reduced once, on first use: derive a changed
+    realization with ``dataclasses.replace``, never by editing arrays.
     """
 
     trans_mags: np.ndarray
@@ -178,6 +190,13 @@ class DisorderRealization:
 
     def flux_residual(self) -> float:
         return float(np.sum(self.trans_mags) + np.sum(self.refl_mags) - self.spont_mag - 1.0)
+
+    # Derived, not a field: dataclasses.replace builds a fresh instance,
+    # so a copy with new phases or magnitudes never inherits stale sums.
+    @functools.cached_property
+    def _sums(self) -> _ChannelSums:
+        cos_sq, sin_sq = np.cos(self.trans_phases) ** 2, np.sin(self.trans_phases) ** 2
+        return _batch_values(self.trans_mags, self.refl_mags, self.spont_mag, cos_sq, sin_sq)
 
 
 @dataclass(frozen=True)
@@ -413,7 +432,7 @@ def draw_table(config: SamplerConfig, channels: int) -> DrawTable:
             f"{config.realizations} realizations x {columns} uniforms exceed the "
             f"{_TABLE_LIMIT} doubles of one draw table"
         )
-    uniforms = _uniform_table(config.seed, columns, config.realizations)
+    uniforms = _uniform_table(operator.index(config.seed), columns, config.realizations)
     trans_ph = _phases(channels, uniforms)[0]
     return DrawTable(
         config=config,
@@ -437,12 +456,6 @@ class _ChannelSums(NamedTuple):
 _channel_sum = np.add.reduce
 
 
-def _rest_sum(refl, spont):
-    # Reflection and spontaneous vacuum noise is phase-isotropic, so it
-    # enters every variance with unit weight.
-    return _channel_sum(refl, axis=-1) + spont
-
-
 def _batch_values(
     trans: np.ndarray,
     refl: np.ndarray,
@@ -455,16 +468,10 @@ def _batch_values(
         trans=_channel_sum(trans, axis=-1),
         trans_cos=_channel_sum(trans * cos_sq, axis=-1),
         trans_sin=_channel_sum(trans * sin_sq, axis=-1),
-        rest=_rest_sum(refl, spont),
+        # Reflection and spontaneous vacuum noise is phase-isotropic, so
+        # it enters every variance with unit weight.
+        rest=_channel_sum(refl, axis=-1) + spont,
     )
-
-
-def _shaped(trans_sum, rest, variance):
-    return trans_sum * variance + rest
-
-
-def _unshaped(trans_cos, trans_sin, rest, along, across):
-    return trans_cos * along + trans_sin * across + rest
 
 
 def sample_realization(
@@ -472,8 +479,9 @@ def sample_realization(
 ) -> DisorderRealization:
     """Disorder realization ``draw_index``; pure in (seed, index)."""
     validate_medium(spec)
-    if draw_index < 0:
-        raise ParameterError(f"draw_index must be >= 0 (got {draw_index})")
+    draw_index = _integer("draw_index", draw_index)
+    if not 0 <= draw_index < _COUNTER_BLOCK:
+        raise ParameterError(f"draw_index must lie in [0, 2**128) (got {draw_index})")
     coef = mean_coefficients(spec)
     block = _uniforms_for(config, spec.channels, draw_index)[None, :]
     splits = _channel_splits(config.mode, spec.channels, block)
@@ -496,19 +504,7 @@ def variance_x_wfs_single(real: DisorderRealization, state: InputState) -> float
     sum T e^(-2r) + sum R + V.  Reflection and spontaneous phases drop
     out exactly (their vacuum variances are phase-isotropic).
     """
-    rest = _rest_sum(real.refl_mags, real.spont_mag)
-    return float(_shaped(_channel_sum(real.trans_mags), rest, state.x_variance))
-
-
-def _mixed_sums(real: DisorderRealization) -> tuple[np.float64, np.float64, np.float64]:
-    # The three channel sums the unshaped evaluators need, formed as in _batch_values.
-    cos_sq = np.cos(real.trans_phases) ** 2
-    sin_sq = np.sin(real.trans_phases) ** 2
-    return (
-        _channel_sum(real.trans_mags * cos_sq),
-        _channel_sum(real.trans_mags * sin_sq),
-        _rest_sum(real.refl_mags, real.spont_mag),
-    )
+    return float(quadrature_values(real._sums, state, "x_wfs"))
 
 
 def variance_x_nowfs_single(real: DisorderRealization, state: InputState) -> float:
@@ -517,7 +513,7 @@ def variance_x_nowfs_single(real: DisorderRealization, state: InputState) -> flo
     The random transmission phase of each channel rotates its input
     quadratures: sum T (cos^2 phi e^(-2r) + sin^2 phi e^(+2r)) + sum R + V.
     """
-    return float(_unshaped(*_mixed_sums(real), state.x_variance, state.p_variance))
+    return float(quadrature_values(real._sums, state, "x_nowfs"))
 
 
 def variance_p_single(real: DisorderRealization, state: InputState, shaped: bool) -> float:
@@ -526,10 +522,7 @@ def variance_p_single(real: DisorderRealization, state: InputState, shaped: bool
     Mirror of the x evaluators with e^(-2r) and e^(+2r) exchanged in the
     transmission term.
     """
-    if shaped:
-        rest = _rest_sum(real.refl_mags, real.spont_mag)
-        return float(_shaped(_channel_sum(real.trans_mags), rest, state.p_variance))
-    return float(_unshaped(*_mixed_sums(real), state.p_variance, state.x_variance))
+    return float(quadrature_values(real._sums, state, "p_wfs" if shaped else "p_nowfs"))
 
 
 def mean_amplitude_check(real: DisorderRealization, state: InputState) -> tuple[float, float]:
@@ -564,22 +557,27 @@ def channel_sums(spec: MediumSpec, table: DrawTable) -> _ChannelSums:
 
 def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> np.ndarray:
     """Per-draw values of one output variance from a medium's channel sums."""
+    # Shaped x must read only e^(-2r), so that it works past MAX_SQUEEZE_R.
     if quantity == "x_wfs":
-        return _shaped(sums.trans, sums.rest, state.x_variance)
+        return sums.trans * state.x_variance + sums.rest
     if quantity == "p_wfs":
-        return _shaped(sums.trans, sums.rest, state.p_variance)
-    mixed = sums.trans_cos, sums.trans_sin, sums.rest
+        return sums.trans * state.p_variance + sums.rest
     if quantity == "x_nowfs":
-        return _unshaped(*mixed, state.x_variance, state.p_variance)
+        return sums.trans_cos * state.x_variance + sums.trans_sin * state.p_variance + sums.rest
     if quantity == "p_nowfs":
-        return _unshaped(*mixed, state.p_variance, state.x_variance)
+        return sums.trans_cos * state.p_variance + sums.trans_sin * state.x_variance + sums.rest
     raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
 
 
 def realization_values(
     spec: MediumSpec, state: InputState, config: SamplerConfig, quantity: str
 ) -> np.ndarray:
-    """Index-ordered per-realization values for draws [0, realizations)."""
+    """Index-ordered per-realization values for draws [0, realizations).
+
+    Each call builds a full draw table.  For several quantities or
+    squeezings of one medium, use ``draw_table`` + ``channel_sums`` +
+    ``quadrature_values`` instead.
+    """
     validate_medium(spec)
     sums = channel_sums(spec, draw_table(config, spec.channels))
     return quadrature_values(sums, state, quantity)
@@ -611,6 +609,7 @@ def mc_average(
 
     Values are always reduced in draw-index order from the full value
     vector, so the estimate does not depend on how the draws were
-    scheduled.
+    scheduled.  Each call builds a full draw table, as
+    ``realization_values`` does.
     """
     return mc_estimate(realization_values(spec, state, config, quantity))

@@ -29,6 +29,7 @@ from .analytic import (
 )
 from .core import InputState, MediumSpec
 from .ensemble import (
+    _QUANTITIES,
     McEstimate,
     SamplerConfig,
     SamplerMode,
@@ -56,7 +57,6 @@ PRECISION_FRACTION = 0.1
 # insufficient precision regardless of the estimated bar width.
 MIN_TRUSTED_REALIZATIONS = 100
 
-_QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
 _SHAPED = ("x_wfs", "p_wfs")
 
 

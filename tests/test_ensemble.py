@@ -72,6 +72,38 @@ def test_negative_index_rejected(reference_spec):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_draw_index_bounded_by_philox_counter(mode, reference_spec):
+    # draw k starts at counter k * 2**128 of a 256-bit counter
+    real = sample_realization(reference_spec, config(mode), 2**128 - 1)
+    assert abs(real.flux_residual()) <= 1e-10
+    for bad in (2**128, 2**200, 1.5):
+        with pytest.raises(ParameterError):
+            sample_realization(reference_spec, config(mode), bad)
+
+
+@pytest.mark.parametrize("field", ["seed", "realizations"])
+@pytest.mark.parametrize("value", [1.5, 10.0, "3"])
+def test_config_rejects_non_integer(field, value):
+    with pytest.raises(ParameterError):
+        SamplerConfig(mode=MODES[0], **{field: value})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_config_accepts_numpy_integers(mode, reference_spec):
+    # stored as given, and drawing exactly what the equal Python ints draw
+    cfg = SamplerConfig(mode=mode, realizations=np.int64(10), seed=np.int64(3))
+    assert (cfg.realizations, cfg.seed) == (10, 3)
+    assert isinstance(cfg.seed, np.int64)
+    plain = config(mode, realizations=10, seed=3)
+    table = ensemble.draw_table(cfg, 4)
+    assert np.array_equal(table.uniforms, ensemble.draw_table(plain, 4).uniforms)
+    real = sample_realization(reference_spec, cfg, np.int64(7))
+    assert np.array_equal(
+        real.trans_phases, sample_realization(reference_spec, plain, 7).trans_phases
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_scalar_and_batch_paths_identical(mode, reference_spec, reference_state):
     # draw-by-draw evaluation must reproduce the vectorized table bit for bit
     cfg = config(mode, realizations=200, seed=42)
@@ -352,6 +384,54 @@ def test_vacuum_through_lossless_linear_slab():
         real = sample_realization(spec, config(mode, seed=6), 2)
         assert real.spont_mag == 0.0
         assert abs(variance_x_wfs_single(real, state) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_single_evaluators_share_one_reduction(monkeypatch, mode, reference_spec, reference_state):
+    # the four variances of one realization come from one call of the
+    # bulk reducer; sampling alone reduces nothing
+    calls = []
+    batch_values = ensemble._batch_values
+
+    def counted(*args):
+        calls.append(args)
+        return batch_values(*args)
+
+    monkeypatch.setattr(ensemble, "_batch_values", counted)
+    real = sample_realization(reference_spec, config(mode, seed=5), 3)
+    assert calls == []
+    for _ in range(2):
+        variance_x_wfs_single(real, reference_state)
+        variance_x_nowfs_single(real, reference_state)
+        variance_p_single(real, reference_state, shaped=True)
+        variance_p_single(real, reference_state, shaped=False)
+    assert len(calls) == 1
+
+
+def test_replaced_realization_reduces_afresh(reference_spec, reference_state):
+    # a copy with new reflection and spontaneous weights must not reuse
+    # the sums of the realization it was copied from
+    real = sample_realization(reference_spec, config(MODES[1], seed=8), 1)
+    variance_x_wfs_single(real, reference_state)
+    tweaked = dataclasses.replace(
+        real, refl_mags=real.refl_mags * 3.0, spont_mag=real.spont_mag + 5.0
+    )
+    expected = (
+        math.fsum(tweaked.trans_mags) * reference_state.x_variance
+        + math.fsum(3.0 * real.refl_mags)
+        + tweaked.spont_mag
+    )
+    assert abs(variance_x_wfs_single(tweaked, reference_state) - expected) <= 1e-12
+
+
+def test_shaped_x_single_past_antisqueezing_limit(reference_spec):
+    # saturated squeezing: shaped x needs only e^(-2r), never e^(2r)
+    state = InputState(squeeze_r=400.0)
+    real = sample_realization(reference_spec, config(MODES[1], seed=4), 0)
+    assert state.x_variance == 0.0
+    assert variance_x_wfs_single(real, state) == float(np.sum(real.refl_mags) + real.spont_mag)
+    with pytest.raises(ParameterError):
+        variance_x_nowfs_single(real, state)
 
 
 # -- quadrature means --------------------------------------------------------

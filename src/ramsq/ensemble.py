@@ -35,20 +35,26 @@ cost about ten times more than numpy's generator.
 
 Reduction
 ---------
-Every per-draw variance is an affine combination of four channel sums:
-sum T, sum T cos^2 phi and sum T sin^2 phi over the transmission
-channels (phases phi), and sum R + V.  ``_batch_values`` forms them and
-``quadrature_values`` holds the four variance formulas.  A bulk run
-reduces the draws of each medium once and evaluates every (squeezing,
-quantity) pair from the sums.  A single draw is the same reducer over a
-batch of one: a realization reduces itself once, on first use, so a
-draw evaluated alone equals its entry in the batch bit for bit.
+Every per-draw variance is linear in the transmission weights and in
+cos^2 phi = (1 + cos 2phi)/2, so three channel sums carry it: sum T,
+sum T cos 2phi (phases phi) and sum R + V.  ``_batch_values`` forms
+them and ``quadrature_values`` holds the four variance formulas.  With
+g = (v_p - v_x)/2 the unshaped x and p read
+sum T v_x + (sum T -/+ sum T cos 2phi) g + sum R + V: g is exactly 0 at
+r = 0, so mean-mode estimates there have exactly zero spread, and near
+MAX_SQUEEZE_R the form is finite wherever the per-channel cos^2/sin^2
+form is (halves (v_x +/- v_p)/2 would cancel two overflows into NaN).
+A bulk run reduces each medium's draws once and evaluates every
+(squeezing, quantity) pair from the sums.  A single draw is the same
+reducer over a batch of one, reduced once on first use, so it equals
+its entry in the batch bit for bit.
 
 Magnitude modes
 ---------------
 MEAN_MAGNITUDES freezes every magnitude at its ensemble mean and leaves
 only the phases random; shaped-quadrature estimates then have zero
-spread, a deliberately sharp test of the algebra.
+spread, a deliberately sharp test of the algebra.  Its magnitudes are
+one row of constants, broadcast over the draws.
 
 EXPONENTIAL_MAGNITUDES adds Rayleigh-speckle-like magnitude statistics
 while keeping the constraint exact and the channel-sum means exactly
@@ -78,7 +84,7 @@ is elementwise and releases the GIL, so every entry is the same
 function of the same uniform whatever the slicing, and the result is
 bit-identical for any worker count.  Fewer draws, a single draw
 included, run on the calling thread.  Which uniform feeds which
-quantity is fixed in one place, ``_columns``.
+quantity is fixed in one place, ``_layout``.
 """
 
 from __future__ import annotations
@@ -195,8 +201,8 @@ class DisorderRealization:
     # so a copy with new phases or magnitudes never inherits stale sums.
     @functools.cached_property
     def _sums(self) -> _ChannelSums:
-        cos_sq, sin_sq = np.cos(self.trans_phases) ** 2, np.sin(self.trans_phases) ** 2
-        return _batch_values(self.trans_mags, self.refl_mags, self.spont_mag, cos_sq, sin_sq)
+        cos2 = np.cos(2.0 * self.trans_phases)
+        return _batch_values(self.trans_mags, self.refl_mags, self.spont_mag, cos2)
 
 
 @dataclass(frozen=True)
@@ -213,9 +219,10 @@ class _Columns(NamedTuple):
 
     Phases come first (transmission, reflection, spontaneous); the
     exponential mode appends its magnitude draws (V, the split share and
-    the two groups' channel splits).
+    the two groups' channel splits).  Built once per entry point.
     """
 
+    channels: int
     trans_phase: slice
     refl_phase: slice
     spont_phase: int
@@ -225,11 +232,10 @@ class _Columns(NamedTuple):
     refl_split: slice
 
 
-# Memoized: single draws look the layout up several times each.
-@functools.lru_cache(maxsize=16)
-def _columns(channels: int) -> _Columns:
+def _layout(channels: int) -> _Columns:
     n = channels
     return _Columns(
+        channels=n,
         trans_phase=slice(0, n),
         refl_phase=slice(n, 2 * n),
         spont_phase=2 * n,
@@ -240,12 +246,9 @@ def _columns(channels: int) -> _Columns:
     )
 
 
-def _uniform_columns(mode: SamplerMode, channels: int) -> int:
-    cols = _columns(channels)
-    if mode is SamplerMode.MEAN_MAGNITUDES:
-        # Mean mode draws the phases only.
-        return cols.spont_phase + 1
-    return cols.refl_split.stop
+def _uniform_columns(mode: SamplerMode, cols: _Columns) -> int:
+    # Mean mode draws the phases only.
+    return cols.spont_phase + 1 if mode is SamplerMode.MEAN_MAGNITUDES else cols.refl_split.stop
 
 
 def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +292,10 @@ def _uniform_table(seed: int, columns: int, count: int) -> np.ndarray:
     return table
 
 
-def _uniforms_for(config: SamplerConfig, channels: int, draw_index: int) -> np.ndarray:
+def _uniforms_for(config: SamplerConfig, cols: _Columns, draw_index: int) -> np.ndarray:
     # A fresh stream reproduces the table row for the same index, so
     # single draws never pay for a full table build.
-    columns = _uniform_columns(config.mode, channels)
+    columns = _uniform_columns(config.mode, cols)
     stream = np.random.Generator(
         np.random.Philox(key=config.seed, counter=draw_index * _COUNTER_BLOCK)
     )
@@ -335,7 +338,7 @@ def _split_share(a: float, b: float, u_split: np.ndarray) -> np.ndarray:
 
 
 def _channel_splits(
-    mode: SamplerMode, channels: int, uniforms: np.ndarray
+    mode: SamplerMode, cols: _Columns, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Normalized exponential splits of the transmission and reflection totals.
 
@@ -344,7 +347,6 @@ def _channel_splits(
     """
     if mode is SamplerMode.MEAN_MAGNITUDES:
         return None
-    cols = _columns(channels)
     trans_draws = -np.log1p(-uniforms[:, cols.trans_split])
     refl_draws = -np.log1p(-uniforms[:, cols.refl_split])
     return (
@@ -355,23 +357,22 @@ def _channel_splits(
 
 def _magnitudes(
     coef: EnsembleCoefficients,
-    channels: int,
+    cols: _Columns,
     mode: SamplerMode,
     uniforms: np.ndarray,
     splits: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude arrays (T, R, V) for a (draws, columns) uniform block.
 
-    ``splits`` are the block's ``_channel_splits``.
+    ``splits`` are the block's ``_channel_splits``.  Mean mode returns
+    one row of constants, (1, channels) and (1,), whatever the draws.
     """
-    draws = uniforms.shape[0]
+    n = cols.channels
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        trans = np.full((draws, channels), coef.t_per_channel(channels))
-        refl = np.full((draws, channels), coef.r_per_channel(channels))
-        spont = np.full(draws, coef.v_bar)
-        return trans, refl, spont
+        refl = np.full((1, n), coef.r_per_channel(n))
+        return np.full((1, n), coef.t_per_channel(n)), refl, np.full(1, coef.v_bar)
 
-    cols = _columns(channels)
+    draws = uniforms.shape[0]
     if coef.v_bar > 0.0:
         spont = -coef.v_bar * np.log1p(-uniforms[:, cols.spont])
     else:
@@ -379,7 +380,7 @@ def _magnitudes(
     total = 1.0 + spont
 
     trans_weight = coef.t_bar / (coef.t_bar + coef.r_bar)
-    shape = _SPLIT_SHAPE_PER_CHANNEL * channels
+    shape = _SPLIT_SHAPE_PER_CHANNEL * n
     trans_share = _split_share(
         shape * trans_weight, shape * (1.0 - trans_weight), uniforms[:, cols.share]
     )
@@ -390,14 +391,10 @@ def _magnitudes(
     return trans, refl, spont
 
 
-def _phases(channels: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _phases(cols: _Columns, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     two_pi = 2.0 * math.pi
-    cols = _columns(channels)
-    return (
-        two_pi * uniforms[:, cols.trans_phase],
-        two_pi * uniforms[:, cols.refl_phase],
-        two_pi * uniforms[:, cols.spont_phase],
-    )
+    columns = (cols.trans_phase, cols.refl_phase, cols.spont_phase)
+    return tuple(two_pi * uniforms[:, c] for c in columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,16 +402,15 @@ class DrawTable:
     """Uniforms of draws [0, realizations) for one sampler configuration.
 
     Built once per run and shared by every medium with the same channel
-    count.  ``cos_sq`` and ``sin_sq`` hold cos^2 and sin^2 of the
-    transmission phases and ``splits`` the exponential mode's normalized
-    channel splits (None in mean mode); neither depends on the medium.
+    count.  ``cos2`` holds cos 2phi of the transmission phases and
+    ``splits`` the exponential mode's normalized channel splits (None in
+    mean mode); neither depends on the medium.
     """
 
     config: SamplerConfig
     channels: int
     uniforms: np.ndarray
-    cos_sq: np.ndarray
-    sin_sq: np.ndarray
+    cos2: np.ndarray
     splits: tuple[np.ndarray, np.ndarray] | None
 
 
@@ -426,28 +422,26 @@ def draw_table(config: SamplerConfig, channels: int) -> DrawTable:
     """
     if channels < 1:
         raise ParameterError(f"channels must be >= 1 (got {channels})")
-    columns = _uniform_columns(config.mode, channels)
+    cols = _layout(channels)
+    columns = _uniform_columns(config.mode, cols)
     if config.realizations * columns > _TABLE_LIMIT:
         raise ParameterError(
             f"{config.realizations} realizations x {columns} uniforms exceed the "
             f"{_TABLE_LIMIT} doubles of one draw table"
         )
     uniforms = _uniform_table(operator.index(config.seed), columns, config.realizations)
-    trans_ph = _phases(channels, uniforms)[0]
     return DrawTable(
         config=config,
         channels=channels,
         uniforms=uniforms,
-        cos_sq=np.cos(trans_ph) ** 2,
-        sin_sq=np.sin(trans_ph) ** 2,
-        splits=_channel_splits(config.mode, channels, uniforms),
+        cos2=np.cos(2.0 * _phases(cols, uniforms)[0]),
+        splits=_channel_splits(config.mode, cols, uniforms),
     )
 
 
 class _ChannelSums(NamedTuple):
     trans: np.ndarray  # sum T
-    trans_cos: np.ndarray  # sum T cos^2 phi
-    trans_sin: np.ndarray  # sum T sin^2 phi
+    trans_cos2: np.ndarray  # sum T cos 2phi
     rest: np.ndarray  # sum R + V
 
 
@@ -460,14 +454,15 @@ def _batch_values(
     trans: np.ndarray,
     refl: np.ndarray,
     spont: np.ndarray,
-    cos_sq: np.ndarray,
-    sin_sq: np.ndarray,
+    cos2: np.ndarray,
 ) -> _ChannelSums:
-    """Reduce (draws, channels) arrays once to the four per-draw channel sums."""
+    """Reduce (draws, channels) arrays once to the three per-draw channel sums.
+
+    A single row of magnitudes (mean mode) gives one-entry T and R + V sums.
+    """
     return _ChannelSums(
         trans=_channel_sum(trans, axis=-1),
-        trans_cos=_channel_sum(trans * cos_sq, axis=-1),
-        trans_sin=_channel_sum(trans * sin_sq, axis=-1),
+        trans_cos2=_channel_sum(trans * cos2, axis=-1),
         # Reflection and spontaneous vacuum noise is phase-isotropic, so
         # it enters every variance with unit weight.
         rest=_channel_sum(refl, axis=-1) + spont,
@@ -483,10 +478,11 @@ def sample_realization(
     if not 0 <= draw_index < _COUNTER_BLOCK:
         raise ParameterError(f"draw_index must lie in [0, 2**128) (got {draw_index})")
     coef = mean_coefficients(spec)
-    block = _uniforms_for(config, spec.channels, draw_index)[None, :]
-    splits = _channel_splits(config.mode, spec.channels, block)
-    trans, refl, spont = _magnitudes(coef, spec.channels, config.mode, block, splits)
-    trans_ph, refl_ph, spont_ph = _phases(spec.channels, block)
+    cols = _layout(spec.channels)
+    block = _uniforms_for(config, cols, draw_index)[None, :]
+    splits = _channel_splits(config.mode, cols, block)
+    trans, refl, spont = _magnitudes(coef, cols, config.mode, block, splits)
+    trans_ph, refl_ph, spont_ph = _phases(cols, block)
     return DisorderRealization(
         trans_mags=trans[0],
         trans_phases=trans_ph[0],
@@ -549,10 +545,11 @@ def channel_sums(spec: MediumSpec, table: DrawTable) -> _ChannelSums:
         raise ParameterError(
             f"medium has {spec.channels} channels, draw table {table.channels}"
         )
-    trans, refl, spont = _magnitudes(
-        mean_coefficients(spec), spec.channels, table.config.mode, table.uniforms, table.splits
-    )
-    return _batch_values(trans, refl, spont, table.cos_sq, table.sin_sq)
+    coef, cols = mean_coefficients(spec), _layout(spec.channels)
+    mags = _magnitudes(coef, cols, table.config.mode, table.uniforms, table.splits)
+    # Read-only views repeat mean mode's one-entry sums over the draws.
+    sums = _batch_values(*mags, table.cos2)
+    return _ChannelSums(*(np.broadcast_to(s, table.cos2.shape[:1]) for s in sums))
 
 
 def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> np.ndarray:
@@ -562,11 +559,12 @@ def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> n
         return sums.trans * state.x_variance + sums.rest
     if quantity == "p_wfs":
         return sums.trans * state.p_variance + sums.rest
-    if quantity == "x_nowfs":
-        return sums.trans_cos * state.x_variance + sums.trans_sin * state.p_variance + sums.rest
-    if quantity == "p_nowfs":
-        return sums.trans_cos * state.p_variance + sums.trans_sin * state.x_variance + sums.rest
-    raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    if quantity not in _QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    # Unshaped x is sum T v_x + 2 sum T sin^2 g; p has cos^2 for sin^2.
+    g = (state.p_variance - state.x_variance) / 2.0
+    cos2 = -sums.trans_cos2 if quantity == "x_nowfs" else sums.trans_cos2
+    return sums.trans * state.x_variance + (sums.trans + cos2) * g + sums.rest
 
 
 def realization_values(

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ramsq.analytic import (
     variance_x_wfs,
 )
 from ramsq import ensemble, validation
-from ramsq.core import InputState, MediumSpec, ParameterError
+from ramsq.core import MAX_SQUEEZE_R, InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
     DisorderRealization,
     SamplerConfig,
@@ -227,10 +228,24 @@ def test_small_batches_start_no_thread(monkeypatch, mode, reference_spec):
 def test_draw_table_size_cap(monkeypatch):
     # refused before any uniform is computed
     monkeypatch.setattr(ensemble, "_uniform_table", None)
-    columns = ensemble._uniform_columns(MODES[1], 4)
+    columns = ensemble._uniform_columns(MODES[1], ensemble._layout(4))
     too_many = ensemble._TABLE_LIMIT // columns + 1
     with pytest.raises(ParameterError):
         ensemble.draw_table(config(MODES[1], realizations=too_many), 4)
+
+
+def test_mean_mode_channel_sums_stay_one_array_wide(reference_spec):
+    # constant magnitudes are one row, not (draws, channels) fills: the
+    # only table-sized temporary is the T cos 2phi product
+    draws = 20_000
+    table = ensemble.draw_table(config(MODES[0], realizations=draws, seed=42), 4)
+    tracemalloc.start()
+    try:
+        ensemble.channel_sums(reference_spec, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * draws * 4 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("channels", [0, -3])
@@ -434,6 +449,31 @@ def test_shaped_x_single_past_antisqueezing_limit(reference_spec):
         variance_x_nowfs_single(real, state)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("thickness,gain", [(2.0, 3.0), (20.0, 3.0)])
+def test_unshaped_values_at_antisqueezing_limit(mode, thickness, gain):
+    # e^(2r) is near the largest double: the three-sum form may overflow
+    # to inf, never to NaN, and exactly where the per-channel form does
+    spec = MediumSpec(thickness_ratio=thickness, gain_ratio=gain)
+    state = InputState(squeeze_r=MAX_SQUEEZE_R)
+    cfg = config(mode, realizations=2000, seed=42)
+    reals = [sample_realization(spec, cfg, k) for k in range(2000)]
+    for quantity, (v_cos, v_sin) in (
+        ("x_nowfs", (state.x_variance, state.p_variance)),
+        ("p_nowfs", (state.p_variance, state.x_variance)),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = realization_values(spec, state, cfg, quantity)
+            reference = np.array([
+                np.sum(r.trans_mags * (np.cos(r.trans_phases) ** 2 * v_cos
+                                       + np.sin(r.trans_phases) ** 2 * v_sin))
+                + np.sum(r.refl_mags) + r.spont_mag
+                for r in reals
+            ])
+        assert not np.isnan(values).any(), quantity
+        assert np.array_equal(np.isfinite(values), np.isfinite(reference)), quantity
+
+
 # -- quadrature means --------------------------------------------------------
 
 def test_mean_amplitude_zero_for_squeezed_vacuum(reference_spec):
@@ -500,6 +540,18 @@ def test_shaped_mean_mode_has_zero_spread(reference_spec, reference_state):
         assert est.realizations == 1000
         if target is not None:
             assert abs(est.mean - target) <= 1e-12
+
+
+def test_unshaped_mean_mode_exact_at_zero_squeezing(monkeypatch):
+    # at r = 0 the phases drop out exactly: with constant magnitudes
+    # every draw gives the same number, on every medium of the grid
+    monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0,))
+    rows = validation._mc_estimates(MODES[0], channels=4, seed=42, realizations=2000)
+    unshaped = [(point, est, target) for point, q, est, target in rows if q.endswith("_nowfs")]
+    assert len(unshaped) == 2 * len(validation.STANDARD_THICKNESS) * len(validation.STANDARD_GAIN)
+    for point, est, target in unshaped:
+        assert est.std_error == 0.0, point
+        assert abs(est.mean - target) <= 1e-12, point
 
 
 def test_shaped_exponential_mode_has_spread(reference_spec, reference_state):

@@ -14,24 +14,26 @@ independent numerical check of those formulas.
 Determinism contract: realization ``k`` for seed ``s`` is produced from
 a Philox counter-based stream with key ``s`` and counter ``k * 2**128``,
 so (seed, draw index) -> realization is a pure function.  Draws can be
-evaluated in any order or partition; estimates are reduced from the
-index-ordered value vector and are bit-identical across runs.
+evaluated in any order or partition; estimates are merged in draw-index
+order and are bit-identical across runs and worker counts.
 
-Draw table
-----------
-Row ``k`` of the uniform table holds the first ``columns`` doubles of
+Draw chunks
+-----------
+Row ``k`` of the uniforms holds the first ``columns`` doubles of
 Philox4x64-10 (Salmon et al., SC'11) with key words
 ``(s mod 2**64, s >> 64)`` and counter words ``(j, 0, k, 0)`` for
 ``j = 1..ceil(columns / 4)``; each 64-bit output word ``u`` becomes the
 double ``(u >> 11) * 2**-53``.  That is exactly the stream of numpy's
 ``Generator(Philox(key=s, counter=k * 2**128))``, which increments the
-counter before each four-word block.  A bulk table runs the ten rounds
-in numpy over many rows at once, with the 64x64 -> 128-bit products
-emulated in 32-bit halves, and fills the table in fixed chunks of
-``_TABLE_CHUNK_ROWS`` rows so the round temporaries stay cache-sized
-rather than table-sized.  A single draw keeps numpy's own ``Philox``:
-on one row the few hundred small array operations of the emulation
-cost about ten times more than numpy's generator.
+counter before each four-word block.  Bulk draws run the ten rounds in
+numpy over a fixed, index-ordered chunk of ``_CHUNK_DOUBLES // columns``
+rows at a time, with the 64x64 -> 128-bit products emulated in 32-bit
+halves.  Each chunk is one task on a thread pool of at most one worker
+per usable CPU (``_worker_count``): it draws its own uniforms, channel
+splits, ``betaincinv`` shares and sums, so memory stays at a few chunks
+whatever the draw count.  A single draw keeps numpy's own ``Philox`` on
+the calling thread: on one row the few hundred small array operations
+of the emulation cost about ten times more than numpy's generator.
 
 Reduction
 ---------
@@ -44,10 +46,13 @@ sum T v_x + (sum T -/+ sum T cos 2phi) g + sum R + V: g is exactly 0 at
 r = 0, so mean-mode estimates there have exactly zero spread, and near
 MAX_SQUEEZE_R the form is finite wherever the per-channel cos^2/sin^2
 form is (halves (v_x +/- v_p)/2 would cancel two overflows into NaN).
-A bulk run reduces each medium's draws once and evaluates every
-(squeezing, quantity) pair from the sums.  A single draw is the same
-reducer over a batch of one, reduced once on first use, so it equals
-its entry in the batch bit for bit.
+A single draw is the same reducer over a batch of one, reduced once on
+first use, so it equals its entry in the bulk values bit for bit.
+
+A bulk estimate never holds its values: each chunk reduces each
+medium's sums to moments (``_moments``), and the chunks merge in
+chunk-index order (Chan, Golub & LeVeque 1983; Pebay, SAND2008-6212),
+so the estimates are bit-identical for any worker count.
 
 Magnitude modes
 ---------------
@@ -72,19 +77,13 @@ channels.  When t_bar = r_bar this reproduces exactly the law of iid
 exponential draws rescaled onto the constraint surface; for unequal
 means it is the mean-exact generalization.
 
-The normalized channel splits depend on the uniforms only, so a draw
-table computes them once (``DrawTable.splits``) and each medium forms
-only V, the Beta share and the two scalings.  The Beta share, one
-``betaincinv`` per draw, is nearly all the cost of a bulk exponential
-run.  From ``_PARALLEL_MIN_ROWS`` draws up it runs in contiguous,
-index-ordered slices, one per CPU in the process's affinity mask (but
-none shorter than half that constant), on a thread pool opened for that
-call; each slice writes its part of one output array.  ``betaincinv``
-is elementwise and releases the GIL, so every entry is the same
-function of the same uniform whatever the slicing, and the result is
-bit-identical for any worker count.  Fewer draws, a single draw
-included, run on the calling thread.  Which uniform feeds which
-quantity is fixed in one place, ``_layout``.
+The normalized channel splits depend on the uniforms only, so each
+chunk computes them once and each medium forms only V, the Beta share
+and the two scalings.  The Beta share, one ``betaincinv`` per draw, is
+nearly all the cost of a bulk exponential run; it releases the GIL, so
+the chunk threads overlap it with each other's Philox rounds and
+reductions.  Which uniform feeds which quantity is fixed in one place,
+``_layout``.
 """
 
 from __future__ import annotations
@@ -124,21 +123,12 @@ _SHIFT32 = np.uint64(32)
 _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_UNIT = 2.0**-53
 
-# Rows per chunk of a bulk table: a few hundred KB of round temporaries
-# instead of several copies of the whole table.
-_TABLE_CHUNK_ROWS = 4096
+# Uniforms in one chunk of bulk draws (1 MiB), the unit of parallel work
+# and of memory.  A draw wider than this is refused: even a chunk of one
+# such draw would break that bound.
+_CHUNK_DOUBLES = 1 << 17
 
-# Largest uniform table a run may build: 2**26 doubles (512 MiB).  A
-# table holds every draw at once, so beyond this a run would exhaust
-# memory instead of failing with a parameter error.
-_TABLE_LIMIT = 1 << 26
-
-# Below this many draws betaincinv runs on the calling thread, and no
-# slice is ever shorter than half of it.  Timed per medium on a 2-vCPU
-# VM (4 channels, the 24 oracle media), two slices cost 1.3-1.6x the
-# serial time at 512 draws, break even around 1-2k and take 0.7-0.9x
-# from 4096 up (0.7x at 10k).  A single draw never starts a thread.
-_PARALLEL_MIN_ROWS = 4096
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 # Beta concentration for the transmission/reflection split: the total
 # shape matches the 2N unit-shape (exponential) channel draws it stands
@@ -215,7 +205,7 @@ class McEstimate:
 
 
 class _Columns(NamedTuple):
-    """Fixed per-draw uniform layout, indices into one table row.
+    """Fixed per-draw uniform layout, indices into one draw's row of uniforms.
 
     Phases come first (transmission, reflection, spontaneous); the
     exponential mode appends its magnitude draws (V, the split share and
@@ -283,18 +273,9 @@ def _philox_rows(seed: int, columns: int, start: int, stop: int) -> np.ndarray:
     return (words >> _DOUBLE_SHIFT) * _DOUBLE_UNIT
 
 
-def _uniform_table(seed: int, columns: int, count: int) -> np.ndarray:
-    """Uniforms for draws [0, count); row k equals ``_uniforms_for`` at k."""
-    table = np.empty((count, columns))
-    for start in range(0, count, _TABLE_CHUNK_ROWS):
-        stop = min(start + _TABLE_CHUNK_ROWS, count)
-        table[start:stop] = _philox_rows(seed, columns, start, stop)
-    return table
-
-
 def _uniforms_for(config: SamplerConfig, cols: _Columns, draw_index: int) -> np.ndarray:
-    # A fresh stream reproduces the table row for the same index, so
-    # single draws never pay for a full table build.
+    # A fresh stream reproduces the bulk row for the same index, so a
+    # single draw never pays for a chunk.
     columns = _uniform_columns(config.mode, cols)
     stream = np.random.Generator(
         np.random.Philox(key=config.seed, counter=draw_index * _COUNTER_BLOCK)
@@ -302,39 +283,30 @@ def _uniforms_for(config: SamplerConfig, cols: _Columns, draw_index: int) -> np.
     return stream.random(columns)
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on.
+def _read_cpu_max() -> str | None:
+    try:
+        with open(_CPU_MAX) as f:
+            return f.read()
+    except OSError:
+        return None
 
-    This is the affinity mask, not a cgroup CPU quota: a container held
-    to 2 CPUs of a 64-CPU host counts 64 here.
+
+def _worker_count() -> int:
+    """CPUs this process may use: its affinity mask, capped by a CPU quota.
+
+    A cgroup v2 ``cpu.max`` of "quota period" caps the count at
+    ceil(quota / period), so a container held to 2 CPUs of a 64-CPU host
+    counts 2.  "max", an unreadable file and cgroup v1 leave the mask.
     """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _split_share(a: float, b: float, u_split: np.ndarray) -> np.ndarray:
-    """Beta(a, b) quantiles of ``u_split``, in contiguous slices on every CPU.
-
-    Slices keep at least ``_PARALLEL_MIN_ROWS // 2`` rows each, so a
-    table only fans out to as many threads as it has rows to keep busy.
-    """
-    rows = u_split.shape[0]
-    if rows < _PARALLEL_MIN_ROWS:
-        workers = 1
+        cpus = len(os.sched_getaffinity(0))
     else:
-        workers = min(_worker_count(), rows // (_PARALLEL_MIN_ROWS // 2))
-    if workers < 2:
-        return betaincinv(a, b, u_split)
-    share = np.empty(rows)
-    edges = [rows * i // workers for i in range(workers + 1)]
-
-    def fill(lo: int, hi: int) -> None:
-        betaincinv(a, b, u_split[lo:hi], out=share[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, edges[:-1], edges[1:]))
-    return share
+        cpus = os.cpu_count() or 1
+    try:
+        quota, period = map(int, (_read_cpu_max() or "").split())
+        return min(cpus, max(1, -(-quota // period)))
+    except (ValueError, ZeroDivisionError):
+        return cpus
 
 
 def _channel_splits(
@@ -381,7 +353,7 @@ def _magnitudes(
 
     trans_weight = coef.t_bar / (coef.t_bar + coef.r_bar)
     shape = _SPLIT_SHAPE_PER_CHANNEL * n
-    trans_share = _split_share(
+    trans_share = betaincinv(
         shape * trans_weight, shape * (1.0 - trans_weight), uniforms[:, cols.share]
     )
 
@@ -395,48 +367,6 @@ def _phases(cols: _Columns, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarra
     two_pi = 2.0 * math.pi
     columns = (cols.trans_phase, cols.refl_phase, cols.spont_phase)
     return tuple(two_pi * uniforms[:, c] for c in columns)
-
-
-@dataclass(frozen=True, eq=False)
-class DrawTable:
-    """Uniforms of draws [0, realizations) for one sampler configuration.
-
-    Built once per run and shared by every medium with the same channel
-    count.  ``cos2`` holds cos 2phi of the transmission phases and
-    ``splits`` the exponential mode's normalized channel splits (None in
-    mean mode); neither depends on the medium.
-    """
-
-    config: SamplerConfig
-    channels: int
-    uniforms: np.ndarray
-    cos2: np.ndarray
-    splits: tuple[np.ndarray, np.ndarray] | None
-
-
-def draw_table(config: SamplerConfig, channels: int) -> DrawTable:
-    """Build the uniform table of ``config`` and its medium-independent parts.
-
-    Raises ``ParameterError`` before allocating if the table would
-    exceed ``_TABLE_LIMIT`` doubles.
-    """
-    if channels < 1:
-        raise ParameterError(f"channels must be >= 1 (got {channels})")
-    cols = _layout(channels)
-    columns = _uniform_columns(config.mode, cols)
-    if config.realizations * columns > _TABLE_LIMIT:
-        raise ParameterError(
-            f"{config.realizations} realizations x {columns} uniforms exceed the "
-            f"{_TABLE_LIMIT} doubles of one draw table"
-        )
-    uniforms = _uniform_table(operator.index(config.seed), columns, config.realizations)
-    return DrawTable(
-        config=config,
-        channels=channels,
-        uniforms=uniforms,
-        cos2=np.cos(2.0 * _phases(cols, uniforms)[0]),
-        splits=_channel_splits(config.mode, cols, uniforms),
-    )
 
 
 class _ChannelSums(NamedTuple):
@@ -538,18 +468,113 @@ def mean_amplitude_check(real: DisorderRealization, state: InputState) -> tuple[
 _QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
 
 
-def channel_sums(spec: MediumSpec, table: DrawTable) -> _ChannelSums:
-    """Per-draw channel sums of one medium over the draws of ``table``."""
-    validate_medium(spec)
-    if spec.channels != table.channels:
+def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list[list]:
+    """``reduce`` of each medium's channel sums, one chunk of draws at a time.
+
+    The outer list runs over the chunks in draw-index order, the inner
+    over ``specs``, which share one channel count and each chunk's
+    uniforms.  Raises ``ParameterError`` before any draw when one draw's
+    uniforms exceed ``_CHUNK_DOUBLES``.
+    """
+    for spec in specs:
+        validate_medium(spec)
+    cols = _layout(specs[0].channels)
+    columns = _uniform_columns(config.mode, cols)
+    if columns > _CHUNK_DOUBLES:
         raise ParameterError(
-            f"medium has {spec.channels} channels, draw table {table.channels}"
+            f"one draw's {columns} uniforms exceed the {_CHUNK_DOUBLES} doubles of a chunk"
         )
-    coef, cols = mean_coefficients(spec), _layout(spec.channels)
-    mags = _magnitudes(coef, cols, table.config.mode, table.uniforms, table.splits)
-    # Read-only views repeat mean mode's one-entry sums over the draws.
-    sums = _batch_values(*mags, table.cos2)
-    return _ChannelSums(*(np.broadcast_to(s, table.cos2.shape[:1]) for s in sums))
+    rows = _CHUNK_DOUBLES // columns
+    coefs = [mean_coefficients(spec) for spec in specs]
+    seed, count = operator.index(config.seed), config.realizations
+
+    def chunk(start: int) -> list:
+        uniforms = _philox_rows(seed, columns, start, min(start + rows, count))
+        cos2 = np.cos(2.0 * _phases(cols, uniforms)[0])
+        splits = _channel_splits(config.mode, cols, uniforms)
+        out = []
+        for coef in coefs:
+            sums = _batch_values(*_magnitudes(coef, cols, config.mode, uniforms, splits), cos2)
+            # Read-only views repeat mean mode's one-entry sums over the draws.
+            out.append(reduce(_ChannelSums(*(np.broadcast_to(s, cos2.shape[:1]) for s in sums))))
+        return out
+
+    starts = range(0, count, rows)
+    workers = min(_worker_count(), len(starts))
+    if workers < 2:
+        return [chunk(start) for start in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk, starts))
+
+
+class _Moments(NamedTuple):
+    """Draw count, mean vector and co-moment matrix in ``moment_estimate``'s basis."""
+
+    count: int
+    mean: np.ndarray
+    comoment: np.ndarray
+
+
+def _moments(sums: _ChannelSums) -> _Moments:
+    """Moments of one chunk, two-pass about its first row.
+
+    The shift keeps a constant column exact: its mean is that row and its
+    co-moments are exactly zero, where the mean of the raw column rounds.
+    """
+    basis = np.stack((sums.trans, sums.trans_cos2, sums.trans + sums.rest))
+    count = basis.shape[1]
+    shifted = basis - basis[:, :1]
+    offset = np.add.reduce(shifted, axis=1) / count
+    centered = shifted - offset[:, None]
+    comoment = np.add.reduce(centered[:, None, :] * centered[None, :, :], axis=-1)
+    return _Moments(count, basis[:, 0] + offset, comoment)
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """Moments of draws ``a`` followed by draws ``b`` (Chan, Golub & LeVeque 1983)."""
+    count = a.count + b.count
+    delta = b.mean - a.mean
+    mean = a.mean + delta * (b.count / count)
+    outer = np.multiply.outer(delta, delta) * (a.count * b.count / count)
+    return _Moments(count, mean, a.comoment + b.comoment + outer)
+
+
+def medium_moments(specs: list[MediumSpec], config: SamplerConfig) -> list[_Moments]:
+    """Moments of each medium over draws [0, realizations), merged in chunk order.
+
+    The merge order depends on the chunk indices only, so the moments are
+    bit-identical for any worker count.
+    """
+    chunks = _over_chunks(specs, config, _moments)
+    return [functools.reduce(_merge, medium) for medium in zip(*chunks)]
+
+
+# Channel sums of three unit draws in the moment basis: a variance's
+# values there are its coefficients on (sum T, sum T cos 2phi, total).
+_BASIS = _ChannelSums(
+    trans=np.array([1.0, 0.0, 0.0]),
+    trans_cos2=np.array([0.0, 1.0, 0.0]),
+    rest=np.array([-1.0, 0.0, 1.0]),
+)
+
+
+def moment_estimate(moments: _Moments, state: InputState, quantity: str) -> McEstimate:
+    """Sample mean and standard error of one output variance from its medium's moments.
+
+    A variance is c . z in the basis z = (sum T, sum T cos 2phi,
+    sum T + sum R + V): mean c . m, spread c^T M c.  With no gain the
+    total is 1 to rounding, so at r = 0 the spread stays at rounding
+    level; a sum R + V axis would make it the difference of two large
+    co-moments.
+    """
+    count = moments.count
+    if count < 2:
+        raise ParameterError(f"need >= 2 realizations for a standard error (got {count})")
+    c = quadrature_values(_BASIS, state, quantity)
+    mean = float(np.add.reduce(c * moments.mean))
+    spread = float(np.add.reduce((np.multiply.outer(c, c) * moments.comoment).ravel()))
+    std_error = math.sqrt(max(spread, 0.0) / (count - 1) / count)
+    return McEstimate(mean=mean, std_error=std_error, realizations=count)
 
 
 def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> np.ndarray:
@@ -572,32 +597,12 @@ def realization_values(
 ) -> np.ndarray:
     """Index-ordered per-realization values for draws [0, realizations).
 
-    Each call builds a full draw table.  For several quantities or
-    squeezings of one medium, use ``draw_table`` + ``channel_sums`` +
-    ``quadrature_values`` instead.
+    This holds every draw's sums at once; ``mc_average`` needs only each
+    chunk's moments.
     """
-    validate_medium(spec)
-    sums = channel_sums(spec, draw_table(config, spec.channels))
+    chunks = _over_chunks([spec], config, lambda sums: sums)
+    sums = _ChannelSums(*(np.concatenate(field) for field in zip(*(c[0] for c in chunks))))
     return quadrature_values(sums, state, quantity)
-
-
-def mc_estimate(values: np.ndarray) -> McEstimate:
-    """Sample mean and standard error of index-ordered per-draw values.
-
-    The mean and spread are accumulated about values[0] (shifted
-    two-pass), which keeps a phase-independent integrand at exactly zero
-    spread instead of accumulating rounding noise.
-    """
-    count = values.size
-    if count < 2:
-        raise ParameterError(f"need >= 2 realizations for a standard error (got {count})")
-    shift = values[0]
-    centered = values - shift
-    offset = float(np.mean(centered))
-    mean = float(shift + offset)
-    sum_sq = float(np.sum((centered - offset) ** 2))
-    std_error = math.sqrt(sum_sq / (count - 1)) / math.sqrt(count)
-    return McEstimate(mean=mean, std_error=std_error, realizations=count)
 
 
 def mc_average(
@@ -605,9 +610,7 @@ def mc_average(
 ) -> McEstimate:
     """Monte Carlo estimate of one averaged output variance.
 
-    Values are always reduced in draw-index order from the full value
-    vector, so the estimate does not depend on how the draws were
-    scheduled.  Each call builds a full draw table, as
-    ``realization_values`` does.
+    It streams the same chunk moments as ``validation``'s grid sweep, so
+    the two agree bit for bit.
     """
-    return mc_estimate(realization_values(spec, state, config, quantity))
+    return moment_estimate(medium_moments([spec], config)[0], state, quantity)

@@ -7,10 +7,10 @@ the gain -> 0 limit); Monte Carlo means must sit within 3 standard
 errors of the closed forms, with 1e-12 taking over as the bound when a
 phase-independent integrand makes the spread exactly zero.
 
-Each Monte Carlo check builds one draw table for its sampler, reduces
-the draws of each grid medium once to channel sums, and derives all
-four quadrature estimates at every squeezing from those sums, in grid
-order.
+Each Monte Carlo check streams its sampler's draws in chunks shared by
+every grid medium, reduces each medium's chunk to the moments of its
+three channel sums, and derives all four quadrature estimates at every
+squeezing from the merged moments, in grid order.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .ensemble import (
     McEstimate,
     SamplerConfig,
     SamplerMode,
-    channel_sums,
-    draw_table,
-    mc_estimate,
-    quadrature_values,
+    medium_moments,
+    moment_estimate,
 )
 from .snl import snl_condition
 
@@ -205,18 +203,21 @@ def _mc_estimates(
     mode: SamplerMode, channels: int, seed: int, realizations: int
 ) -> list[tuple[tuple[float, float, float], str, McEstimate, float]]:
     """(point, quantity, estimate, closed form) over the standard grid, in grid order."""
-    table = draw_table(SamplerConfig(mode=mode, realizations=realizations, seed=seed), channels)
+    config = SamplerConfig(mode=mode, realizations=realizations, seed=seed)
+    specs = [
+        MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
+        for th in STANDARD_THICKNESS
+        for g in STANDARD_GAIN
+    ]
     out = []
-    for th in STANDARD_THICKNESS:
-        for g in STANDARD_GAIN:
-            spec = MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
-            sums = channel_sums(spec, table)
-            for r in STANDARD_SQUEEZE:
-                state = InputState(squeeze_r=r)
-                rep = full_report(spec, state)
-                for quantity in _QUANTITIES:
-                    est = mc_estimate(quadrature_values(sums, state, quantity))
-                    out.append(((th, g, r), quantity, est, getattr(rep, quantity)))
+    for spec, moments in zip(specs, medium_moments(specs, config)):
+        for r in STANDARD_SQUEEZE:
+            state = InputState(squeeze_r=r)
+            rep = full_report(spec, state)
+            point = (spec.thickness_ratio, spec.gain_ratio, r)
+            for quantity in _QUANTITIES:
+                est = moment_estimate(moments, state, quantity)
+                out.append((point, quantity, est, getattr(rep, quantity)))
     return out
 
 

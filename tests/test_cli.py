@@ -355,18 +355,20 @@ def test_validate_failure_with_out_prints_one_line(tmp_path, capfd):
     assert json.loads(path.read_text())["status"] == "fail"
 
 
-def test_validate_oversized_draw_table_exits_2(capfd, monkeypatch):
-    # the size cap is checked before any uniform table is allocated
-    def refuse_table(*args):
-        raise AssertionError("no draw table may be built")
+@pytest.mark.parametrize("sampler", ["mean", "exponential"])
+def test_validate_too_wide_draw_exits_2(capfd, monkeypatch, sampler):
+    # one draw wider than a chunk's budget is refused before any uniform
+    # is drawn, whatever the (small) draw count
+    def refuse_draws(*args):
+        raise AssertionError("no uniform may be drawn")
 
-    monkeypatch.setattr(ensemble, "_uniform_table", refuse_table)
-    code, out, err = run(capfd, ["validate", "--sampler", "exponential",
-                                 "--realizations", "10000000"])
+    monkeypatch.setattr(ensemble, "_philox_rows", refuse_draws)
+    code, out, err = run(capfd, ["validate", "--sampler", sampler, "--channels", "20000000",
+                                 "--realizations", "2"])
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("parameter error: 10000000 realizations")
+    assert err.startswith("parameter error: one draw's")
 
 
 @pytest.mark.parametrize("values", ["1,,2", " ", ""], ids=["double-comma", "blank", "empty"])

@@ -90,14 +90,17 @@ def test_config_rejects_non_integer(field, value):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_config_accepts_numpy_integers(mode, reference_spec):
+def test_config_accepts_numpy_integers(mode, reference_spec, reference_state):
     # stored as given, and drawing exactly what the equal Python ints draw
     cfg = SamplerConfig(mode=mode, realizations=np.int64(10), seed=np.int64(3))
     assert (cfg.realizations, cfg.seed) == (10, 3)
     assert isinstance(cfg.seed, np.int64)
     plain = config(mode, realizations=10, seed=3)
-    table = ensemble.draw_table(cfg, 4)
-    assert np.array_equal(table.uniforms, ensemble.draw_table(plain, 4).uniforms)
+    for q in QUANTITIES:
+        assert np.array_equal(
+            realization_values(reference_spec, reference_state, cfg, q),
+            realization_values(reference_spec, reference_state, plain, q),
+        )
     real = sample_realization(reference_spec, cfg, np.int64(7))
     assert np.array_equal(
         real.trans_phases, sample_realization(reference_spec, plain, 7).trans_phases
@@ -106,7 +109,7 @@ def test_config_accepts_numpy_integers(mode, reference_spec):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_scalar_and_batch_paths_identical(mode, reference_spec, reference_state):
-    # draw-by-draw evaluation must reproduce the vectorized table bit for bit
+    # draw-by-draw evaluation must reproduce the vectorized path bit for bit
     cfg = config(mode, realizations=200, seed=42)
     singles = {q: np.empty(200) for q in QUANTITIES}
     for k in range(200):
@@ -130,18 +133,23 @@ def _reference_rows(seed, columns, rows):
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 + 5, 2**128 - 1])
 @pytest.mark.parametrize("columns", [3, 9, 19])
-def test_uniform_table_matches_numpy_philox(monkeypatch, seed, columns):
-    # a small chunk so 40 rows cross two chunk boundaries and end mid-chunk
-    monkeypatch.setattr(ensemble, "_TABLE_CHUNK_ROWS", 16)
-    table = ensemble._uniform_table(seed, columns, 40)
-    assert np.array_equal(table, _reference_rows(seed, columns, range(40)))
+def test_uniform_table_matches_numpy_philox(seed, columns):
+    # rows start anywhere, so chunks [0, 16) and [16, 40) rebuild draws [0, 40)
+    rows = np.concatenate([
+        ensemble._philox_rows(seed, columns, 0, 16),
+        ensemble._philox_rows(seed, columns, 16, 40),
+    ])
+    assert np.array_equal(rows, _reference_rows(seed, columns, range(40)))
 
 
 def test_uniform_table_across_default_chunk():
-    chunk = ensemble._TABLE_CHUNK_ROWS
-    rows = [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 2]
-    table = ensemble._uniform_table(7, 19, 2 * chunk + 3)
-    assert np.array_equal(table[rows], _reference_rows(7, 19, rows))
+    # the first two default 19-column chunks, at both ends of each
+    chunk = ensemble._CHUNK_DOUBLES // 19
+    first = ensemble._philox_rows(7, 19, 0, chunk)
+    second = ensemble._philox_rows(7, 19, chunk, 2 * chunk)
+    rows = [0, 1, chunk - 1]
+    assert np.array_equal(first[rows], _reference_rows(7, 19, rows))
+    assert np.array_equal(second[rows], _reference_rows(7, 19, [chunk + k for k in rows]))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -150,63 +158,57 @@ def test_config_rejects_seed_outside_philox_key(seed):
         SamplerConfig(mode=MODES[0], seed=seed)
 
 
-# -- sliced betaincinv --------------------------------------------------------
+# -- streamed chunks ---------------------------------------------------------
 
-# Above ensemble._PARALLEL_MIN_ROWS, so the split share is computed in slices.
-SLICED_ROWS = 20_000
-
-
-def _slice_edges(rows, workers):
-    return [rows * i // workers for i in range(workers + 1)]
+def _chunk_draws(monkeypatch, mode, rows):
+    """Shrink the chunk budget to ``rows`` draws of ``mode`` at 4 channels."""
+    columns = ensemble._uniform_columns(mode, ensemble._layout(4))
+    monkeypatch.setattr(ensemble, "_CHUNK_DOUBLES", rows * columns)
 
 
-@pytest.fixture(scope="module")
-def sliced_table():
-    cfg = config(MODES[1], realizations=SLICED_ROWS, seed=42)
-    return ensemble.draw_table(cfg, 4)
+@pytest.mark.parametrize("mode", MODES)
+def test_chunked_estimates_bit_identical(monkeypatch, mode):
+    # 20 chunks of 200 draws: chunk edges and the merge order depend on
+    # draw indices only.  3 workers take the chunks unevenly, 7 outnumber
+    # the cores, 64 the chunks (the pool never exceeds them), and a short
+    # switch interval interleaves the chunk threads as often as it can.
+    _chunk_draws(monkeypatch, mode, 200)
+    monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 20.0))
+    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 1.0, 3.0))
+    pools = []
+    executor = ensemble.ThreadPoolExecutor
 
+    def recorded(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
 
-def test_sliced_channel_sums_bit_identical(monkeypatch, reference_spec, sliced_table):
-    assert SLICED_ROWS >= ensemble._PARALLEL_MIN_ROWS
-    sizes = []
-    betaincinv = ensemble.betaincinv
-
-    def recorded(a, b, x, **kwargs):
-        sizes.append(x.shape[0])
-        return betaincinv(a, b, x, **kwargs)
-
-    monkeypatch.setattr(ensemble, "betaincinv", recorded)
-    sums = {}
-    # 3 workers give uneven slices; 7 outnumber the cores, and a short
-    # switch interval interleaves the slice threads as often as it can.
-    # 64 CPUs are more than the table has rows for: no slice may be
-    # shorter than half the threshold.
-    max_slices = SLICED_ROWS // (ensemble._PARALLEL_MIN_ROWS // 2)
-    assert 7 <= max_slices < 64
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recorded)
+    estimates = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3, 7, 64):
             monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
-            sizes.clear()
-            sums[workers] = ensemble.channel_sums(reference_spec, sliced_table)
-            edges = _slice_edges(SLICED_ROWS, min(workers, max_slices))
-            assert sorted(sizes) == sorted(hi - lo for lo, hi in zip(edges, edges[1:]))
+            rows = validation._mc_estimates(mode, channels=4, seed=42, realizations=4000)
+            estimates[workers] = [(e.mean.hex(), e.std_error.hex()) for _, _, e, _ in rows]
     finally:
         sys.setswitchinterval(interval)
+    assert pools == [2, 3, 7, 20]
     for workers in (2, 3, 7, 64):
-        for field in sums[1]._fields:
-            assert getattr(sums[workers], field).tobytes() == getattr(sums[1], field).tobytes()
+        assert estimates[workers] == estimates[1]
 
 
-def test_sliced_rows_match_single_draws(monkeypatch, reference_spec, reference_state, sliced_table):
+@pytest.mark.parametrize("mode", MODES)
+def test_chunk_edge_rows_match_single_draws(monkeypatch, mode, reference_spec, reference_state):
+    # 64-draw chunks on 3 workers: both sides of every edge equal the
+    # single-draw path bit for bit
+    _chunk_draws(monkeypatch, mode, 64)
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
-    sums = ensemble.channel_sums(reference_spec, sliced_table)
-    edges = sorted({e for w in (2, 3) for e in _slice_edges(SLICED_ROWS, w)[1:-1]})
-    rows = [0, SLICED_ROWS - 1] + [k for e in edges for k in (e - 1, e)]
-    batch = {q: ensemble.quadrature_values(sums, reference_state, q) for q in QUANTITIES}
+    cfg = config(mode, realizations=300, seed=42)
+    batch = {q: realization_values(reference_spec, reference_state, cfg, q) for q in QUANTITIES}
+    rows = [0, 299] + [k for edge in range(64, 300, 64) for k in (edge - 1, edge)]
     for k in rows:
-        real = sample_realization(reference_spec, sliced_table.config, k)
+        real = sample_realization(reference_spec, cfg, k)
         assert batch["x_wfs"][k] == variance_x_wfs_single(real, reference_state)
         assert batch["x_nowfs"][k] == variance_x_nowfs_single(real, reference_state)
         assert batch["p_wfs"][k] == variance_p_single(real, reference_state, shaped=True)
@@ -214,44 +216,95 @@ def test_sliced_rows_match_single_draws(monkeypatch, reference_spec, reference_s
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_small_batches_start_no_thread(monkeypatch, mode, reference_spec):
+def test_small_batches_start_no_thread(monkeypatch, mode, reference_spec, reference_state):
+    # one chunk of draws and a single draw stay on the calling thread;
+    # one draw more makes two chunks, which do start a pool
     def refuse(*args, **kwargs):
-        raise AssertionError("no thread pool below _PARALLEL_MIN_ROWS")
+        raise AssertionError("no thread pool for one chunk")
 
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 4)
-    cfg = config(mode, realizations=ensemble._PARALLEL_MIN_ROWS - 1, seed=3)
-    ensemble.channel_sums(reference_spec, ensemble.draw_table(cfg, 4))
+    chunk = ensemble._CHUNK_DOUBLES // ensemble._uniform_columns(mode, ensemble._layout(4))
+    cfg = config(mode, realizations=chunk, seed=3)
+    mc_average(reference_spec, reference_state, cfg, "x_nowfs")
+    realization_values(reference_spec, reference_state, cfg, "x_nowfs")
     sample_realization(reference_spec, cfg, 2**62)
+    with pytest.raises(AssertionError, match="no thread pool"):
+        mc_average(reference_spec, reference_state, config(mode, chunk + 1, seed=3), "x_nowfs")
 
 
-def test_draw_table_size_cap(monkeypatch):
-    # refused before any uniform is computed
-    monkeypatch.setattr(ensemble, "_uniform_table", None)
-    columns = ensemble._uniform_columns(MODES[1], ensemble._layout(4))
-    too_many = ensemble._TABLE_LIMIT // columns + 1
-    with pytest.raises(ParameterError):
-        ensemble.draw_table(config(MODES[1], realizations=too_many), 4)
+@pytest.mark.parametrize("text,workers", [
+    (None, 64), ("max 100000\n", 64), ("150000 100000\n", 2), ("200000 100000\n", 2),
+    ("50000 100000\n", 1), ("800000 100000\n", 8), ("100000000 100000\n", 64), ("junk\n", 64),
+])
+def test_worker_count_honours_cpu_quota(monkeypatch, text, workers):
+    # cgroup v2 cpu.max "quota period" caps the affinity count at
+    # ceil(quota / period); no file, "max" or junk leave it
+    monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(ensemble, "_read_cpu_max", lambda: text)
+    assert ensemble._worker_count() == workers
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_draw_width_bound(monkeypatch, mode, reference_state):
+    # the widest draw that fits the chunk budget runs; one channel more
+    # is refused before any uniform is drawn
+    budget = ensemble._CHUNK_DOUBLES
+    widest = (budget - 1) // 2 if mode is SamplerMode.MEAN_MAGNITUDES else (budget - 3) // 4
+    width = ensemble._uniform_columns(mode, ensemble._layout(widest))
+    assert width <= budget < ensemble._uniform_columns(mode, ensemble._layout(widest + 1))
+    cfg = config(mode, realizations=2)
+    spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=widest)
+    assert mc_average(spec, reference_state, cfg, "x_wfs").realizations == 2
+    monkeypatch.setattr(ensemble, "_philox_rows", None)
+    wide = dataclasses.replace(spec, channels=widest + 1)
+    with pytest.raises(ParameterError, match="one draw's"):
+        mc_average(wide, reference_state, cfg, "x_wfs")
+    with pytest.raises(ParameterError, match="one draw's"):
+        realization_values(wide, reference_state, cfg, "x_wfs")
 
 
 def test_mean_mode_channel_sums_stay_one_array_wide(reference_spec):
     # constant magnitudes are one row, not (draws, channels) fills: the
-    # only table-sized temporary is the T cos 2phi product
-    draws = 20_000
-    table = ensemble.draw_table(config(MODES[0], realizations=draws, seed=42), 4)
+    # only chunk-sized temporary of a medium is the T cos 2phi product
+    draws, mode, cols = 20_000, MODES[0], ensemble._layout(4)
+    uniforms = ensemble._philox_rows(42, ensemble._uniform_columns(mode, cols), 0, draws)
+    cos2 = np.cos(2.0 * ensemble._phases(cols, uniforms)[0])
+    coef = mean_coefficients(reference_spec)
     tracemalloc.start()
     try:
-        ensemble.channel_sums(reference_spec, table)
+        ensemble._batch_values(*ensemble._magnitudes(coef, cols, mode, uniforms, None), cos2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * draws * 4 * np.dtype(float).itemsize
 
 
+def test_exponential_oracle_memory_does_not_grow(monkeypatch):
+    # draws stream through one chunk at a time: four times the draws,
+    # same peak (one worker, so that chunk threads peaking together or
+    # apart do not move it)
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
+    monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0,))
+    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 3.0))
+    peaks = []
+    for draws in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            validation._mc_estimates(MODES[1], channels=4, seed=42, realizations=draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("channels", [0, -3])
-def test_draw_table_rejects_channel_count(channels):
+def test_bulk_paths_reject_channel_count(channels, reference_state):
+    spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=channels)
     with pytest.raises(ParameterError):
-        ensemble.draw_table(config(MODES[1]), channels)
+        mc_average(spec, reference_state, config(MODES[1]), "x_wfs")
+    with pytest.raises(ParameterError):
+        realization_values(spec, reference_state, config(MODES[1]), "x_wfs")
 
 
 def test_mc_average_repeatable(reference_spec, reference_state):
@@ -540,6 +593,25 @@ def test_shaped_mean_mode_has_zero_spread(reference_spec, reference_state):
         assert est.realizations == 1000
         if target is not None:
             assert abs(est.mean - target) <= 1e-12
+
+
+def test_zero_gain_exponential_spread_stays_at_rounding(monkeypatch):
+    # with no gain every r = 0 value is the total sum T + sum R, 1 to
+    # rounding; its spread must stay the rounding-level spread of the
+    # values, not the difference of the large co-moments of sum T and
+    # sum R (which rounds to ~1e-11 or to below zero)
+    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0,))
+    monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0,))
+    rows = validation._mc_estimates(MODES[1], channels=4, seed=42, realizations=20_000)
+    assert len(rows) == 4 * len(validation.STANDARD_THICKNESS)
+    cfg, state = config(MODES[1], realizations=20_000, seed=42), InputState(squeeze_r=0.0)
+    for (thickness, gain, _), quantity, est, target in rows:
+        spec = MediumSpec(thickness_ratio=thickness, gain_ratio=gain)
+        values = realization_values(spec, state, cfg, quantity)
+        direct = np.std(values, ddof=1) / math.sqrt(values.size)
+        assert 0.0 < est.std_error <= 1e-15, (thickness, quantity, est)
+        assert math.isclose(est.std_error, direct, rel_tol=0.1), (thickness, quantity, est, direct)
+        assert abs(est.mean - target) <= 1e-12, (thickness, quantity, est)
 
 
 def test_unshaped_mean_mode_exact_at_zero_squeezing(monkeypatch):

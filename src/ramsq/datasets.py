@@ -33,11 +33,14 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
         raise ParameterError(f"grid endpoints must be finite (got {lo}, {hi})")
     if steps == 1:
         return [float(lo)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = np.linspace(lo, hi, steps)
-        # Rounding scales by 1e12, which overflows only far above the
-        # magnitudes that have any fractional digits left to round.
-        rounded = np.round(points, 12)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.linspace(lo, hi, steps)
+            # Rounding scales by 1e12, which overflows only far above the
+            # magnitudes that have any fractional digits left to round.
+            rounded = np.round(points, 12)
+    except MemoryError:
+        raise ParameterError(f"grid of {steps} steps is too large to allocate") from None
     if not np.all(np.isfinite(points)):
         raise ParameterError(f"grid from {lo} to {hi} overflows a double")
     return [float(x) for x in np.where(np.isfinite(rounded), rounded, points)]

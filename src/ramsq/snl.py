@@ -49,6 +49,12 @@ BISECT_MAX_ITER = 200
 LARGE_SQUEEZING_R = 0.5 * math.log(1e8)
 
 
+def _margin(thickness, gain, n):
+    """The margin sin(l/La) n + 2 sin(L/La - l/La) - 2 sin(L/La) over broadcast arrays."""
+    mfp_gain = gain / thickness
+    return np.sin(mfp_gain) * n + 2.0 * np.sin(gain - mfp_gain) - 2.0 * np.sin(gain)
+
+
 def snl_condition(spec: MediumSpec, state: InputState) -> float:
     """Margin of the shaped output below shot noise; negative is sub-SNL.
 
@@ -61,13 +67,7 @@ def snl_condition(spec: MediumSpec, state: InputState) -> float:
             f"snl_condition needs gain_ratio > 0 (got {spec.gain_ratio}); "
             "gain-free slabs sit below shot noise for any r > 0"
         )
-    mfp_gain = spec.mfp_over_amp_length
-    n = 1.0 + state.x_variance
-    return (
-        math.sin(mfp_gain) * n
-        + 2.0 * math.sin(spec.gain_ratio - mfp_gain)
-        - 2.0 * math.sin(spec.gain_ratio)
-    )
+    return float(_margin(spec.thickness_ratio, spec.gain_ratio, 1.0 + state.x_variance))
 
 
 @dataclass(frozen=True)
@@ -127,72 +127,52 @@ class RegionScan:
     boundary: np.ndarray
 
 
-def _margin_on_row(thickness: float, state: InputState):
-    def margin(gain: float) -> float:
-        return snl_condition(
-            MediumSpec(thickness_ratio=thickness, gain_ratio=gain), state
-        )
-
-    return margin
-
-
-def _bisect_boundary(thickness: float, state: InputState) -> float:
-    """Sign change of the margin in gain at fixed L/l, by bisection.
-
-    The margin is negative as gain -> 0+ for any r > 0 and positive at
-    the top of the scanned range whenever a boundary exists; rows with
-    no sign change (e.g. r = 0) report NaN.
-    """
-    margin = _margin_on_row(thickness, state)
-    lo = 1e-8
-    hi = math.pi - GAIN_EXCLUSION
-    f_lo = margin(lo)
-    f_hi = margin(hi)
-    if not (f_lo < 0.0 < f_hi):
-        return math.nan
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if margin(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def region_scan(
     thickness_values: np.ndarray,
     gain_values: np.ndarray,
     state: InputState,
 ) -> RegionScan:
-    """Map the sub-SNL region and bisect its boundary row by row.
+    """Map the sub-SNL region and bisect its boundary on all rows at once.
 
     Scanned gain ratios must stay below pi - 1e-6; the margin is checked
-    for a single sign change along each row (on the scan grid plus a
-    fixed fine mesh) and a ``RuntimeError`` names any row where that
-    numerical assumption fails rather than silently keeping one root.
+    for a single sign change along each row (on a fixed fine mesh) and a
+    ``RuntimeError`` names any row where that numerical assumption fails
+    rather than silently keeping one root.  Every row bisects the bracket
+    (1e-8, pi - 1e-6) until it is narrower than ``BISECT_TOL``; the
+    margin is negative as gain -> 0+ for any r > 0, so rows whose margin
+    is not negative at the bottom and positive at the top (e.g. r = 0)
+    have no boundary and report NaN.
     """
     thickness = np.asarray(thickness_values, dtype=float)
     gain = np.asarray(gain_values, dtype=float)
-    if np.any(gain <= 0.0) or np.any(gain >= math.pi - GAIN_EXCLUSION):
+    if not np.all((gain > 0.0) & (gain < math.pi - GAIN_EXCLUSION)):
         raise ParameterError(
             "scanned gain ratios must lie in (0, pi - 1e-6); the lasing "
             "threshold band is excluded"
         )
-    below = np.zeros((thickness.size, gain.size), dtype=bool)
-    boundary = np.full(thickness.size, math.nan)
+    for th in thickness:
+        validate_medium(MediumSpec(thickness_ratio=float(th), gain_ratio=0.0))
+    n = 1.0 + state.x_variance
+    below = _margin(thickness[:, None], gain, n) < 0.0
     probe = np.linspace(1e-4, math.pi - GAIN_EXCLUSION, 1024)
-    for i, th in enumerate(thickness):
-        margin = _margin_on_row(float(th), state)
-        row = np.array([margin(float(g)) for g in gain])
-        below[i] = row < 0.0
-        signs = np.array([margin(float(g)) < 0.0 for g in probe])
+    for th in thickness:
+        signs = _margin(th, probe, n) < 0.0
         flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
         if flips > 1:
             raise RuntimeError(
                 f"margin changes sign {flips} times along L/l = {th}; "
                 "the single-boundary assumption does not hold here"
             )
-        boundary[i] = _bisect_boundary(float(th), state)
+    lo = np.full(thickness.size, 1e-8)
+    hi = np.full(thickness.size, math.pi - GAIN_EXCLUSION)
+    bracket = (_margin(thickness, lo, n) < 0.0) & (_margin(thickness, hi, n) > 0.0)
+    for _ in range(BISECT_MAX_ITER):
+        active = bracket & (hi - lo > BISECT_TOL)
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        negative = _margin(thickness, mid, n) < 0.0
+        lo = np.where(active & negative, mid, lo)
+        hi = np.where(active & ~negative, mid, hi)
+    boundary = np.where(bracket, 0.5 * (lo + hi), math.nan)
     return RegionScan(thickness=thickness, gain=gain, below_snl=below, boundary=boundary)

@@ -1,12 +1,13 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Three tools, deliberately built on different machinery than the package:
+Four tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
   library's collapsed evaluators drop) explicitly;
 * a pure-python bisection of the sub-shot-noise margin at fixed
-  mean-free-path gain;
+  mean-free-path gain, and a point-by-point region scan built on the
+  same scalar margin;
 * a bisection of the fixed-point equation for the region boundary at
   fixed slab thickness.
 
@@ -157,6 +158,47 @@ def bisect_gain_threshold(mfp_gain: float, n: float, tol: float = 1e-14) -> floa
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+# -- point-by-point region scan ----------------------------------------------
+
+def scalar_region_scan(thickness, gain, n: float):
+    """Sub-SNL cells and bisected boundary, one scalar margin at a time.
+
+    The per-point scan the package ran before it worked on whole arrays:
+    every cell, a 1024-point probe per row and a bisection per row from
+    (1e-8, pi - 1e-6) down to a width of 1e-12 in at most 200 steps, each
+    through ``margin_at_fixed_mfp_gain`` (equal to ``snl_condition`` bit
+    for bit).  Returns ``(below_snl, boundary)``; NaN marks rows with no
+    bracket, and a row whose probe changes sign twice raises.
+    """
+    top = math.pi - 1e-6
+
+    def margin(th: float, g: float) -> float:
+        return margin_at_fixed_mfp_gain(g, g / th, n)
+
+    below = np.zeros((len(thickness), len(gain)), dtype=bool)
+    boundary = np.full(len(thickness), math.nan)
+    probe = np.linspace(1e-4, top, 1024)
+    for i, th in enumerate(float(t) for t in thickness):
+        for j, g in enumerate(gain):
+            below[i, j] = margin(th, float(g)) < 0.0
+        signs = [margin(th, float(g)) < 0.0 for g in probe]
+        if sum(a != b for a, b in zip(signs, signs[1:])) > 1:
+            raise RuntimeError(f"margin changes sign more than once along L/l = {th}")
+        lo, hi = 1e-8, top
+        if not (margin(th, lo) < 0.0 < margin(th, hi)):
+            continue
+        for _ in range(200):
+            if hi - lo <= 1e-12:
+                break
+            mid = 0.5 * (lo + hi)
+            if margin(th, mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        boundary[i] = 0.5 * (lo + hi)
+    return below, boundary
 
 
 # -- fixed-point boundary at fixed thickness --------------------------------

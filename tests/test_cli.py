@@ -6,9 +6,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ramsq import cli, ensemble
+from ramsq import cli, ensemble, snl
 from ramsq.analytic import coherent_baseline, mean_coefficients
 from ramsq.cli import main
 from ramsq.core import MediumSpec
@@ -263,6 +264,26 @@ def test_snl_region_rows(capfd):
             assert r[below_idx] in {"0", "1"}
 
 
+def test_snl_region_failed_scan_exits_1(tmp_path, capfd, monkeypatch):
+    # a margin that changes sign twice along the last preset row fails
+    # the scan's integrity check after every other row passed it
+    real = snl._margin
+
+    def margin(thickness, gain, n):
+        twice = np.where(np.abs(gain - 2.0) < 0.5, -1.0, 1.0)
+        return np.where(thickness == 12.0, twice, real(thickness, gain, n))
+
+    monkeypatch.setattr(snl, "_margin", margin)
+    path = tmp_path / "region.csv"
+    code, out, err = run(capfd, ["snl-region", "--out", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: margin changes sign 2 times along L/l = 12.0;")
+    assert not path.exists()
+    assert not (tmp_path / "region.csv.manifest.json").exists()
+
+
 # -- validate ----------------------------------------------------------------
 
 def test_validate_passes(tmp_path, capfd):
@@ -380,13 +401,20 @@ def test_fig3_bad_curve_values_exit_2(capfd, values):
     assert err.startswith("parameter error: --curve-values")
 
 
+FIG4_A = ["fig4", "--panel", "a"]
+
+
 @pytest.mark.parametrize("bounds", [
-    ["--x-min=inf"], ["--x-max=nan"], ["--x-min=-1e308", "--x-max=1e308"],
+    [*FIG4_A, "--x-min=inf"], [*FIG4_A, "--x-max=nan"],
+    [*FIG4_A, "--x-min=-1e308", "--x-max=1e308"],
+    # numpy refuses these 7.1 PiB grids before touching any memory
+    [*FIG4_A, "--x-steps", "1000000000000000"],
+    ["snl-region", "--L-over-La-steps", "1000000000000000"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_unusable_grid_exits_2(capfd, bounds):
     # numpy's overflow warnings must not add lines to the one-line error
-    code, out, err = run(capfd, ["fig4", "--panel", "a", *bounds])
+    code, out, err = run(capfd, bounds)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ramsq.analytic import full_report, mean_coefficients, variance_x_wfs
+from ramsq import snl
 from ramsq.core import DomainError, InputState, MediumSpec, ParameterError
+from ramsq.datasets import grid
 from ramsq.snl import (
     LARGE_SQUEEZING_R,
     region_scan,
@@ -18,6 +20,7 @@ from oracles import (
     bisect_fixed_point_boundary,
     bisect_gain_threshold,
     margin_at_fixed_mfp_gain,
+    scalar_region_scan,
 )
 
 # Row whose boundary fixed point lands exactly at l/La = 0.1 for n = 1.
@@ -218,9 +221,54 @@ def test_region_grows_with_squeezing():
     assert strong.sum() > weak.sum()
 
 
+@pytest.mark.parametrize("squeeze", [0.0, 0.5, 1.0, LARGE_SQUEEZING_R, SATURATED_R])
+def test_region_scan_matches_scalar_reference(squeeze):
+    # the whole-array scan against the point-by-point one, bit for bit:
+    # the snl-region preset grid, a span from just above L/l = 1 (where
+    # the crossing sits near the lasing threshold) and one out to 50
+    state = InputState(squeeze_r=squeeze)
+    grids = [
+        (grid(1.2, 12.0, 55), grid(0.05, 3.1, 62)),
+        (np.linspace(1.0 + 1e-9, 2.0, 23), np.linspace(1e-3, math.pi - 2e-6, 31)),
+        (np.linspace(1.5, 50.0, 37), np.linspace(0.01, 3.14, 17)),
+    ]
+    for thickness, gain in grids:
+        scan = region_scan(np.asarray(thickness), np.asarray(gain), state)
+        below, boundary = scalar_region_scan(thickness, gain, 1.0 + state.x_variance)
+        assert np.array_equal(scan.below_snl, below)
+        assert [b.hex() for b in scan.boundary.tolist()] == [b.hex() for b in boundary.tolist()]
+        assert np.isnan(boundary).all() == (squeeze == 0.0)
+
+
+def test_region_scan_refuses_second_sign_change(monkeypatch):
+    # margin + - + along the gain axis on row L/l = 5, the real one elsewhere
+    real = snl._margin
+
+    def margin(thickness, gain, n):
+        twice = np.where(np.abs(gain - 2.0) < 0.5, -1.0, 1.0)
+        return np.where(thickness == 5.0, twice, real(thickness, gain, n))
+
+    monkeypatch.setattr(snl, "_margin", margin)
+    with pytest.raises(RuntimeError, match=r"changes sign 2 times along L/l = 5\.0;"):
+        region_scan(np.array([2.0, 5.0, 8.0]), np.array([1.0, 2.0]), InputState(squeeze_r=1.0))
+
+
+def test_region_scan_empty_grids():
+    state = InputState(squeeze_r=1.0)
+    thickness, gain = scan_grids()
+    scan = region_scan(np.array([]), gain, state)
+    assert scan.below_snl.shape == (0, gain.size)
+    assert scan.boundary.shape == (0,)
+    scan = region_scan(thickness, np.array([]), state)
+    assert scan.below_snl.shape == (thickness.size, 0)
+    # the boundary does not depend on the scanned gains
+    assert np.array_equal(scan.boundary, region_scan(thickness, gain, state).boundary)
+
+
 @pytest.mark.parametrize(
     "bad_gain",
-    [np.array([0.0, 1.0]), np.array([-0.5, 1.0]), np.array([1.0, math.pi - 1e-7])],
+    [np.array([0.0, 1.0]), np.array([-0.5, 1.0]), np.array([1.0, math.pi - 1e-7]),
+     np.array([math.nan, 1.0])],
 )
 def test_region_scan_gain_domain(bad_gain):
     with pytest.raises(ParameterError):
@@ -228,8 +276,9 @@ def test_region_scan_gain_domain(bad_gain):
 
 
 def test_region_scan_thin_slab_rejected():
-    with pytest.raises(ParameterError):
-        region_scan(np.array([0.8]), np.array([1.0]), InputState(squeeze_r=1.0))
+    for thickness in (0.8, 1.0, math.nan):
+        with pytest.raises(ParameterError, match="thickness_ratio"):
+            region_scan(np.array([5.0, thickness]), np.array([1.0]), InputState(squeeze_r=1.0))
 
 
 def test_region_consistent_with_variance_report(grid_points):

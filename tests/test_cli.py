@@ -125,6 +125,170 @@ def test_module_entry_point():
     assert proc.stdout.startswith("ramsq ")
 
 
+# -- help --------------------------------------------------------------------
+
+# ``ramsq --help`` and each subcommand's ``--help`` at 80 columns.  The
+# dataset commands' flags and help texts come from the command table, so
+# a rewrite of that table must leave these unchanged.
+HELP = {
+    "": """\
+usage: ramsq [-h] [--version]
+             {coeffs,fig2,fig3,fig4,figxr,snl-region,validate} ...
+
+Quadrature noise of squeezed light behind random amplifying media
+
+positional arguments:
+  {coeffs,fig2,fig3,fig4,figxr,snl-region,validate}
+    coeffs              ensemble-averaged slab weights for one (L/l, L/La)
+    fig2                shaping benefit surface over (r, L/La) or (L/l, L/La)
+    fig3                rescaled squeezed-quadrature fluctuation curves
+    fig4                averaged output variances vs r or vs L/La
+    figxr               amplifying vs gain-free squeezed quadrature, five
+                        series
+    snl-region          sub-shot-noise region map and boundary
+    validate            closed-form identities plus Monte Carlo oracle
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "coeffs": """\
+usage: ramsq coeffs [-h] --L-over-l L_OVER_L --L-over-La L_OVER_LA
+                    [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --L-over-l L_OVER_L
+  --L-over-La L_OVER_LA
+  --out PATH            write CSV here plus PATH.manifest.json
+""",
+    "fig2": """\
+usage: ramsq fig2 [-h] [--panel {a,b}] [--L-over-l L_OVER_L]
+                  [--squeeze-r SQUEEZE_R] [--x-min X_MIN] [--x-max X_MAX]
+                  [--x-steps X_STEPS] [--L-over-La-min L_OVER_LA_MIN]
+                  [--L-over-La-max L_OVER_LA_MAX]
+                  [--L-over-La-steps L_OVER_LA_STEPS] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --panel {a,b}
+  --L-over-l L_OVER_L   fixed thickness for panel a
+  --squeeze-r SQUEEZE_R
+                        fixed squeezing for panel b
+  --x-min X_MIN         surface x axis: r (panel a) or L/l (panel b)
+  --x-max X_MAX
+  --x-steps X_STEPS
+  --L-over-La-min L_OVER_LA_MIN
+  --L-over-La-max L_OVER_LA_MAX
+  --L-over-La-steps L_OVER_LA_STEPS
+  --out PATH            write CSV here plus PATH.manifest.json
+""",
+    "fig3": """\
+usage: ramsq fig3 [-h] [--panel {a,b,c,d}] [--L-over-La L_OVER_LA]
+                  [--L-over-l L_OVER_L] [--squeeze-r SQUEEZE_R]
+                  [--curve-values CURVE_VALUES] [--x-min X_MIN]
+                  [--x-max X_MAX] [--x-steps X_STEPS] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --panel {a,b,c,d}
+  --L-over-La L_OVER_LA
+                        fixed gain for panel a
+  --L-over-l L_OVER_L   fixed thickness for panels b, c
+  --squeeze-r SQUEEZE_R
+                        fixed squeezing for panel d
+  --curve-values CURVE_VALUES
+                        comma-separated family values overriding the preset
+  --x-min X_MIN
+  --x-max X_MAX
+  --x-steps X_STEPS
+  --out PATH            write CSV here plus PATH.manifest.json
+""",
+    "fig4": """\
+usage: ramsq fig4 [-h] [--panel {a,b}] [--L-over-l L_OVER_L]
+                  [--L-over-La L_OVER_LA] [--squeeze-r SQUEEZE_R]
+                  [--x-min X_MIN] [--x-max X_MAX] [--x-steps X_STEPS]
+                  [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --panel {a,b}
+  --L-over-l L_OVER_L
+  --L-over-La L_OVER_LA
+                        fixed gain for panel a
+  --squeeze-r SQUEEZE_R
+                        fixed squeezing for panel b
+  --x-min X_MIN
+  --x-max X_MAX
+  --x-steps X_STEPS
+  --out PATH            write CSV here plus PATH.manifest.json
+""",
+    "figxr": """\
+usage: ramsq figxr [-h] [--panel {a,b}] [--L-over-l L_OVER_L]
+                   [--L-over-La L_OVER_LA] [--squeeze-r SQUEEZE_R]
+                   [--x-min X_MIN] [--x-max X_MAX] [--x-steps X_STEPS]
+                   [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --panel {a,b}
+  --L-over-l L_OVER_L   fixed thickness for panel a
+  --L-over-La L_OVER_LA
+                        gain of the amplifying series
+  --squeeze-r SQUEEZE_R
+                        fixed squeezing for panel b
+  --x-min X_MIN
+  --x-max X_MAX
+  --x-steps X_STEPS
+  --out PATH            write CSV here plus PATH.manifest.json
+""",
+    "snl-region": """\
+usage: ramsq snl-region [-h] [--squeeze-r SQUEEZE_R]
+                        [--L-over-l-min L_OVER_L_MIN]
+                        [--L-over-l-max L_OVER_L_MAX]
+                        [--L-over-l-steps L_OVER_L_STEPS]
+                        [--L-over-La-min L_OVER_LA_MIN]
+                        [--L-over-La-max L_OVER_LA_MAX]
+                        [--L-over-La-steps L_OVER_LA_STEPS] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --squeeze-r SQUEEZE_R
+                        default is the "large-squeezing" preset e^(-2r) = 1e-8
+  --L-over-l-min L_OVER_L_MIN
+  --L-over-l-max L_OVER_L_MAX
+  --L-over-l-steps L_OVER_L_STEPS
+  --L-over-La-min L_OVER_LA_MIN
+  --L-over-La-max L_OVER_LA_MAX
+  --L-over-La-steps L_OVER_LA_STEPS
+  --out PATH            write CSV here plus PATH.manifest.json
+""",
+    "validate": """\
+usage: ramsq validate [-h] [--channels CHANNELS] [--seed SEED]
+                      [--realizations REALIZATIONS]
+                      [--sampler {mean,exponential,both}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --channels CHANNELS
+  --seed SEED
+  --realizations REALIZATIONS
+  --sampler {mean,exponential,both}
+  --out PATH            write the JSON report here
+""",
+
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: c or "ramsq")
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
 # -- output files and manifests ----------------------------------------------
 
 def test_out_writes_csv_and_manifest(tmp_path, capfd):

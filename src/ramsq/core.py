@@ -10,6 +10,7 @@ count, so laboratory units enter exclusively through ``units_to_spec``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ def validate_medium(spec: MediumSpec) -> MediumSpec:
     """Return ``spec`` unchanged iff every bound holds, else raise.
 
     Bounds: L/l > 1 (diffusive slab), 0 <= L/La < pi (below lasing),
-    channels >= 1.
+    channels an integer >= 1 (numpy integers included).
     """
     if not spec.thickness_ratio > 1.0:
         raise ThinMedium(
@@ -76,7 +77,11 @@ def validate_medium(spec: MediumSpec) -> MediumSpec:
             f"gain_ratio must lie in [0, pi) (got {spec.gain_ratio}); "
             "at L/La = pi the medium reaches its lasing threshold"
         )
-    if spec.channels < 1:
+    try:
+        channels = operator.index(spec.channels)
+    except TypeError:
+        raise BadChannels(f"channels must be an integer (got {spec.channels!r})") from None
+    if channels < 1:
         raise BadChannels(f"channels must be >= 1 (got {spec.channels})")
     return spec
 

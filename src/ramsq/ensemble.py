@@ -158,6 +158,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Any other value would take the exponential branch of the sampler.
+        if not isinstance(self.mode, SamplerMode):
+            members = " or ".join(f"SamplerMode.{m.name}" for m in SamplerMode)
+            raise ParameterError(f"mode must be {members} (got {self.mode!r})")
         _integer("realizations", self.realizations)
         _integer("seed", self.seed)
         if self.realizations < 1:
@@ -468,6 +472,11 @@ def mean_amplitude_check(real: DisorderRealization, state: InputState) -> tuple[
 _QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
 
 
+def _check_quantity(quantity: str) -> None:
+    if quantity not in _QUANTITIES:
+        raise ParameterError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+
+
 def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list[list]:
     """``reduce`` of each medium's channel sums, one chunk of draws at a time.
 
@@ -584,8 +593,7 @@ def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> n
         return sums.trans * state.x_variance + sums.rest
     if quantity == "p_wfs":
         return sums.trans * state.p_variance + sums.rest
-    if quantity not in _QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
+    _check_quantity(quantity)
     # Unshaped x is sum T v_x + 2 sum T sin^2 g; p has cos^2 for sin^2.
     g = (state.p_variance - state.x_variance) / 2.0
     cos2 = -sums.trans_cos2 if quantity == "x_nowfs" else sums.trans_cos2
@@ -600,6 +608,7 @@ def realization_values(
     This holds every draw's sums at once; ``mc_average`` needs only each
     chunk's moments.
     """
+    _check_quantity(quantity)
     chunks = _over_chunks([spec], config, lambda sums: sums)
     sums = _ChannelSums(*(np.concatenate(field) for field in zip(*(c[0] for c in chunks))))
     return quadrature_values(sums, state, quantity)
@@ -613,4 +622,5 @@ def mc_average(
     It streams the same chunk moments as ``validation``'s grid sweep, so
     the two agree bit for bit.
     """
+    _check_quantity(quantity)
     return moment_estimate(medium_moments([spec], config)[0], state, quantity)

@@ -27,7 +27,7 @@ from .analytic import (
     variance_x_wfs,
     wfs_gain,
 )
-from .core import InputState, MediumSpec
+from .core import InputState, MediumSpec, ParameterError
 from .ensemble import (
     _QUANTITIES,
     McEstimate,
@@ -300,18 +300,20 @@ def run_validation(
     corrupt_constraint: bool = False,
 ) -> ValidationReport:
     """Run every check; overall status is the worst individual one."""
+    modes = {
+        "mean": [SamplerMode.MEAN_MAGNITUDES],
+        "exponential": [SamplerMode.EXPONENTIAL_MAGNITUDES],
+        "both": [SamplerMode.MEAN_MAGNITUDES, SamplerMode.EXPONENTIAL_MAGNITUDES],
+    }
+    if sampler not in modes:
+        raise ParameterError(f"sampler must be 'mean', 'exponential' or 'both' (got {sampler!r})")
     checks = [
         _check_flux(corrupt_constraint),
         _check_linear_limit(),
         _check_analytic_identities(),
         _check_snl_sign(),
     ]
-    modes = {
-        "mean": [SamplerMode.MEAN_MAGNITUDES],
-        "exponential": [SamplerMode.EXPONENTIAL_MAGNITUDES],
-        "both": [SamplerMode.MEAN_MAGNITUDES, SamplerMode.EXPONENTIAL_MAGNITUDES],
-    }[sampler]
-    for mode in modes:
+    for mode in modes[sampler]:
         checks.append(_check_mc(mode, channels, seed, realizations))
     if any(c.status == "fail" for c in checks):
         status = "fail"

@@ -1,6 +1,7 @@
 """Value types, parameter bounds and unit reduction."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,10 +46,15 @@ def test_thin_medium_rejected(thickness):
         validate_medium(MediumSpec(thickness_ratio=thickness, gain_ratio=1.0))
 
 
-@pytest.mark.parametrize("channels", [0, -3])
+@pytest.mark.parametrize("channels", [0, -3, 4.0, 4.5, "4"])
 def test_bad_channel_count_rejected(channels):
     with pytest.raises(BadChannels):
         validate_medium(MediumSpec(thickness_ratio=2.0, gain_ratio=1.0, channels=channels))
+
+
+def test_numpy_integer_channel_count_accepted():
+    spec = MediumSpec(thickness_ratio=2.0, gain_ratio=1.0, channels=np.int64(4))
+    assert validate_medium(spec) is spec
 
 
 def test_all_bound_errors_are_parameter_errors():

@@ -14,7 +14,7 @@ from ramsq.analytic import (
     variance_x_wfs,
 )
 from ramsq import ensemble, validation
-from ramsq.core import MAX_SQUEEZE_R, InputState, MediumSpec, ParameterError
+from ramsq.core import MAX_SQUEEZE_R, BadChannels, InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
     DisorderRealization,
     SamplerConfig,
@@ -87,6 +87,13 @@ def test_draw_index_bounded_by_philox_counter(mode, reference_spec):
 def test_config_rejects_non_integer(field, value):
     with pytest.raises(ParameterError):
         SamplerConfig(mode=MODES[0], **{field: value})
+
+
+@pytest.mark.parametrize("mode", ["mean", "exponential", 0, None])
+def test_config_rejects_mode_outside_enum(mode):
+    # a bare string once fell through to the exponential branch
+    with pytest.raises(ParameterError, match="MEAN_MAGNITUDES.*EXPONENTIAL_MAGNITUDES"):
+        SamplerConfig(mode=mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -298,13 +305,15 @@ def test_exponential_oracle_memory_does_not_grow(monkeypatch):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-@pytest.mark.parametrize("channels", [0, -3])
+@pytest.mark.parametrize("channels", [0, -3, 4.0, 4.5, "4"])
 def test_bulk_paths_reject_channel_count(channels, reference_state):
     spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=channels)
-    with pytest.raises(ParameterError):
+    with pytest.raises(BadChannels):
         mc_average(spec, reference_state, config(MODES[1]), "x_wfs")
-    with pytest.raises(ParameterError):
+    with pytest.raises(BadChannels):
         realization_values(spec, reference_state, config(MODES[1]), "x_wfs")
+    with pytest.raises(BadChannels):
+        sample_realization(spec, config(MODES[1]), 0)
 
 
 def test_mc_average_repeatable(reference_spec, reference_state):
@@ -575,9 +584,15 @@ def test_config_rejects_zero_draws():
         SamplerConfig(mode=MODES[0], realizations=0, seed=0)
 
 
-def test_unknown_quantity_rejected(reference_spec, reference_state):
-    with pytest.raises(ValueError):
-        realization_values(reference_spec, reference_state, config(MODES[0]), "y_wfs")
+def test_unknown_quantity_rejected(monkeypatch, reference_spec, reference_state):
+    # refused before the first draw, however many draws were asked for
+    def refuse_draws(*args):
+        raise AssertionError("drew uniforms for an unknown quantity")
+
+    monkeypatch.setattr(ensemble, "_philox_rows", refuse_draws)
+    for entry in (mc_average, realization_values):
+        with pytest.raises(ParameterError, match="unknown quantity 'y_wfs'"):
+            entry(reference_spec, reference_state, config(MODES[1]), "y_wfs")
 
 
 def test_shaped_mean_mode_has_zero_spread(reference_spec, reference_state):
@@ -664,6 +679,16 @@ def test_linear_limit_sampling():
     assert est.std_error == 0.0
     assert abs(est.mean - variance_x_wfs(mean_coefficients(spec), state)) <= 1e-12
     assert est.mean < 1.0
+
+
+def test_validation_rejects_unknown_sampler(monkeypatch):
+    # refused before any check runs, naming every accepted value
+    def refuse_check(*args):
+        raise AssertionError("a check ran for an unknown sampler")
+
+    monkeypatch.setattr(validation, "_check_flux", refuse_check)
+    with pytest.raises(ParameterError, match="'mean', 'exponential' or 'both'.*'Mean'"):
+        validation.run_validation(sampler="Mean")
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Each dataset subcommand is one ``COMMANDS`` entry: flags with their
-defaults (the figure presets), per-panel defaults and the builder.  One
-handler resolves the flags, records them unchanged as the manifest's
-``parameters`` and calls the builder; the CSV goes to stdout or to
-``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
+defaults (the figure presets), its panels and the builder.  Each figure
+panel is declared once, as a ``Panel``: the CSV column its x grid sweeps
+with the default grid, and for fig3 the column its curves sweep with the
+default values.  Every coordinate of the point (L/l, L/La, r) that a
+panel does not sweep is the flag of the same name (``--squeeze-r`` for
+r).  One handler resolves the flags, records them unchanged as the
+manifest's ``parameters`` and calls the builder; the CSV goes to stdout
+or to ``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
 validation suite.  Exit codes: 0 success, 1 failed validation or scan
 integrity, 2 parameter errors and output files that cannot be written.
 """
@@ -21,7 +25,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .core import ParameterError
 from .datasets import (
-    coeffs_rows, fig2_rows, fig3_rows, fig4_rows, figxr_rows, grid, snl_region_rows,
+    coeffs_rows, fig2_rows, fig3_rows, fig4_rows, figxr_rows, grid, snl_region_rows, sweep,
 )
 from .manifest import RunManifest, manifest_json, render_csv
 from .snl import LARGE_SQUEEZING_R
@@ -45,20 +49,34 @@ def _flag(name: str, default=None, help: str | None = None, type=float, **extra)
     return name, dict(default=default, help=help, type=type, **extra)
 
 
+class Panel(NamedTuple):
+    """Which coordinates of the point (L/l, L/La, r) one figure panel sweeps.
+
+    ``x`` is the CSV column its x grid sweeps and ``x_grid`` the (min,
+    max, steps) of an unset ``--x-*``.  A fig3 panel also names the
+    column its curves sweep and the values of an unset
+    ``--curve-values``.
+    """
+
+    x: str
+    x_grid: tuple[float, float, int]
+    curve: str | None = None
+    curves: tuple[float, ...] = ()
+
+
 class Command(NamedTuple):
     """One dataset subcommand.
 
-    ``x_grid`` and ``curves`` map each panel to the (min, max, steps) of
-    an unset ``--x-*`` and to the values of an unset ``--curve-values``.
+    ``panels`` maps each ``--panel`` choice to its declaration.
     ``preset`` is a (label, parameters) pair naming a parameter set, and
-    ``build`` gets the resolved flags as attributes.
+    ``build`` gets the resolved flags as attributes and the chosen panel
+    (None for a command without panels).
     """
 
     help: str
     flags: tuple[tuple, ...]
-    build: Callable[[argparse.Namespace], tuple]
-    x_grid: dict | None = None
-    curves: dict | None = None
+    build: Callable[[argparse.Namespace, Panel | None], tuple]
+    panels: dict[str, Panel] | None = None
     preset: tuple[str, dict] | None = None
 
 
@@ -80,68 +98,65 @@ def _curve_values(text: str) -> list[float]:
         raise ParameterError(msg) from None
 
 
-_PANEL_AB = _flag("--panel", "a", type=str, choices=("a", "b"))
 _X_FLAGS = _axis("x", None, None, None)
 _R_GRID = (0.0, 2.0, 41)
 _GAIN_GRID = (0.0, 3.0, 31)
+_R_PANEL = Panel("r", _R_GRID)
 
 # Builders are looked up at call time, so wrappers on module names see every call.
 COMMANDS = {
     "coeffs": Command(
         "ensemble-averaged slab weights for one (L/l, L/La)",
         (_flag("--L-over-l", required=True), _flag("--L-over-La", required=True)),
-        lambda p: coeffs_rows(p.L_over_l, p.L_over_La),
+        lambda p, _: coeffs_rows(p.L_over_l, p.L_over_La),
     ),
     "fig2": Command(
         "shaping benefit surface over (r, L/La) or (L/l, L/La)",
-        (_PANEL_AB,
-         _flag("--L-over-l", 6.0, "fixed thickness for panel a"),
+        (_flag("--L-over-l", 6.0, "fixed thickness for panel a"),
          _flag("--squeeze-r", 1.5, "fixed squeezing for panel b"),
          _flag("--x-min", help="surface x axis: r (panel a) or L/l (panel b)"),
          *_X_FLAGS[1:],
          *_axis("L-over-La", *_GAIN_GRID)),
-        lambda p: fig2_rows(p.panel, p.L_over_l, p.squeeze_r, _grid(p, "x"),
-                            _grid(p, "L_over_La")),
-        x_grid={"a": _R_GRID, "b": (2.0, 12.0, 41)},
+        lambda p, panel: fig2_rows(
+            p.panel, sweep(p, (panel.x, _grid(p, "x")), ("L_over_La", _grid(p, "L_over_La")))
+        ),
+        {"a": _R_PANEL, "b": Panel("L_over_l", (2.0, 12.0, 41))},
     ),
     "fig3": Command(
         "rescaled squeezed-quadrature fluctuation curves",
-        (_flag("--panel", "a", type=str, choices=("a", "b", "c", "d")),
-         _flag("--L-over-La", 2.5, "fixed gain for panel a"),
+        (_flag("--L-over-La", 2.5, "fixed gain for panel a"),
          _flag("--L-over-l", 10.0, "fixed thickness for panels b, c"),
          _flag("--squeeze-r", 1.0, "fixed squeezing for panel d"),
          _flag("--curve-values", help="comma-separated family values overriding the preset",
                type=str),
          *_X_FLAGS),
-        lambda p: fig3_rows(
+        lambda p, panel: fig3_rows(
             p.panel,
-            {"a": p.L_over_La, "b": p.L_over_l, "c": p.L_over_l, "d": p.squeeze_r}[p.panel],
-            _curve_values(p.curve_values),
-            _grid(p, "x"),
+            panel.x,
+            sweep(p, (panel.curve, _curve_values(p.curve_values)), (panel.x, _grid(p, "x"))),
         ),
-        x_grid={"a": _R_GRID, "b": _R_GRID, "c": _GAIN_GRID, "d": _GAIN_GRID},
-        curves={"a": (2.0, 5.0, 10.0, 20.0), "b": (0.5, 1.0, 2.0, 2.5),
-                "c": (0.5, 1.0, 1.5, 2.0), "d": (2.0, 5.0, 10.0, 20.0)},
+        {"a": Panel("r", _R_GRID, "L_over_l", (2.0, 5.0, 10.0, 20.0)),
+         "b": Panel("r", _R_GRID, "L_over_La", (0.5, 1.0, 2.0, 2.5)),
+         "c": Panel("L_over_La", _GAIN_GRID, "r", (0.5, 1.0, 1.5, 2.0)),
+         "d": Panel("L_over_La", _GAIN_GRID, "L_over_l", (2.0, 5.0, 10.0, 20.0))},
     ),
     "fig4": Command(
         "averaged output variances vs r or vs L/La",
-        (_PANEL_AB,
-         _flag("--L-over-l", 10.0),
+        (_flag("--L-over-l", 10.0),
          _flag("--L-over-La", 2.5, "fixed gain for panel a"),
          _flag("--squeeze-r", 0.7, "fixed squeezing for panel b"),
          *_X_FLAGS),
-        lambda p: fig4_rows(p.panel, p.L_over_l, p.L_over_La, p.squeeze_r, _grid(p, "x")),
-        x_grid={"a": _R_GRID, "b": _GAIN_GRID},
+        lambda p, panel: fig4_rows(p.panel, panel.x, sweep(p, (panel.x, _grid(p, "x")))),
+        {"a": _R_PANEL, "b": Panel("L_over_La", _GAIN_GRID)},
     ),
     "figxr": Command(
         "amplifying vs gain-free squeezed quadrature, five series",
-        (_PANEL_AB,
-         _flag("--L-over-l", 2.0, "fixed thickness for panel a"),
+        (_flag("--L-over-l", 2.0, "fixed thickness for panel a"),
          _flag("--L-over-La", 1.0, "gain of the amplifying series"),
          _flag("--squeeze-r", 1.0, "fixed squeezing for panel b"),
          *_X_FLAGS),
-        lambda p: figxr_rows(p.panel, p.L_over_l, p.L_over_La, p.squeeze_r, _grid(p, "x")),
-        x_grid={"a": _R_GRID, "b": (2.0, 20.0, 37)},
+        lambda p, panel: figxr_rows(p.panel, panel.x, sweep(p, (panel.x, _grid(p, "x")))),
+        {"a": _R_PANEL, "b": Panel("L_over_l", (2.0, 20.0, 37))},
     ),
     "snl-region": Command(
         "sub-shot-noise region map and boundary",
@@ -149,7 +164,7 @@ COMMANDS = {
                'default is the "large-squeezing" preset e^(-2r) = 1e-8'),
          *_axis("L-over-l", 1.2, 12.0, 55),
          *_axis("L-over-La", 0.05, 3.1, 62)),
-        lambda p: snl_region_rows(_grid(p, "L_over_l"), _grid(p, "L_over_La"), p.squeeze_r),
+        lambda p, _: snl_region_rows(_grid(p, "L_over_l"), _grid(p, "L_over_La"), p.squeeze_r),
         preset=("large-squeezing", {"squeeze_r": LARGE_SQUEEZING_R}),
     ),
 }
@@ -159,16 +174,17 @@ def _run_dataset(args) -> int:
     """Resolve the flags, record them as the manifest's parameters, build."""
     spec = COMMANDS[args.command]
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
-    if spec.x_grid:
-        defaults = zip(("x_min", "x_max", "x_steps"), spec.x_grid[params["panel"]])
+    panel = spec.panels[params["panel"]] if spec.panels else None
+    if panel:
+        defaults = zip(("x_min", "x_max", "x_steps"), panel.x_grid)
         params.update((k, v) for k, v in defaults if params[k] is None)
-    if spec.curves:
+    if panel and panel.curve:
         text = params["curve_values"]
-        curves = spec.curves[params["panel"]] if text is None else _curve_values(text)
+        curves = panel.curves if text is None else _curve_values(text)
         params["curve_values"] = ",".join(repr(c) for c in curves)
     label, named = spec.preset or (None, {})
     preset = label if all(params[k] == v for k, v in named.items()) else None
-    header, rows = spec.build(argparse.Namespace(**params))
+    header, rows = spec.build(argparse.Namespace(**params), panel)
     _emit(header, rows, RunManifest(args.command, params, preset=preset), args.out)
     return 0
 
@@ -224,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
+        if spec.panels:
+            p.add_argument("--panel", default="a", type=str, choices=tuple(spec.panels))
         for flag, keywords in spec.flags:
             p.add_argument(flag, **keywords)
         p.add_argument("--out", metavar="PATH", help="write CSV here plus PATH.manifest.json")

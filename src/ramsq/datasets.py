@@ -1,7 +1,10 @@
 """Dataset builders behind the CLI dataset commands.
 
 Each builder returns ``(header, rows)`` with plain Python values; the
-CLI, which holds the figure presets, turns them into CSV.  Grids are
+CLI, which holds the figure presets, turns them into CSV.  The figure
+builders take the points of ``sweep``, (L/l, L/La, r, x) over a panel's
+axes with every other coordinate read from its same-named flag, and hold
+only each point's series.  Grids are
 built with ``grid`` below, which rounds linspace output to 12 decimals
 so the emitted files show 0.15 rather than 0.15000000000000002 while
 staying fully deterministic.
@@ -9,13 +12,14 @@ staying fully deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+import operator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .analytic import (
-    coherent_baseline,
     full_report,
     mean_coefficients,
     rescaled_fluctuation,
@@ -54,92 +58,71 @@ def coeffs_rows(thickness: float, gain: float) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def fig2_rows(
-    panel: str,
-    thickness_fixed: float,
-    squeeze_fixed: float,
-    x_grid: Sequence[float],
-    gain_grid: Sequence[float],
-) -> tuple[list[str], list[list]]:
-    """Shaping benefit surface: over (r, L/La) at fixed L/l for panel a,
-    over (L/l, L/La) at fixed r for panel b; ``x_grid`` holds r or L/l."""
+# A point of a figure sweep: (L/l, L/La, r, x).
+Point = tuple[float, float, float, float]
+
+# The flag that holds each point coordinate a sweep leaves unswept.
+_FLAGS = {"L_over_l": "L_over_l", "L_over_La": "L_over_La", "r": "squeeze_r"}
+
+
+def sweep(flags, *axes: tuple[str, Sequence[float]]) -> Iterator[Point]:
+    """Points (L/l, L/La, r, x) over the product of ``axes``, the last fastest.
+
+    Each axis is a (column, values) pair naming the CSV column it sweeps,
+    and x is the value on the last axis.  Every coordinate no axis sweeps
+    is read from the attribute of ``flags`` with the same name
+    (``squeeze_r`` for r).
+    """
+    names = [name for name, _ in axes]
+    grids = [grid for _, grid in axes]
+    for column, flag in _FLAGS.items():
+        if column not in names:
+            names.append(column)
+            grids.append([getattr(flags, flag)])
+    point = operator.itemgetter(*(names.index(column) for column in _FLAGS), len(axes) - 1)
+    return map(point, itertools.product(*grids))
+
+
+def fig2_rows(panel: str, points: Iterable[Point]) -> tuple[list[str], list[list]]:
+    """Shaping benefit at each point of a surface over (r, L/La) or (L/l, L/La)."""
     header = ["panel", "L_over_l", "L_over_La", "r", "wfs_gain"]
     rows = []
-    if panel == "a":
-        for r in x_grid:
+    state = None
+    for thickness, g, r, _ in points:
+        # A surface holds few distinct r: keep the input state while r repeats.
+        if state is None or state.squeeze_r != r:
             state = InputState(squeeze_r=r)
-            for g in gain_grid:
-                coef = mean_coefficients(
-                    MediumSpec(thickness_ratio=thickness_fixed, gain_ratio=g)
-                )
-                rows.append([panel, thickness_fixed, g, r, wfs_gain(coef, state)])
-    else:
-        state = InputState(squeeze_r=squeeze_fixed)
-        for th in x_grid:
-            for g in gain_grid:
-                coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-                rows.append([panel, th, g, squeeze_fixed, wfs_gain(coef, state)])
+        coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
+        rows.append([panel, thickness, g, r, wfs_gain(coef, state)])
     return header, rows
 
 
 _FIG_HEADER = ["panel", "L_over_l", "L_over_La", "r", "x_name", "x_param", "quantity", "value"]
 
 
-def fig3_rows(
-    panel: str,
-    fixed: float,
-    curve_values: Sequence[float],
-    x_grid: Sequence[float],
-) -> tuple[list[str], list[list]]:
+def fig3_rows(panel: str, x_name: str, points: Iterable[Point]) -> tuple[list[str], list[list]]:
     """Rescaled squeezed-quadrature fluctuation against the coherent baseline.
 
-    Panels a/b sweep r (a: fixed L/La with one curve per L/l; b: fixed
-    L/l with one curve per L/La); panels c/d sweep L/La (c: fixed L/l
-    with one curve per r; d: fixed r with one curve per L/l).
+    ``x_name`` is the column the points' x sweeps; each point gives the
+    shaped and unshaped ratio and the coherent level 1.
     """
     rows = []
-    for curve in curve_values:
-        for x in x_grid:
-            if panel == "a":
-                thickness, g, r = curve, fixed, x
-            elif panel == "b":
-                thickness, g, r = fixed, curve, x
-            elif panel == "c":
-                thickness, g, r = fixed, x, curve
-            else:
-                thickness, g, r = curve, x, fixed
-            x_name = "r" if panel in ("a", "b") else "L_over_La"
-            coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
-            state = InputState(squeeze_r=r)
-            rows.append(
-                [panel, thickness, g, r, x_name, x,
-                 "ratio_wfs", rescaled_fluctuation(coef, state, shaped=True)]
-            )
-            rows.append(
-                [panel, thickness, g, r, x_name, x,
-                 "ratio_nowfs", rescaled_fluctuation(coef, state, shaped=False)]
-            )
-            rows.append([panel, thickness, g, r, x_name, x, "coherent", 1.0])
+    for thickness, g, r, x in points:
+        coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
+        state = InputState(squeeze_r=r)
+        for quantity, value in (
+            ("ratio_wfs", rescaled_fluctuation(coef, state, shaped=True)),
+            ("ratio_nowfs", rescaled_fluctuation(coef, state, shaped=False)),
+            ("coherent", 1.0),
+        ):
+            rows.append([panel, thickness, g, r, x_name, x, quantity, value])
     return _FIG_HEADER, rows
 
 
-def fig4_rows(
-    panel: str,
-    thickness: float,
-    gain_fixed: float,
-    squeeze_fixed: float,
-    x_grid: Sequence[float],
-) -> tuple[list[str], list[list]]:
-    """Absolute averaged variances: vs r at fixed gain (panel a) or vs
-    gain at fixed r (panel b), both at fixed L/l."""
+def fig4_rows(panel: str, x_name: str, points: Iterable[Point]) -> tuple[list[str], list[list]]:
+    """Absolute averaged variances at each point, against x in column ``x_name``."""
     rows = []
-    for x in x_grid:
-        if panel == "a":
-            g, r = gain_fixed, x
-            x_name = "r"
-        else:
-            g, r = x, squeeze_fixed
-            x_name = "L_over_La"
+    for thickness, g, r, x in points:
         rep = full_report(
             MediumSpec(thickness_ratio=thickness, gain_ratio=g), InputState(squeeze_r=r)
         )
@@ -154,24 +137,13 @@ def fig4_rows(
     return _FIG_HEADER, rows
 
 
-def figxr_rows(
-    panel: str,
-    thickness_fixed: float,
-    gain_amp: float,
-    squeeze_fixed: float,
-    x_grid: Sequence[float],
-) -> tuple[list[str], list[list]]:
+def figxr_rows(panel: str, x_name: str, points: Iterable[Point]) -> tuple[list[str], list[list]]:
     """Five-series comparison of the shaped and unshaped squeezed
-    quadrature for an amplifying slab against its gain-free twin, plus
-    the shot-noise level, vs r (panel a) or vs L/l (panel b)."""
+    quadrature for an amplifying slab (each point's L/La) against its
+    gain-free twin, plus the shot-noise level, against x in column
+    ``x_name``."""
     rows = []
-    for x in x_grid:
-        if panel == "a":
-            thickness, r = thickness_fixed, x
-            x_name = "r"
-        else:
-            thickness, r = x, squeeze_fixed
-            x_name = "L_over_l"
+    for thickness, gain_amp, r, x in points:
         state = InputState(squeeze_r=r)
         amp = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=gain_amp), state)
         lin = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=0.0), state)

@@ -2,11 +2,9 @@
 
 Each dataset subcommand is one ``COMMANDS`` entry: flags with their
 defaults (the figure presets), its panels and the builder.  Each figure
-panel is declared once, as a ``Panel``: the CSV column its x grid sweeps
-with the default grid, and for fig3 the column its curves sweep with the
-default values.  Every coordinate of the point (L/l, L/La, r) that a
-panel does not sweep is the flag of the same name (``--squeeze-r`` for
-r).  One handler resolves the flags, records them unchanged as the
+panel is declared once, as a ``Panel`` naming the coordinates it sweeps;
+every coordinate of the point (L/l, L/La, r) that a panel does not sweep
+is the flag of the same name (``--squeeze-r`` for r).  One handler resolves the flags, records them unchanged as the
 manifest's ``parameters`` and calls the builder; the CSV goes to stdout
 or to ``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
 validation suite.  Exit codes: 0 success, 1 failed validation or scan

@@ -105,6 +105,46 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capfd, argv):
     assert err.startswith(("parameter error: ", "error: "))
 
 
+THIN = ("parameter error: thickness_ratio must exceed 1 (got {}); "
+        "the slab must be at least one mean free path thick\n")
+NEGATIVE_R = "parameter error: squeeze_r must be >= 0 (got -1.0)\n"
+
+
+PRECEDENCE = [
+    ("coeffs --L-over-l 0.5 --L-over-La 4", THIN.format(0.5)),
+    ("coeffs --L-over-l nan --L-over-La -1", THIN.format("nan")),
+    ("fig2 --L-over-l 0.5 --x-min -1", NEGATIVE_R),
+    ("fig2 --panel b --x-min 0.5 --squeeze-r -1", NEGATIVE_R),
+    ("fig2 --x-steps 0 --L-over-La-max inf", "parameter error: steps must be >= 1 (got 0)\n"),
+    ("fig3 --curve-values 0.5 --x-min -1", THIN.format(0.5)),
+    ("fig3 --curve-values 1,,2 --x-steps 0",
+     "parameter error: --curve-values must be comma-separated numbers (got '1,,2')\n"),
+    ("fig3 --panel c --curve-values -1 --x-max 4", NEGATIVE_R),
+    ("fig3 --panel d --curve-values 0.5 --squeeze-r -1", THIN.format(0.5)),
+    ("fig4 --panel b --L-over-l 0.5 --squeeze-r -1", NEGATIVE_R),
+    ("fig4 --panel a --L-over-La 4 --x-min -1", NEGATIVE_R),
+    ("figxr --L-over-l 0.5 --x-min -1", NEGATIVE_R),
+    ("figxr --panel b --x-min 0.5 --L-over-La 4", THIN.format(0.5)),
+    ("snl-region --L-over-l-min 0.5 --L-over-La-max 4",
+     "parameter error: scanned gain ratios must lie in (0, pi - 1e-6); "
+     "the lasing threshold band is excluded\n"),
+    ("snl-region --squeeze-r -1 --L-over-l-min 0.5", NEGATIVE_R),
+    ("validate --channels 0 --seed -1",
+     "parameter error: seed must lie in [0, 2**128) (got -1)\n"),
+    ("validate --channels 0 --sampler exponential --realizations 2",
+     "parameter error: channels must be >= 1 (got 0)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, line", PRECEDENCE, ids=[argv for argv, _ in PRECEDENCE])
+def test_error_precedence_is_pinned(capfd, argv, line):
+    # with two bad inputs, the one reported is part of the interface
+    code, out, err = run(capfd, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == line
+
+
 def test_version():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

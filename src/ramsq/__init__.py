@@ -34,7 +34,6 @@ from .core import (
     PhysicalUnits,
     ThinMedium,
     units_to_spec,
-    validate_medium,
 )
 from .ensemble import (
     DisorderRealization,
@@ -91,7 +90,6 @@ __all__ = [
     "snl_condition",
     "threshold_closed_form",
     "units_to_spec",
-    "validate_medium",
     "variance_p_nowfs",
     "variance_p_single",
     "variance_p_wfs",

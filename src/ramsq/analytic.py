@@ -28,12 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EnsembleCoefficients, InputState, MediumSpec, validate_medium
+from .core import EnsembleCoefficients, InputState, MediumSpec
 
 
 def linear_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
     """Gain-free (L/La = 0) weights: the Ohmic law t_bar = l/L."""
-    validate_medium(spec)
     t_bar = 1.0 / spec.thickness_ratio
     return EnsembleCoefficients(t_bar=t_bar, r_bar=1.0 - t_bar, v_bar=0.0)
 
@@ -45,7 +44,6 @@ def mean_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
     evaluates the sine laws.  v_bar is computed as t_bar + r_bar - 1 so
     the flux identity holds to the last bit.
     """
-    validate_medium(spec)
     if spec.gain_ratio == 0.0:
         return linear_coefficients(spec)
     gain = spec.gain_ratio

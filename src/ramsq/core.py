@@ -5,6 +5,8 @@ the optical thickness L/l (slab thickness over transport mean free path)
 and the gain strength L/La (thickness over amplification length).  All
 physics downstream depends only on these two numbers plus the channel
 count, so laboratory units enter exclusively through ``units_to_spec``.
+The bounds are checked where a value is built: a ``MediumSpec`` that
+exists is in bounds, so no code downstream checks it again.
 """
 
 from __future__ import annotations
@@ -47,43 +49,39 @@ class MediumSpec:
     """Dimensionless description of one disordered amplifying slab.
 
     ``thickness_ratio`` is L/l, ``gain_ratio`` is L/La and ``channels``
-    the number of transverse modes per side.  Instances are plain data;
-    run ``validate_medium`` on raw user input before doing physics.
+    the number of transverse modes per side.  Construction checks the
+    bounds, so a ``MediumSpec`` that exists is in bounds: L/l > 1
+    (diffusive slab), 0 <= L/La < pi (below lasing), channels an integer
+    >= 1 (numpy integers included).  The first bound that fails, in that
+    order, raises its own ``ParameterError`` subclass.
     """
 
     thickness_ratio: float
     gain_ratio: float
     channels: int = 4
 
+    def __post_init__(self) -> None:
+        if not self.thickness_ratio > 1.0:
+            raise ThinMedium(
+                f"thickness_ratio must exceed 1 (got {self.thickness_ratio}); "
+                "the slab must be at least one mean free path thick"
+            )
+        if not 0.0 <= self.gain_ratio < LASER_THRESHOLD:
+            raise GainAboveThreshold(
+                f"gain_ratio must lie in [0, pi) (got {self.gain_ratio}); "
+                "at L/La = pi the medium reaches its lasing threshold"
+            )
+        try:
+            channels = operator.index(self.channels)
+        except TypeError:
+            raise BadChannels(f"channels must be an integer (got {self.channels!r})") from None
+        if channels < 1:
+            raise BadChannels(f"channels must be >= 1 (got {self.channels})")
+
     @property
     def mfp_over_amp_length(self) -> float:
         """l/La, the mean free path in units of the amplification length."""
         return self.gain_ratio / self.thickness_ratio
-
-
-def validate_medium(spec: MediumSpec) -> MediumSpec:
-    """Return ``spec`` unchanged iff every bound holds, else raise.
-
-    Bounds: L/l > 1 (diffusive slab), 0 <= L/La < pi (below lasing),
-    channels an integer >= 1 (numpy integers included).
-    """
-    if not spec.thickness_ratio > 1.0:
-        raise ThinMedium(
-            f"thickness_ratio must exceed 1 (got {spec.thickness_ratio}); "
-            "the slab must be at least one mean free path thick"
-        )
-    if not 0.0 <= spec.gain_ratio < LASER_THRESHOLD:
-        raise GainAboveThreshold(
-            f"gain_ratio must lie in [0, pi) (got {spec.gain_ratio}); "
-            "at L/La = pi the medium reaches its lasing threshold"
-        )
-    try:
-        channels = operator.index(spec.channels)
-    except TypeError:
-        raise BadChannels(f"channels must be an integer (got {spec.channels!r})") from None
-    if channels < 1:
-        raise BadChannels(f"channels must be >= 1 (got {spec.channels})")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,8 @@ def units_to_spec(units: PhysicalUnits) -> tuple[float, float]:
     """Reduce laboratory units to the dimensionless pair (L/l, L/La).
 
     Pure arithmetic; the result may still violate the medium bounds
-    (e.g. a pumped slab past threshold), which ``validate_medium``
-    reports when the pair is used to build a ``MediumSpec``.
+    (e.g. a pumped slab past threshold), which building a ``MediumSpec``
+    from the pair reports.
     """
     return (
         units.thickness / units.mfp,

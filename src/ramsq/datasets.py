@@ -25,7 +25,7 @@ from .analytic import (
     rescaled_fluctuation,
     wfs_gain,
 )
-from .core import InputState, MediumSpec, ParameterError, validate_medium
+from .core import InputState, MediumSpec, ParameterError
 from .snl import region_scan
 
 
@@ -51,8 +51,7 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def coeffs_rows(thickness: float, gain: float) -> tuple[list[str], list[list]]:
-    spec = validate_medium(MediumSpec(thickness_ratio=thickness, gain_ratio=gain))
-    coef = mean_coefficients(spec)
+    coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=gain))
     header = ["L_over_l", "L_over_La", "T_bar", "R_bar", "V_bar", "constraint_residual"]
     rows = [[thickness, gain, coef.t_bar, coef.r_bar, coef.v_bar, coef.flux_residual()]]
     return header, rows
@@ -123,9 +122,9 @@ def fig4_rows(panel: str, x_name: str, points: Iterable[Point]) -> tuple[list[st
     """Absolute averaged variances at each point, against x in column ``x_name``."""
     rows = []
     for thickness, g, r, x in points:
-        rep = full_report(
-            MediumSpec(thickness_ratio=thickness, gain_ratio=g), InputState(squeeze_r=r)
-        )
+        # The state first: a bad r is reported before a bad medium.
+        state = InputState(squeeze_r=r)
+        rep = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=g), state)
         for quantity, value in (
             ("x_wfs", rep.x_wfs),
             ("x_nowfs", rep.x_nowfs),

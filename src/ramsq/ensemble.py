@@ -101,7 +101,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .analytic import mean_coefficients
-from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, validate_medium
+from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError
 
 # Each draw index owns a disjoint 2**128-wide counter block, far more
 # stream than any realization consumes; the 256-bit counter holds 2**128.
@@ -407,7 +407,6 @@ def sample_realization(
     spec: MediumSpec, config: SamplerConfig, draw_index: int
 ) -> DisorderRealization:
     """Disorder realization ``draw_index``; pure in (seed, index)."""
-    validate_medium(spec)
     draw_index = _integer("draw_index", draw_index)
     if not 0 <= draw_index < _COUNTER_BLOCK:
         raise ParameterError(f"draw_index must lie in [0, 2**128) (got {draw_index})")
@@ -482,12 +481,16 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
 
     The outer list runs over the chunks in draw-index order, the inner
     over ``specs``, which share one channel count and each chunk's
-    uniforms.  Raises ``ParameterError`` before any draw when one draw's
-    uniforms exceed ``_CHUNK_DOUBLES``.
+    uniforms.  Raises ``ParameterError`` before any draw when ``specs``
+    is empty or mixes channel counts, or when one draw's uniforms exceed
+    ``_CHUNK_DOUBLES``.
     """
-    for spec in specs:
-        validate_medium(spec)
-    cols = _layout(specs[0].channels)
+    counts = sorted({spec.channels for spec in specs})
+    if len(counts) != 1:
+        raise ParameterError(
+            f"need one or more media sharing one channel count (got channel counts {counts})"
+        )
+    cols = _layout(counts[0])
     columns = _uniform_columns(config.mode, cols)
     if columns > _CHUNK_DOUBLES:
         raise ParameterError(

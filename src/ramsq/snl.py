@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    InputState,
-    MediumSpec,
-    ParameterError,
-    validate_medium,
-)
+from .core import DomainError, InputState, MediumSpec, ParameterError
 
 # Gain ratios inside (pi - GAIN_EXCLUSION, pi) are dropped from scans:
 # sin(L/La) -> 0 there and every coefficient diverges on approach to
@@ -61,7 +55,6 @@ def snl_condition(spec: MediumSpec, state: InputState) -> float:
     Needs gain_ratio > 0: the gain-free margin is identically zero while
     the variance comparison is not, so the sign equivalence would break.
     """
-    validate_medium(spec)
     if spec.gain_ratio <= 0.0:
         raise ParameterError(
             f"snl_condition needs gain_ratio > 0 (got {spec.gain_ratio}); "
@@ -150,8 +143,9 @@ def region_scan(
             "scanned gain ratios must lie in (0, pi - 1e-6); the lasing "
             "threshold band is excluded"
         )
+    # Building a spec refuses any row thinner than the diffusive bound.
     for th in thickness:
-        validate_medium(MediumSpec(thickness_ratio=float(th), gain_ratio=0.0))
+        MediumSpec(thickness_ratio=float(th), gain_ratio=0.0)
     n = 1.0 + state.x_variance
     below = _margin(thickness[:, None], gain, n) < 0.0
     probe = np.linspace(1e-4, math.pi - GAIN_EXCLUSION, 1024)

@@ -300,12 +300,8 @@ def run_validation(
     corrupt_constraint: bool = False,
 ) -> ValidationReport:
     """Run every check; overall status is the worst individual one."""
-    modes = {
-        "mean": [SamplerMode.MEAN_MAGNITUDES],
-        "exponential": [SamplerMode.EXPONENTIAL_MAGNITUDES],
-        "both": [SamplerMode.MEAN_MAGNITUDES, SamplerMode.EXPONENTIAL_MAGNITUDES],
-    }
-    if sampler not in modes:
+    modes = [m for m in SamplerMode if sampler in (m.value, "both")]
+    if not modes:
         raise ParameterError(f"sampler must be 'mean', 'exponential' or 'both' (got {sampler!r})")
     checks = [
         _check_flux(corrupt_constraint),
@@ -313,7 +309,7 @@ def run_validation(
         _check_analytic_identities(),
         _check_snl_sign(),
     ]
-    for mode in modes[sampler]:
+    for mode in modes:
         checks.append(_check_mc(mode, channels, seed, realizations))
     if any(c.status == "fail" for c in checks):
         status = "fail"

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, CSV shape, manifests, byte reproducibility."""
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ramsq import cli, ensemble, snl
+from ramsq import cli, ensemble, snl, validation
 from ramsq.analytic import coherent_baseline, mean_coefficients
 from ramsq.cli import main
 from ramsq.core import MediumSpec
@@ -520,6 +522,42 @@ def test_validate_corrupt_constraint_fails(capfd):
     assert code == 1
     assert "flux-conservation" in err
     assert json.loads(out)["status"] == "fail"
+
+
+def test_validate_reports_mc_failure(capfd, monkeypatch):
+    # one estimate moved 50 sigma off its closed form is a listed failure
+    # of the mean oracle, and the CLI exits 1 naming that check
+    grid = [
+        ((th, g, r), q)
+        for th in validation.STANDARD_THICKNESS
+        for g in validation.STANDARD_GAIN
+        for r in validation.STANDARD_SQUEEZE
+        for q in ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
+    ]
+    target = grid.index(((10.0, 2.5, 1.0), "x_nowfs"))
+    estimate, calls, moved = validation.moment_estimate, itertools.count(), []
+
+    def shifted(moments, state, quantity):
+        est = estimate(moments, state, quantity)
+        # each run estimates the grid once, in grid order
+        if next(calls) % len(grid) == target:
+            est = dataclasses.replace(est, mean=est.mean + 50.0 * est.std_error)
+            moved.append(est)
+        return est
+
+    monkeypatch.setattr(validation, "moment_estimate", shifted)
+    report = validation.run_validation(sampler="mean", realizations=2000)
+    check = report.checks[-1]
+    assert (check.name, check.status, report.status) == ("mc-oracle-mean", "fail", "fail")
+    [failure] = check.detail["failures"]
+    assert failure["point"] == (10.0, 2.5, 1.0)
+    assert failure["quantity"] == "x_nowfs"
+    assert failure["std_error"] == moved[0].std_error > 0.0
+    assert 49.0 <= failure["abs_err"] / failure["std_error"] <= 51.0
+    code, out, err = run(capfd, ["validate", "--sampler", "mean", "--realizations", "2000"])
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"
+    assert err == "validation FAILED: mc-oracle-mean\n"
 
 
 def _refuse_run(**kwargs):

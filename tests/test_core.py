@@ -17,7 +17,6 @@ from ramsq.core import (
     PhysicalUnits,
     ThinMedium,
     units_to_spec,
-    validate_medium,
 )
 
 ULP = 2.220446049250313e-16
@@ -25,36 +24,44 @@ ULP = 2.220446049250313e-16
 
 def test_reference_medium_is_valid():
     spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=4)
-    assert validate_medium(spec) is spec
+    assert (spec.thickness_ratio, spec.gain_ratio, spec.channels) == (10.0, 2.5, 4)
 
 
 def test_gain_at_threshold_rejected():
     with pytest.raises(GainAboveThreshold):
-        validate_medium(MediumSpec(thickness_ratio=10.0, gain_ratio=math.pi))
+        MediumSpec(thickness_ratio=10.0, gain_ratio=math.pi)
 
 
 @pytest.mark.parametrize("gain", [3.2, 4.0, -0.1])
 def test_gain_outside_band_rejected(gain):
     with pytest.raises(GainAboveThreshold):
-        validate_medium(MediumSpec(thickness_ratio=10.0, gain_ratio=gain))
+        MediumSpec(thickness_ratio=10.0, gain_ratio=gain)
 
 
 @pytest.mark.parametrize("thickness", [0.5, 1.0, -2.0])
 def test_thin_medium_rejected(thickness):
     # the diffusive bound is strict: exactly one mean free path is too thin
     with pytest.raises(ThinMedium):
-        validate_medium(MediumSpec(thickness_ratio=thickness, gain_ratio=1.0))
+        MediumSpec(thickness_ratio=thickness, gain_ratio=1.0)
 
 
 @pytest.mark.parametrize("channels", [0, -3, 4.0, 4.5, "4"])
 def test_bad_channel_count_rejected(channels):
     with pytest.raises(BadChannels):
-        validate_medium(MediumSpec(thickness_ratio=2.0, gain_ratio=1.0, channels=channels))
+        MediumSpec(thickness_ratio=2.0, gain_ratio=1.0, channels=channels)
+
+
+def test_bounds_checked_in_order():
+    # thickness, then gain, then channels: the first failed bound is reported
+    with pytest.raises(ThinMedium):
+        MediumSpec(thickness_ratio=0.5, gain_ratio=4.0, channels=0)
+    with pytest.raises(GainAboveThreshold):
+        MediumSpec(thickness_ratio=2.0, gain_ratio=4.0, channels=0)
 
 
 def test_numpy_integer_channel_count_accepted():
-    spec = MediumSpec(thickness_ratio=2.0, gain_ratio=1.0, channels=np.int64(4))
-    assert validate_medium(spec) is spec
+    channels = np.int64(4)
+    assert MediumSpec(thickness_ratio=2.0, gain_ratio=1.0, channels=channels).channels is channels
 
 
 def test_all_bound_errors_are_parameter_errors():
@@ -157,4 +164,4 @@ def test_units_to_spec_can_exceed_threshold():
     pair = units_to_spec(units)
     assert pair == (10.0, 5.0)
     with pytest.raises(GainAboveThreshold):
-        validate_medium(MediumSpec(thickness_ratio=pair[0], gain_ratio=pair[1]))
+        MediumSpec(thickness_ratio=pair[0], gain_ratio=pair[1])

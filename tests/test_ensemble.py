@@ -1,6 +1,7 @@
 """Monte Carlo sampler: determinism, constraint, collapse and convergence."""
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -14,7 +15,7 @@ from ramsq.analytic import (
     variance_x_wfs,
 )
 from ramsq import ensemble, validation
-from ramsq.core import MAX_SQUEEZE_R, BadChannels, InputState, MediumSpec, ParameterError
+from ramsq.core import MAX_SQUEEZE_R, InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
     DisorderRealization,
     SamplerConfig,
@@ -305,15 +306,16 @@ def test_exponential_oracle_memory_does_not_grow(monkeypatch):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-@pytest.mark.parametrize("channels", [0, -3, 4.0, 4.5, "4"])
-def test_bulk_paths_reject_channel_count(channels, reference_state):
-    spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=channels)
-    with pytest.raises(BadChannels):
-        mc_average(spec, reference_state, config(MODES[1]), "x_wfs")
-    with pytest.raises(BadChannels):
-        realization_values(spec, reference_state, config(MODES[1]), "x_wfs")
-    with pytest.raises(BadChannels):
-        sample_realization(spec, config(MODES[1]), 0)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("channels", [(1, 16), ()], ids=["mixed", "empty"])
+def test_bulk_paths_reject_channel_count(monkeypatch, mode, channels):
+    # media drawn together share each chunk's uniforms, so they need one
+    # channel count (a 16-channel medium used to be drawn with 1), and
+    # there must be one to read; both are refused before any draw
+    specs = [MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=n) for n in channels]
+    monkeypatch.setattr(ensemble, "_philox_rows", None)
+    with pytest.raises(ParameterError, match=re.escape(f"channel counts {list(channels)}")):
+        ensemble.medium_moments(specs, config(mode))
 
 
 def test_mc_average_repeatable(reference_spec, reference_state):

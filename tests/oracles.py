@@ -1,6 +1,6 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Four tools, deliberately built on different machinery than the package:
+Five tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
@@ -9,7 +9,9 @@ Four tools, deliberately built on different machinery than the package:
   mean-free-path gain, and a point-by-point region scan built on the
   same scalar margin;
 * a bisection of the fixed-point equation for the region boundary at
-  fixed slab thickness.
+  fixed slab thickness;
+* a point-by-point Monte Carlo check, one ``mc_average`` per grid point
+  and quantity, against which ``validate``'s whole-array check is held.
 
 Frozen reference numbers were produced by 50-digit scalar evaluation of
 the closed forms (mpmath) and rounded to the nearest double; the
@@ -20,6 +22,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ramsq import validation
+from ramsq.core import InputState, MediumSpec
+from ramsq.ensemble import SamplerConfig, SamplerMode, mc_average
 
 # -- frozen high-precision references ---------------------------------------
 
@@ -221,3 +227,71 @@ def bisect_fixed_point_boundary(thickness: float, gain_max_fn, tol: float = 1e-1
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+# -- point-by-point Monte Carlo check ----------------------------------------
+
+def scalar_mc_check(mode: SamplerMode, channels: int, seed: int, realizations: int):
+    """``(status, detail, failures)`` of the Monte Carlo oracle check, one point at a time.
+
+    The loop ``validation`` ran before it worked on whole arrays: one
+    ``mc_average`` per (medium, squeezing, quantity) in grid order, each
+    compared with ``validation.full_report`` through running maxima and
+    counts.  ``failures`` counts every failing estimate, where ``detail``
+    lists the first ten.  The grid, the closed forms and the tolerances
+    are read from ``validation`` at call time, so a test may patch them.
+    """
+    config = SamplerConfig(mode=mode, realizations=realizations, seed=seed)
+    trusted = realizations >= validation.MIN_TRUSTED_REALIZATIONS
+    tol = validation.IDENTITY_TOL
+    worst_sigma = worst_exact = shaped_max_std = 0.0
+    failures, imprecise, imprecise_violations, points = [], 0, 0, 0
+    for th in validation.STANDARD_THICKNESS:
+        for g in validation.STANDARD_GAIN:
+            spec = MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
+            for r in validation.STANDARD_SQUEEZE:
+                state = InputState(squeeze_r=r)
+                rep = validation.full_report(spec, state)
+                points += 1
+                for quantity in ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs"):
+                    est = mc_average(spec, state, config, quantity)
+                    analytic = getattr(rep, quantity)
+                    err = abs(est.mean - analytic)
+                    ok = err <= max(3.0 * est.std_error, tol)
+                    precise = trusted and 3.0 * est.std_error <= (
+                        validation.PRECISION_FRACTION * max(1.0, abs(analytic))
+                    )
+                    if not ok and precise:
+                        failures.append({
+                            "point": (th, g, r), "quantity": quantity, "abs_err": err,
+                            "std_error": est.std_error, "analytic": analytic,
+                            "ok": ok, "precise": precise,
+                        })
+                    elif not ok:
+                        imprecise_violations += 1
+                    if est.std_error > 0.0:
+                        worst_sigma = max(worst_sigma, err / est.std_error)
+                    else:
+                        worst_exact = max(worst_exact, err)
+                    if quantity.endswith("_wfs") and mode is SamplerMode.MEAN_MAGNITUDES:
+                        shaped_max_std = max(shaped_max_std, est.std_error)
+                    imprecise += not precise
+    status = "fail" if failures else "warning" if imprecise else "pass"
+    detail = {
+        "sampler": mode.value,
+        "realizations": realizations,
+        "seed": seed,
+        "channels": channels,
+        "grid_points": points,
+        "worst_sigma_margin": worst_sigma,
+        "sigma_bound": 3.0,
+        "worst_exact_error": worst_exact,
+        "exact_tolerance": tol,
+        "insufficient_precision_points": imprecise,
+        "sigma_violations_at_low_precision": imprecise_violations,
+    }
+    if mode is SamplerMode.MEAN_MAGNITUDES:
+        detail["shaped_max_std_error"] = shaped_max_std
+    if failures:
+        detail["failures"] = failures[:10]
+    return status, detail, len(failures)

@@ -1,5 +1,6 @@
 """Monte Carlo sampler: determinism, constraint, collapse and convergence."""
 import dataclasses
+import json
 import math
 import re
 import sys
@@ -29,7 +30,7 @@ from ramsq.ensemble import (
     variance_x_wfs_single,
 )
 
-from oracles import quadratic_form_mean, quadratic_form_variance
+from oracles import quadratic_form_mean, quadratic_form_variance, scalar_mc_check
 
 MODES = (SamplerMode.MEAN_MAGNITUDES, SamplerMode.EXPONENTIAL_MAGNITUDES)
 QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
@@ -709,3 +710,36 @@ def test_validation_reduces_like_mc_average(monkeypatch, mode):
     for (th, g, r), quantity, est, _ in rows:
         spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
         assert est == mc_average(spec, InputState(squeeze_r=r), cfg, quantity)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", ["pass", "warning", "fail"])
+def test_mc_check_matches_scalar_reference(monkeypatch, mode, case):
+    # the whole-grid check reports what the point-by-point loop reports,
+    # byte for byte: a passing run, a low-draw warning, and a failing run
+    # with more failures than the report lists (its cap and order)
+    monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 10.0))
+    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 2.5))
+    monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0, 1.0))
+    seed, draws = 42, 2000
+    if case == "warning":
+        seed, draws = (13, 10) if mode is MODES[0] else (5, 10)
+    if case == "fail":
+        report = validation.full_report
+
+        def moved(spec, state):
+            rep = report(spec, state)
+            return dataclasses.replace(rep, x_nowfs=rep.x_nowfs + 1.0, p_wfs=rep.p_wfs + 1.0)
+
+        monkeypatch.setattr(validation, "full_report", moved)
+    check = validation.run_validation(
+        channels=4, seed=seed, realizations=draws, sampler=mode.value
+    ).checks[-1]
+    status, detail, failures = scalar_mc_check(mode, 4, seed, draws)
+    assert (check.status, status) == (case, case)
+    assert json.dumps(check.detail, sort_keys=True) == json.dumps(detail, sort_keys=True)
+    if case == "warning":
+        violations = 8 if mode is MODES[0] else 12
+        assert detail["sigma_violations_at_low_precision"] == violations
+    if case == "fail":
+        assert failures > len(detail["failures"]) == 10

@@ -95,7 +95,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import betaincinv
@@ -570,23 +570,26 @@ _BASIS = _ChannelSums(
 )
 
 
-def moment_estimate(moments: _Moments, state: InputState, quantity: str) -> McEstimate:
-    """Sample mean and standard error of one output variance from its medium's moments.
+def moment_estimate(
+    moments: _Moments, states: Sequence[InputState], quantities: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and standard errors of output variances from one medium's moments.
 
-    A variance is c . z in the basis z = (sum T, sum T cos 2phi,
-    sum T + sum R + V): mean c . m, spread c^T M c.  With no gain the
-    total is 1 to rounding, so at r = 0 the spread stays at rounding
-    level; a sum R + V axis would make it the difference of two large
-    co-moments.
+    Both arrays have axes (state, quantity).  A variance is c . z in the
+    basis z = (sum T, sum T cos 2phi, sum T + sum R + V): mean c . m,
+    spread c^T M c, its nine products summed in row-major order.  With no
+    gain the total is 1 to rounding, so at r = 0 the spread stays at
+    rounding level; a sum R + V axis would make it the difference of two
+    large co-moments.
     """
     count = moments.count
     if count < 2:
         raise ParameterError(f"need >= 2 realizations for a standard error (got {count})")
-    c = quadrature_values(_BASIS, state, quantity)
-    mean = float(np.add.reduce(c * moments.mean))
-    spread = float(np.add.reduce((np.multiply.outer(c, c) * moments.comoment).ravel()))
-    std_error = math.sqrt(max(spread, 0.0) / (count - 1) / count)
-    return McEstimate(mean=mean, std_error=std_error, realizations=count)
+    c = np.array([[quadrature_values(_BASIS, state, q) for q in quantities] for state in states])
+    means = np.add.reduce(c * moments.mean, axis=-1)
+    products = c[..., :, None] * c[..., None, :] * moments.comoment
+    spread = np.add.reduce(products.reshape(c.shape[:-1] + (9,)), axis=-1)
+    return means, np.sqrt(np.maximum(spread, 0.0) / (count - 1) / count)
 
 
 def quadrature_values(sums: _ChannelSums, state: InputState, quantity: str) -> np.ndarray:
@@ -622,8 +625,12 @@ def mc_average(
 ) -> McEstimate:
     """Monte Carlo estimate of one averaged output variance.
 
-    It streams the same chunk moments as ``validation``'s grid sweep, so
-    the two agree bit for bit.
+    It is ``moment_estimate`` of the same chunk moments that
+    ``validation``'s grid check reads, so the two agree bit for bit.
     """
     _check_quantity(quantity)
-    return moment_estimate(medium_moments([spec], config)[0], state, quantity)
+    moments = medium_moments([spec], config)[0]
+    means, std_errors = moment_estimate(moments, [state], (quantity,))
+    return McEstimate(
+        mean=float(means[0, 0]), std_error=float(std_errors[0, 0]), realizations=moments.count
+    )

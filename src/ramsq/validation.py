@@ -8,15 +8,19 @@ errors of the closed forms, with 1e-12 taking over as the bound when a
 phase-independent integrand makes the spread exactly zero.
 
 Each Monte Carlo check streams its sampler's draws in chunks shared by
-every grid medium, reduces each medium's chunk to the moments of its
-three channel sums, and derives all four quadrature estimates at every
-squeezing from the merged moments, in grid order.
+every grid medium and reduces each medium's chunk to the moments of its
+three channel sums.  One ``moment_estimate`` per medium turns the merged
+moments into all four quadrature estimates at every squeezing; the
+check then compares (medium, squeezing, quantity) arrays of estimates
+and closed forms as a whole, and lists failures in grid order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .analytic import (
     coherent_baseline,
@@ -30,7 +34,6 @@ from .analytic import (
 from .core import InputState, MediumSpec, ParameterError
 from .ensemble import (
     _QUANTITIES,
-    McEstimate,
     SamplerConfig,
     SamplerMode,
     medium_moments,
@@ -199,72 +202,47 @@ def _check_snl_sign() -> CheckResult:
     )
 
 
-def _mc_estimates(
-    mode: SamplerMode, channels: int, seed: int, realizations: int
-) -> list[tuple[tuple[float, float, float], str, McEstimate, float]]:
-    """(point, quantity, estimate, closed form) over the standard grid, in grid order."""
+def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) -> CheckResult:
     config = SamplerConfig(mode=mode, realizations=realizations, seed=seed)
     specs = [
         MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
         for th in STANDARD_THICKNESS
         for g in STANDARD_GAIN
     ]
-    out = []
-    for spec, moments in zip(specs, medium_moments(specs, config)):
-        for r in STANDARD_SQUEEZE:
-            state = InputState(squeeze_r=r)
-            rep = full_report(spec, state)
-            point = (spec.thickness_ratio, spec.gain_ratio, r)
-            for quantity in _QUANTITIES:
-                est = moment_estimate(moments, state, quantity)
-                out.append((point, quantity, est, getattr(rep, quantity)))
-    return out
-
-
-def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) -> CheckResult:
-    estimates = _mc_estimates(mode, channels, seed, realizations)
+    states = [InputState(squeeze_r=r) for r in STANDARD_SQUEEZE]
+    # (medium, squeezing, quantity) arrays, in grid order.
+    mean, std = map(np.stack, zip(*(
+        moment_estimate(moments, states, _QUANTITIES)
+        for moments in medium_moments(specs, config)
+    )))
+    analytic = np.array([
+        [[getattr(full_report(spec, state), q) for q in _QUANTITIES] for state in states]
+        for spec in specs
+    ])
+    err = np.abs(mean - analytic)
+    ok = err <= np.maximum(3.0 * std, IDENTITY_TOL)
     # Below the draw-count floor the sample spread is too noisy an
     # estimate of sigma for a 3-sigma comparison to mean anything.
     trusted = realizations >= MIN_TRUSTED_REALIZATIONS
-    worst_sigma = 0.0
-    worst_exact = 0.0
-    shaped_max_std = 0.0
-    failures = []
-    imprecise = 0
-    imprecise_violations = 0
-    for point, quantity, est, analytic in estimates:
-        err = abs(est.mean - analytic)
-        ok = err <= max(3.0 * est.std_error, IDENTITY_TOL)
-        precise = trusted and 3.0 * est.std_error <= PRECISION_FRACTION * max(
-            1.0, abs(analytic)
-        )
-        if not ok:
-            # A sigma violation is only trustworthy where the error
-            # bar itself is trustworthy; at tiny K the sample spread
-            # underestimates heavy tails, so an imprecise point can
-            # only demote the run to a warning, never fail it.
-            if precise:
-                failures.append(
-                    {
-                        "point": point,
-                        "quantity": quantity,
-                        "abs_err": err,
-                        "std_error": est.std_error,
-                        "analytic": analytic,
-                        "ok": ok,
-                        "precise": precise,
-                    }
-                )
-            else:
-                imprecise_violations += 1
-        if est.std_error > 0.0:
-            worst_sigma = max(worst_sigma, err / est.std_error)
-        else:
-            worst_exact = max(worst_exact, err)
-        if quantity in _SHAPED and mode is SamplerMode.MEAN_MAGNITUDES:
-            shaped_max_std = max(shaped_max_std, est.std_error)
-        if not precise:
-            imprecise += 1
+    precise = trusted & (3.0 * std <= PRECISION_FRACTION * np.maximum(1.0, np.abs(analytic)))
+    # A sigma violation is only trustworthy where the error bar itself
+    # is trustworthy; at tiny K the sample spread underestimates heavy
+    # tails, so an imprecise point can only demote the run to a warning,
+    # never fail it.
+    failures = [
+        {
+            "point": (specs[m].thickness_ratio, specs[m].gain_ratio, STANDARD_SQUEEZE[r]),
+            "quantity": _QUANTITIES[q],
+            "abs_err": float(err[m, r, q]),
+            "std_error": float(std[m, r, q]),
+            "analytic": float(analytic[m, r, q]),
+            "ok": False,
+            "precise": True,
+        }
+        for m, r, q in np.argwhere(~ok & precise)[:10]
+    ]
+    imprecise = int(np.count_nonzero(~precise))
+    spread = std > 0.0
     if failures:
         status = "fail"
     elif imprecise:
@@ -276,18 +254,19 @@ def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) ->
         "realizations": realizations,
         "seed": seed,
         "channels": channels,
-        "grid_points": len(estimates) // len(_QUANTITIES),
-        "worst_sigma_margin": worst_sigma,
+        "grid_points": len(specs) * len(states),
+        "worst_sigma_margin": float(np.max(err[spread] / std[spread], initial=0.0)),
         "sigma_bound": 3.0,
-        "worst_exact_error": worst_exact,
+        "worst_exact_error": float(np.max(err[~spread], initial=0.0)),
         "exact_tolerance": IDENTITY_TOL,
         "insufficient_precision_points": imprecise,
-        "sigma_violations_at_low_precision": imprecise_violations,
+        "sigma_violations_at_low_precision": int(np.count_nonzero(~ok & ~precise)),
     }
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        detail["shaped_max_std_error"] = shaped_max_std
+        shaped = [_QUANTITIES.index(q) for q in _SHAPED]
+        detail["shaped_max_std_error"] = float(np.max(std[..., shaped], initial=0.0))
     if failures:
-        detail["failures"] = failures[:10]
+        detail["failures"] = failures
     return CheckResult(f"mc-oracle-{mode.value}", status, detail)
 
 

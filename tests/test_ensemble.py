@@ -1,5 +1,6 @@
 """Monte Carlo sampler: determinism, constraint, collapse and convergence."""
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -182,8 +183,7 @@ def test_chunked_estimates_bit_identical(monkeypatch, mode):
     # the cores, 64 the chunks (the pool never exceeds them), and a short
     # switch interval interleaves the chunk threads as often as it can.
     _chunk_draws(monkeypatch, mode, 200)
-    monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 20.0))
-    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 1.0, 3.0))
+    specs = [MediumSpec(thickness_ratio=th, gain_ratio=g) for th in (2.0, 20.0) for g in (0.0, 1.0, 3.0)]
     pools = []
     executor = ensemble.ThreadPoolExecutor
 
@@ -198,8 +198,11 @@ def test_chunked_estimates_bit_identical(monkeypatch, mode):
     try:
         for workers in (1, 2, 3, 7, 64):
             monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
-            rows = validation._mc_estimates(mode, channels=4, seed=42, realizations=4000)
-            estimates[workers] = [(e.mean.hex(), e.std_error.hex()) for _, _, e, _ in rows]
+            moments = ensemble.medium_moments(specs, config(mode, realizations=4000, seed=42))
+            estimates[workers] = [
+                [x.hex() for x in np.concatenate((m.mean, m.comoment.ravel())).tolist()]
+                for m in moments
+            ]
     finally:
         sys.setswitchinterval(interval)
     assert pools == [2, 3, 7, 20]
@@ -294,13 +297,12 @@ def test_exponential_oracle_memory_does_not_grow(monkeypatch):
     # same peak (one worker, so that chunk threads peaking together or
     # apart do not move it)
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 1)
-    monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0,))
-    monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 3.0))
+    specs = [MediumSpec(thickness_ratio=2.0, gain_ratio=g) for g in (0.0, 3.0)]
     peaks = []
     for draws in (20_000, 80_000):
         tracemalloc.start()
         try:
-            validation._mc_estimates(MODES[1], channels=4, seed=42, realizations=draws)
+            ensemble.medium_moments(specs, config(MODES[1], realizations=draws, seed=42))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -612,6 +614,22 @@ def test_shaped_mean_mode_has_zero_spread(reference_spec, reference_state):
             assert abs(est.mean - target) <= 1e-12
 
 
+def _grid_estimates(mode, seed, draws):
+    """Validation's grid media and squeezings, and its stacked estimates.
+
+    The means and standard errors have axes (medium, squeezing, quantity).
+    """
+    specs = [
+        MediumSpec(thickness_ratio=th, gain_ratio=g)
+        for th in validation.STANDARD_THICKNESS
+        for g in validation.STANDARD_GAIN
+    ]
+    states = [InputState(squeeze_r=r) for r in validation.STANDARD_SQUEEZE]
+    moments = ensemble.medium_moments(specs, config(mode, realizations=draws, seed=seed))
+    means, std_errors = zip(*(ensemble.moment_estimate(m, states, QUANTITIES) for m in moments))
+    return specs, states, np.stack(means), np.stack(std_errors)
+
+
 def test_zero_gain_exponential_spread_stays_at_rounding(monkeypatch):
     # with no gain every r = 0 value is the total sum T + sum R, 1 to
     # rounding; its spread must stay the rounding-level spread of the
@@ -619,28 +637,32 @@ def test_zero_gain_exponential_spread_stays_at_rounding(monkeypatch):
     # sum R (which rounds to ~1e-11 or to below zero)
     monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0,))
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0,))
-    rows = validation._mc_estimates(MODES[1], channels=4, seed=42, realizations=20_000)
-    assert len(rows) == 4 * len(validation.STANDARD_THICKNESS)
-    cfg, state = config(MODES[1], realizations=20_000, seed=42), InputState(squeeze_r=0.0)
-    for (thickness, gain, _), quantity, est, target in rows:
-        spec = MediumSpec(thickness_ratio=thickness, gain_ratio=gain)
-        values = realization_values(spec, state, cfg, quantity)
-        direct = np.std(values, ddof=1) / math.sqrt(values.size)
-        assert 0.0 < est.std_error <= 1e-15, (thickness, quantity, est)
-        assert math.isclose(est.std_error, direct, rel_tol=0.1), (thickness, quantity, est, direct)
-        assert abs(est.mean - target) <= 1e-12, (thickness, quantity, est)
+    specs, [state], means, std_errors = _grid_estimates(MODES[1], seed=42, draws=20_000)
+    assert means.shape == (len(validation.STANDARD_THICKNESS), 1, 4)
+    cfg = config(MODES[1], realizations=20_000, seed=42)
+    for spec, mean, std_error in zip(specs, means[:, 0], std_errors[:, 0]):
+        rep = full_report(spec, state)
+        for quantity, est, spread in zip(QUANTITIES, mean, std_error):
+            values = realization_values(spec, state, cfg, quantity)
+            direct = np.std(values, ddof=1) / math.sqrt(values.size)
+            where = (spec.thickness_ratio, quantity, est, spread)
+            assert 0.0 < spread <= 1e-15, where
+            assert math.isclose(spread, direct, rel_tol=0.1), (*where, direct)
+            assert abs(est - getattr(rep, quantity)) <= 1e-12, where
 
 
 def test_unshaped_mean_mode_exact_at_zero_squeezing(monkeypatch):
     # at r = 0 the phases drop out exactly: with constant magnitudes
     # every draw gives the same number, on every medium of the grid
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0,))
-    rows = validation._mc_estimates(MODES[0], channels=4, seed=42, realizations=2000)
-    unshaped = [(point, est, target) for point, q, est, target in rows if q.endswith("_nowfs")]
-    assert len(unshaped) == 2 * len(validation.STANDARD_THICKNESS) * len(validation.STANDARD_GAIN)
-    for point, est, target in unshaped:
-        assert est.std_error == 0.0, point
-        assert abs(est.mean - target) <= 1e-12, point
+    specs, [state], means, std_errors = _grid_estimates(MODES[0], seed=42, draws=2000)
+    unshaped = [QUANTITIES.index(q) for q in ("x_nowfs", "p_nowfs")]
+    assert std_errors[..., unshaped].size == 2 * len(specs) == 2 * 4 * 6
+    for spec, mean, std_error in zip(specs, means[:, 0], std_errors[:, 0]):
+        rep = full_report(spec, state)
+        for k in unshaped:
+            assert std_error[k] == 0.0, (spec, QUANTITIES[k])
+            assert abs(mean[k] - getattr(rep, QUANTITIES[k])) <= 1e-12, (spec, QUANTITIES[k])
 
 
 def test_shaped_exponential_mode_has_spread(reference_spec, reference_state):
@@ -695,21 +717,21 @@ def test_validation_rejects_unknown_sampler(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_validation_reduces_like_mc_average(monkeypatch, mode):
-    # the grid sweep reduces each medium once; every estimate it reports
-    # must equal the per-quantity mc_average bit for bit
+    # the grid check reduces each medium once and estimates all its
+    # squeezings and quantities in one stack; every element must equal
+    # the per-quantity mc_average bit for bit
     monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 10.0))
     monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 2.5))
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0, 1.0))
-    rows = validation._mc_estimates(mode, channels=4, seed=5, realizations=500)
-    expected = [
-        ((th, g, r), q) for th in (2.0, 10.0) for g in (0.0, 2.5) for r in (0.0, 1.0)
-        for q in QUANTITIES
-    ]
-    assert [(point, q) for point, q, _, _ in rows] == expected
+    specs, states, means, std_errors = _grid_estimates(mode, seed=5, draws=500)
+    assert means.shape == std_errors.shape == (4, 2, 4)
     cfg = config(mode, realizations=500, seed=5)
-    for (th, g, r), quantity, est, _ in rows:
-        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
-        assert est == mc_average(spec, InputState(squeeze_r=r), cfg, quantity)
+    for (i, spec), (j, state), (k, quantity) in itertools.product(
+        enumerate(specs), enumerate(states), enumerate(QUANTITIES)
+    ):
+        est = mc_average(spec, state, cfg, quantity)
+        stacked = (float(means[i, j, k]).hex(), float(std_errors[i, j, k]).hex())
+        assert (est.mean.hex(), est.std_error.hex()) == stacked, (spec, state, quantity)
 
 
 @pytest.mark.parametrize("mode", MODES)

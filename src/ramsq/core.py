@@ -12,6 +12,7 @@ exists is in bounds, so no code downstream checks it again.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -44,6 +45,27 @@ class DomainError(ParameterError):
     """Argument outside the domain of a closed-form expression."""
 
 
+def _integer(name: str, value, error: type[ParameterError] = ParameterError) -> int:
+    """``value`` as a Python int; bools, floats and other non-integers raise ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer (got {value!r})")
+
+
+def _real(name: str, value, error: type[ParameterError] = ParameterError) -> None:
+    """Raise ``error`` unless ``value`` is a real number and not a bool.
+
+    numpy integers and floats are real numbers; strings, None and complex
+    numbers are not, and would otherwise escape a bound check as a bare
+    ``TypeError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number (got {value!r})")
+
+
 @dataclass(frozen=True)
 class MediumSpec:
     """Dimensionless description of one disordered amplifying slab.
@@ -52,7 +74,8 @@ class MediumSpec:
     the number of transverse modes per side.  Construction checks the
     bounds, so a ``MediumSpec`` that exists is in bounds: L/l > 1
     (diffusive slab), 0 <= L/La < pi (below lasing), channels an integer
-    >= 1 (numpy integers included).  The first bound that fails, in that
+    >= 1.  The ratios are real numbers and the channel count an integer,
+    numpy's included, never a bool.  The first field that fails, in that
     order, raises its own ``ParameterError`` subclass.
     """
 
@@ -61,21 +84,19 @@ class MediumSpec:
     channels: int = 4
 
     def __post_init__(self) -> None:
+        _real("thickness_ratio", self.thickness_ratio, ThinMedium)
         if not self.thickness_ratio > 1.0:
             raise ThinMedium(
                 f"thickness_ratio must exceed 1 (got {self.thickness_ratio}); "
                 "the slab must be at least one mean free path thick"
             )
+        _real("gain_ratio", self.gain_ratio, GainAboveThreshold)
         if not 0.0 <= self.gain_ratio < LASER_THRESHOLD:
             raise GainAboveThreshold(
                 f"gain_ratio must lie in [0, pi) (got {self.gain_ratio}); "
                 "at L/La = pi the medium reaches its lasing threshold"
             )
-        try:
-            channels = operator.index(self.channels)
-        except TypeError:
-            raise BadChannels(f"channels must be an integer (got {self.channels!r})") from None
-        if channels < 1:
+        if _integer("channels", self.channels, BadChannels) < 1:
             raise BadChannels(f"channels must be >= 1 (got {self.channels})")
 
     @property
@@ -102,6 +123,7 @@ class InputState:
     amplitude: complex = 0j
 
     def __post_init__(self) -> None:
+        _real("squeeze_r", self.squeeze_r)
         if not self.squeeze_r >= 0.0:
             raise ParameterError(f"squeeze_r must be >= 0 (got {self.squeeze_r})")
 
@@ -169,6 +191,7 @@ class PhysicalUnits:
 
     def __post_init__(self) -> None:
         for name in ("diffusion_const", "amp_time", "mfp", "thickness", "light_speed"):
+            _real(name, getattr(self, name))
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be > 0 (got {getattr(self, name)})")
 

@@ -101,7 +101,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .analytic import mean_coefficients
-from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError
+from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, _integer
 
 # Each draw index owns a disjoint 2**128-wide counter block, far more
 # stream than any realization consumes; the 256-bit counter holds 2**128.
@@ -134,14 +134,6 @@ _CPU_MAX = "/sys/fs/cgroup/cpu.max"
 # shape matches the 2N unit-shape (exponential) channel draws it stands
 # in for, and reduces to Beta(N, N) = the equal-means exponential law.
 _SPLIT_SHAPE_PER_CHANNEL = 2
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; floats and other non-integers are refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer (got {value!r})") from None
 
 
 class SamplerMode(enum.Enum):

@@ -18,6 +18,7 @@ from ramsq.core import (
     ThinMedium,
     units_to_spec,
 )
+from ramsq.ensemble import SamplerConfig, sample_realization
 
 ULP = 2.220446049250313e-16
 
@@ -57,6 +58,55 @@ def test_bounds_checked_in_order():
         MediumSpec(thickness_ratio=0.5, gain_ratio=4.0, channels=0)
     with pytest.raises(GainAboveThreshold):
         MediumSpec(thickness_ratio=2.0, gain_ratio=4.0, channels=0)
+
+
+_UNITS = dict(diffusion_const=1.0, amp_time=4.0, mfp=1.0, thickness=6.0, light_speed=3.0)
+
+
+def _medium(**fields):
+    return MediumSpec(**{"thickness_ratio": 2.0, "gain_ratio": 1.0, **fields})
+
+
+def _draw(draw_index=0, **fields):
+    config = SamplerConfig(**fields)
+    return sample_realization(MediumSpec(thickness_ratio=2.0, gain_ratio=1.0), config, draw_index)
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: _medium(channels=True), BadChannels),
+    (lambda: _medium(thickness_ratio="3"), ThinMedium),
+    (lambda: _medium(thickness_ratio=True, gain_ratio=4.0), ThinMedium),
+    (lambda: _medium(gain_ratio=None), GainAboveThreshold),
+    (lambda: _medium(gain_ratio=1 + 0j), GainAboveThreshold),
+    (lambda: _medium(gain_ratio=False, channels=0), GainAboveThreshold),
+    (lambda: InputState(squeeze_r=True), ParameterError),
+    (lambda: InputState(squeeze_r="1"), ParameterError),
+    (lambda: PhysicalUnits(**{**_UNITS, "mfp": "1"}), ParameterError),
+    (lambda: PhysicalUnits(**{**_UNITS, "thickness": True}), ParameterError),
+    (lambda: _draw(seed=True), ParameterError),
+    (lambda: _draw(realizations=True), ParameterError),
+    (lambda: _draw(draw_index=True), ParameterError),
+], ids=[
+    "channels-bool", "thickness-str", "thickness-bool", "gain-none", "gain-complex",
+    "gain-bool", "squeeze-bool", "squeeze-str", "units-str", "units-bool", "seed-bool",
+    "realizations-bool", "draw-index-bool",
+])
+def test_value_types_refuse_bools_and_non_reals(build, error):
+    # a bool is not a count or a ratio, and a non-number must not escape
+    # the bound checks as a bare TypeError: each field raises its own
+    # bound's class, in the bound order
+    with pytest.raises(ParameterError) as raised:
+        build()
+    assert type(raised.value) is error
+
+
+def test_numpy_numbers_stored_unchanged():
+    ratio, gain, r = np.float32(2.5), np.int64(1), np.float64(0.5)
+    spec = MediumSpec(thickness_ratio=ratio, gain_ratio=gain)
+    assert (spec.thickness_ratio, spec.gain_ratio) == (ratio, gain)
+    assert type(spec.thickness_ratio) is np.float32 and type(spec.gain_ratio) is np.int64
+    assert type(InputState(squeeze_r=r).squeeze_r) is np.float64
+    assert type(PhysicalUnits(**{**_UNITS, "mfp": np.float32(1.0)}).mfp) is np.float32
 
 
 def test_numpy_integer_channel_count_accepted():

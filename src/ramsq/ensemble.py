@@ -623,6 +623,4 @@ def mc_average(
     _check_quantity(quantity)
     moments = medium_moments([spec], config)[0]
     means, std_errors = moment_estimate(moments, [state], (quantity,))
-    return McEstimate(
-        mean=float(means[0, 0]), std_error=float(std_errors[0, 0]), realizations=moments.count
-    )
+    return McEstimate(float(means[0, 0]), float(std_errors[0, 0]), moments.count)

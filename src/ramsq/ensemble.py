@@ -30,10 +30,12 @@ numpy over a fixed, index-ordered chunk of ``_CHUNK_DOUBLES // columns``
 rows at a time, with the 64x64 -> 128-bit products emulated in 32-bit
 halves.  Each chunk is one task on a thread pool of at most one worker
 per usable CPU (``_worker_count``): it draws its own uniforms, channel
-splits, ``betaincinv`` shares and sums, so memory stays at a few chunks
-whatever the draw count.  A single draw keeps numpy's own ``Philox`` on
-the calling thread: on one row the few hundred small array operations
-of the emulation cost about ten times more than numpy's generator.
+splits, Beta shares and sums, so memory stays at a few chunks whatever
+the draw count.  The shares' per-shape tables are built on the calling
+thread before the pool starts.  A single draw keeps numpy's own
+``Philox`` on the calling thread: on one row the few hundred small array
+operations of the emulation cost about ten times more than numpy's
+generator.
 
 Reduction
 ---------
@@ -79,11 +81,19 @@ means it is the mean-exact generalization.
 
 The normalized channel splits depend on the uniforms only, so each
 chunk computes them once and each medium forms only V, the Beta share
-and the two scalings.  The Beta share, one ``betaincinv`` per draw, is
-nearly all the cost of a bulk exponential run; it releases the GIL, so
-the chunk threads overlap it with each other's Philox rounds and
-reductions.  Which uniform feeds which quantity is fixed in one place,
-``_layout``.
+and the two scalings.  The Beta share is the Beta(a, b) quantile of its
+uniform u, which ``betaincinv`` computes by an iterative search that
+cost nearly all of a bulk exponential run.  ``_beta_share`` instead
+keeps, per shape, 256 cubic Hermite intervals for each half of u: the
+lower half in t = u**(1/a), the upper half as 1 - I^-1(b, a, 1 - u) in
+t = (1 - u)**(1/b), coordinates in which the quantile is smooth up to
+both ends.  A table guess plus one Newton step on the half's tail
+probability (one ``betainc``) lands within 32 ulp of ``betaincinv`` on
+the standard grid's shapes; shapes outside the measured domain keep
+``betaincinv``.  Each share depends only on its own uniform and the
+shape, so a single draw, which runs the same operations on a numpy
+scalar, still equals its bulk entry bit for bit.  Which
+uniform feeds which quantity is fixed in one place, ``_layout``.
 """
 
 from __future__ import annotations
@@ -98,7 +108,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betainc, betaincinv, betaln
 
 from .analytic import mean_coefficients
 from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, _integer
@@ -323,6 +333,139 @@ def _channel_splits(
     )
 
 
+# Cubic Hermite intervals per tail of a Beta share table.
+_SHARE_INTERVALS = 256
+
+# The tables' domain, decided by the shape alone so that a single draw
+# and its bulk entry take the same path; other shapes keep betaincinv.
+# Over a sweep with a + b from 3 to 12 the shares stay within 40 ulp of
+# betaincinv (within 20 ulp of 40-digit quantiles where that is larger).
+# Below a = 0.3, or at a + b = 16, one Newton step from 256 intervals
+# leaves 50 to 1e7 ulp near the median.  Below b = 2 the largest shares
+# round to 1, where the density is 0 or infinite.  A sum of 2 * channels
+# lands on 12 only up to rounding, hence 12.5.
+_SHARE_MIN_A = 0.3
+_SHARE_MIN_B = 2.0
+_SHARE_MAX_SUM = 12.5
+
+
+def _share_shape(coef: EnsembleCoefficients, channels: int) -> tuple[float, float]:
+    """Beta shape (a, b) of the transmission share, mean t_bar / (t_bar + r_bar)."""
+    trans_weight = coef.t_bar / (coef.t_bar + coef.r_bar)
+    shape = _SPLIT_SHAPE_PER_CHANNEL * channels
+    return shape * trans_weight, shape * (1.0 - trans_weight)
+
+
+def _tail_nodes(a: float, b: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Lower-tail quantiles of Beta(a, b) on a uniform grid in t = p**(1/a), p <= 1/2.
+
+    Returns the grid's end t_max, the quantiles y and their slopes dy/dt
+    = a t**(a-1) / pdf(y).  As t -> 0, y / t tends to (a B(a, b))**(1/a),
+    so y is smooth in t up to both ends.
+    """
+    t_max = 0.5 ** (1.0 / a)
+    t = t_max * np.arange(_SHARE_INTERVALS + 1) / _SHARE_INTERVALS
+    p = t**a
+    p[-1] = 0.5
+    y = betaincinv(a, b, p)
+    log_ab = math.log(a) + betaln(a, b)
+    ratio = np.concatenate(([math.exp(log_ab / a)], y[1:] / t[1:]))
+    slope = np.exp(log_ab + (1.0 - a) * np.log(ratio) + (1.0 - b) * np.log1p(-y))
+    return t_max, y, slope
+
+
+class _ShareTail(NamedTuple):
+    """Hermite table of one tail's share x(t), t = p**exponent."""
+
+    exponent: float
+    scale: float  # intervals per unit of t
+    # (4, intervals + 1): x = c0 + theta (c1 + theta (c2 + theta c3)).  The
+    # last column continues the table linearly past t_max, where rounding
+    # can put t for p = 1/2, so that no index needs clamping.
+    coef: np.ndarray
+
+
+def _hermite_tail(exponent: float, t_max: float, x: np.ndarray, slope: np.ndarray) -> _ShareTail:
+    m = (t_max / _SHARE_INTERVALS) * slope
+    x0, x1, m0, m1 = x[:-1], x[1:], m[:-1], m[1:]
+    coef = np.stack((x0, m0, 3.0 * (x1 - x0) - 2.0 * m0 - m1, 2.0 * (x0 - x1) + m0 + m1))
+    last = np.array([[x[-1]], [m[-1]], [0.0], [0.0]])
+    return _ShareTail(exponent, _SHARE_INTERVALS / t_max, np.hstack((coef, last)))
+
+
+class _ShareTable(NamedTuple):
+    beta: float  # B(a, b)
+    lower: _ShareTail  # u <= 1/2: x(t), t = u**(1/a)
+    upper: _ShareTail  # u > 1/2: x = 1 - I^-1(b, a, 1 - u), t = (1 - u)**(1/b)
+
+
+@functools.lru_cache(maxsize=64)
+def _share_table(a: float, b: float) -> _ShareTable | None:
+    """The Hermite tables of Beta(a, b)'s share, or None outside the tables' domain."""
+    if not (a >= _SHARE_MIN_A and b >= _SHARE_MIN_B and a + b <= _SHARE_MAX_SUM):
+        return None
+    t_max, x, slope = _tail_nodes(a, b)
+    lower = _hermite_tail(1.0 / a, t_max, x, slope)
+    t_max, y, slope = _tail_nodes(b, a)
+    upper = _hermite_tail(1.0 / b, t_max, 1.0 - y, -slope)
+    return _ShareTable(math.exp(betaln(a, b)), lower, upper)
+
+
+def _tail_guess(tail: _ShareTail, p):
+    t = np.power(p, tail.exponent)
+    pos = t * tail.scale
+    j = pos.astype(np.intp)
+    theta = pos - j
+    c0, c1, c2, c3 = tail.coef.take(j, axis=1)
+    return c0 + theta * (c1 + theta * (c2 + theta * c3))
+
+
+# Shares for 0 < u <= 1/2 (lower) and u > 1/2 (upper, p = 1 - u): a table
+# guess plus one Newton step on the tail probability, 1 / pdf(x) being
+# B(a, b) x**(1-a) (1-x)**(1-b).  Both take an array or a numpy scalar.
+
+
+def _lower_share(table: _ShareTable, a: float, b: float, p):
+    x = _tail_guess(table.lower, p)
+    step = np.power(x, 1.0 - a) * np.power(1.0 - x, 1.0 - b) * table.beta
+    return x - (betainc(a, b, x) - p) * step
+
+
+def _upper_share(table: _ShareTable, a: float, b: float, p):
+    # Round the guess so that rest = 1 - x holds exactly: the upper tail's
+    # probability is then I(b, a, rest); betaincc(a, b, x) costs ten times more.
+    rest = 1.0 - _tail_guess(table.upper, p)
+    x = 1.0 - rest
+    step = np.power(x, 1.0 - a) * np.power(rest, 1.0 - b) * table.beta
+    return x + (betainc(b, a, rest) - p) * step
+
+
+def _beta_share(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """Beta(a, b) quantiles of ``u``: ``betaincinv(a, b, u)`` to rounding.
+
+    Each share depends on its own uniform and the shape only, so a batch
+    of one equals its entry in any batch bit for bit.  u = 0 gives
+    exactly 0, as betaincinv does; at x = 0 the Newton step's x**(1-a)
+    would be infinite for a > 1.
+    """
+    table = _share_table(a, b)
+    if table is None:
+        return betaincinv(a, b, u)
+    if u.shape == (1,):
+        # A single draw runs the same operations on a numpy scalar, which
+        # costs a tenth of the array calls on one element.
+        v = u[0]
+        if v > 0.5:
+            return np.array([_upper_share(table, a, b, 1.0 - v)])
+        return np.array([_lower_share(table, a, b, v) if v > 0.0 else 0.0])
+    share = np.zeros(u.shape)
+    upper = u > 0.5
+    lower = (u > 0.0) ^ upper
+    share[lower] = _lower_share(table, a, b, u[lower])
+    share[upper] = _upper_share(table, a, b, 1.0 - u[upper])
+    return share
+
+
 def _magnitudes(
     coef: EnsembleCoefficients,
     cols: _Columns,
@@ -347,11 +490,7 @@ def _magnitudes(
         spont = np.zeros(draws)
     total = 1.0 + spont
 
-    trans_weight = coef.t_bar / (coef.t_bar + coef.r_bar)
-    shape = _SPLIT_SHAPE_PER_CHANNEL * n
-    trans_share = betaincinv(
-        shape * trans_weight, shape * (1.0 - trans_weight), uniforms[:, cols.share]
-    )
+    trans_share = _beta_share(*_share_shape(coef, n), uniforms[:, cols.share])
 
     trans_split, refl_split = splits
     trans = (total * trans_share)[:, None] * trans_split
@@ -490,6 +629,10 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
         )
     rows = _CHUNK_DOUBLES // columns
     coefs = [mean_coefficients(spec) for spec in specs]
+    if config.mode is SamplerMode.EXPONENTIAL_MAGNITUDES:
+        # Build the share tables here: pool threads would race to fill the cache.
+        for coef in coefs:
+            _share_table(*_share_shape(coef, cols.channels))
     seed, count = operator.index(config.seed), config.realizations
 
     def chunk(start: int) -> list:

@@ -6,9 +6,12 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 from ramsq.analytic import (
     full_report,
@@ -765,3 +768,124 @@ def test_mc_check_matches_scalar_reference(monkeypatch, mode, case):
         assert detail["sigma_violations_at_low_precision"] == violations
     if case == "fail":
         assert failures > len(detail["failures"]) == 10
+
+
+# -- Beta share tables -------------------------------------------------------
+
+def _grid_shares(channels=4):
+    specs = [
+        MediumSpec(thickness_ratio=t, gain_ratio=g, channels=channels)
+        for t in validation.STANDARD_THICKNESS
+        for g in validation.STANDARD_GAIN
+    ]
+    return specs, sorted({ensemble._share_shape(mean_coefficients(s), channels) for s in specs})
+
+
+# The 19 distinct Beta shapes of the 4-channel standard grid, plus (2, 6),
+# where the lower tail's exponent 1/a is 0.5.
+SHARE_SHAPES = _grid_shares()[1] + [(2.0, 6.0)]
+SHARE_IDS = [f"a={a:.4g}" for a, _ in SHARE_SHAPES[:-1]] + ["a=2,b=6"]
+EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+
+
+def ulps_off(x, reference):
+    return np.abs(x - reference) / np.spacing(np.abs(reference))
+
+
+@pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
+def test_beta_share_within_32_ulp_of_betaincinv(shape):
+    a, b = shape
+    assert ensemble._share_table(a, b) is not None
+    u = np.random.default_rng(1300).random(100_000)
+    off = ulps_off(ensemble._beta_share(a, b, u), betaincinv(a, b, u))
+    assert off.max() <= 32, (off.max(), u[np.argmax(off)])
+
+
+@pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
+def test_beta_share_edge_uniforms(shape):
+    a, b = shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        share = ensemble._beta_share(a, b, EDGE_UNIFORMS)
+    assert np.all((share >= 0.0) & (share <= 1.0)), share
+    assert share[0] == 0.0 and math.copysign(1.0, share[0]) == 1.0
+    assert np.all(share[1:] > 0.0)
+    assert np.all(ulps_off(share[1:], betaincinv(a, b, EDGE_UNIFORMS[1:])) <= 32)
+
+
+@pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
+def test_beta_share_single_rows_equal_bulk(shape):
+    # strided columns of a uniform block, as _magnitudes reads them
+    a, b = shape
+    block = np.random.default_rng(1301).random((200, 3))
+    block[:5, 1] = EDGE_UNIFORMS
+    bulk = ensemble._beta_share(a, b, block[:, 1])
+    for k in range(block.shape[0]):
+        single = ensemble._beta_share(a, b, block[k : k + 1, 1])
+        assert single.shape == (1,)
+        assert single[0].hex() == bulk[k].hex(), k
+
+
+@pytest.mark.parametrize("shape", [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5)])
+def test_beta_share_outside_domain_is_betaincinv(shape):
+    a, b = shape
+    assert ensemble._share_table(a, b) is None
+    u = np.concatenate((EDGE_UNIFORMS, np.random.default_rng(1302).random(2000)))
+    assert np.array_equal(ensemble._beta_share(a, b, u), betaincinv(a, b, u))
+
+
+def test_share_tables_built_once_per_grid_shape(monkeypatch):
+    # the tables are built on the calling thread before the pool starts,
+    # so concurrent chunks never race to fill the cache
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
+    specs, shapes = _grid_shares()
+    ensemble._share_table.cache_clear()
+    ensemble.medium_moments(specs, config(MODES[1], realizations=3 * 2**13, seed=4))
+    assert len(shapes) == 19
+    assert ensemble._share_table.cache_info().misses == 19
+
+
+# Beta(a, b) quantiles to 40 digits, computed once with mpmath 1.3.0:
+#
+#     mp.mp.dps = 50
+#     x = mp.mpf(float(betaincinv(a, b, u)))
+#     for _ in range(8):
+#         if u <= 0.5:
+#             r = mp.betainc(a, b, 0, x, regularized=True) - u
+#         else:
+#             r = (1 - mp.mpf(u)) - mp.betainc(a, b, x, 1, regularized=True)
+#         x -= r * mp.beta(a, b) / (x ** (a - 1) * (1 - x) ** (b - 1))
+#     mp.nstr(x, 40, min_fixed=0, max_fixed=0)
+FROZEN_BETA_QUANTILES = (
+    (0.4, 7.6, 1.1102230246251565e-16, "1.3184093357066752772302288381023536721e-41"),
+    (0.4, 7.6, 1e-10, "1.015137088227859562675097901548375787799e-26"),
+    (0.4, 7.6, 0.01, "1.015141946346348555782161881787375495586e-6"),
+    (0.4, 7.6, 0.3, "5.126084200297974407748705893172810383119e-3"),
+    (0.4, 7.6, 0.5, "1.966346401371551329101360125796211064318e-2"),
+    (0.4, 7.6, 0.5000000000000001, "1.966346401371552528821331558756976080886e-2"),
+    (0.4, 7.6, 0.99, "3.364362477656437621414152672052001969706e-1"),
+    (0.4, 7.6, 0.9999999999999999, "9.896160010563942632472172532490449689125e-1"),
+    (1.6, 6.4, 1.1102230246251565e-16, "1.99503001866708522082238147808552078549e-11"),
+    (1.6, 6.4, 1e-10, "1.050916318896148029985332605013071342031e-7"),
+    (1.6, 6.4, 0.01, "1.074654185671860588332311510841870692155e-2"),
+    (1.6, 6.4, 0.3, "1.110380086386139842969802981865007526144e-1"),
+    (1.6, 6.4, 0.5, "1.744678788380058537791240459550719411302e-1"),
+    (1.6, 6.4, 0.5000000000000001, "1.744678788380058918336532197010695141098e-1"),
+    (1.6, 6.4, 0.99, "5.854403245665011364112422018432473514605e-1"),
+    (1.6, 6.4, 0.9999999999999999, "9.973748641840762744257008924755327657113e-1"),
+    (4.0, 4.0, 1.1102230246251565e-16, "4.220331289376522904487795269965444199686e-5"),
+    (4.0, 4.0, 1e-10, "1.301134510784796545538651742616948277747e-3"),
+    (4.0, 4.0, 0.01, "1.422703770068572651702761118567973364289e-1"),
+    (4.0, 4.0, 0.3, "4.052406440074580285145152005050963746052e-1"),
+    (4.0, 4.0, 0.5, "5.0e-1"),
+    (4.0, 4.0, 0.5000000000000001, "5.00000000000000050753052554292870419366e-1"),
+    (4.0, 4.0, 0.99, "8.577296229931427007357558778079371328445e-1"),
+    (4.0, 4.0, 0.9999999999999999, "9.99957796687106234770955122047300345558e-1"),
+)
+
+
+@pytest.mark.parametrize("a, b, u, quantile", FROZEN_BETA_QUANTILES)
+def test_beta_share_against_40_digit_quantiles(a, b, u, quantile):
+    ulp = Decimal(float(np.spacing(float(quantile))))
+    for share in (ensemble._beta_share(a, b, np.array([u]))[0], betaincinv(a, b, u)):
+        assert abs(Decimal(float(share)) - Decimal(quantile)) <= 32 * ulp, (share, quantile)

@@ -31,8 +31,9 @@ rows at a time, with the 64x64 -> 128-bit products emulated in 32-bit
 halves.  Each chunk is one task on a thread pool of at most one worker
 per usable CPU (``_worker_count``): it draws its own uniforms, channel
 splits, Beta shares and sums, so memory stays at a few chunks whatever
-the draw count.  The shares' per-shape tables are built on the calling
-thread before the pool starts.  A single draw keeps numpy's own
+the draw count.  Each medium's share table is looked up once, on the
+calling thread before the pool starts, and handed to every chunk, so
+the chunks never touch the table cache.  A single draw keeps numpy's own
 ``Philox`` on the calling thread: on one row the few hundred small array
 operations of the emulation cost about ten times more than numpy's
 generator.
@@ -84,16 +85,19 @@ chunk computes them once and each medium forms only V, the Beta share
 and the two scalings.  The Beta share is the Beta(a, b) quantile of its
 uniform u, which ``betaincinv`` computes by an iterative search that
 cost nearly all of a bulk exponential run.  ``_beta_share`` instead
-keeps, per shape, 256 cubic Hermite intervals for each half of u: the
-lower half in t = u**(1/a), the upper half as 1 - I^-1(b, a, 1 - u) in
-t = (1 - u)**(1/b), coordinates in which the quantile is smooth up to
-both ends.  A table guess plus one Newton step on the half's tail
-probability (one ``betainc``) lands within 32 ulp of ``betaincinv`` on
-the standard grid's shapes; shapes outside the measured domain keep
-``betaincinv``.  Each share depends only on its own uniform and the
-shape, so a single draw, which runs the same operations on a numpy
-scalar, still equals its bulk entry bit for bit.  Which
-uniform feeds which quantity is fixed in one place, ``_layout``.
+reads, per shape, 1024 quintic Hermite intervals for each tail: below
+u = b/(a+b) the quantile in t = u**(1/a), above it 1 - I^-1(b, a, 1 - u)
+in t = (1 - u)**(1/b), coordinates in which the quantile is smooth up
+to both ends.  The tails meet where the two are about equally well
+conditioned.  The table's value is the share, with no special function
+per draw: the nodes carry the quantile and its first two derivatives,
+each node refined once by a Newton step when the table is built.  The
+shares stay within 32 ulp of ``betaincinv`` on the standard grid's
+shapes; shapes outside the measured domain keep ``betaincinv``.  Each
+share depends only on its own uniform and the shape, so a single draw,
+which runs the same operations on Python floats, still equals its bulk
+entry bit for bit.  Which uniform feeds which quantity is fixed in one
+place, ``_layout``.
 """
 
 from __future__ import annotations
@@ -333,20 +337,19 @@ def _channel_splits(
     )
 
 
-# Cubic Hermite intervals per tail of a Beta share table.
-_SHARE_INTERVALS = 256
+# Quintic Hermite intervals per tail of a Beta share table.
+_SHARE_INTERVALS = 1024
 
 # The tables' domain, decided by the shape alone so that a single draw
 # and its bulk entry take the same path; other shapes keep betaincinv.
-# Over a sweep with a + b from 3 to 12 the shares stay within 40 ulp of
-# betaincinv (within 20 ulp of 40-digit quantiles where that is larger).
-# Below a = 0.3, or at a + b = 16, one Newton step from 256 intervals
-# leaves 50 to 1e7 ulp near the median.  Below b = 2 the largest shares
-# round to 1, where the density is 0 or infinite.  A sum of 2 * channels
-# lands on 12 only up to rounding, hence 12.5.
+# Over a sweep of 274 shapes inside it, the shares stay within 30 ulp of
+# 40-digit quantiles, where betaincinv reads up to 46.  The nodes are
+# only as good as betainc: with b near 2 and a near 1, or with an
+# integer a and a + b near 12, the shares read 30 to 41 ulp off.  A sum
+# of 2 * channels lands on 10 only up to rounding, hence 10.5.
 _SHARE_MIN_A = 0.3
-_SHARE_MIN_B = 2.0
-_SHARE_MAX_SUM = 12.5
+_SHARE_MIN_B = 2.5
+_SHARE_MAX_SUM = 10.5
 
 
 def _share_shape(coef: EnsembleCoefficients, channels: int) -> tuple[float, float]:
@@ -356,47 +359,128 @@ def _share_shape(coef: EnsembleCoefficients, channels: int) -> tuple[float, floa
     return shape * trans_weight, shape * (1.0 - trans_weight)
 
 
-def _tail_nodes(a: float, b: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Lower-tail quantiles of Beta(a, b) on a uniform grid in t = p**(1/a), p <= 1/2.
+class _Root(NamedTuple):
+    """p -> p**(1/a) to about an ulp for p >= 2**-53.
 
-    Returns the grid's end t_max, the quantiles y and their slopes dy/dt
-    = a t**(a-1) / pdf(y).  As t -> 0, y / t tends to (a B(a, b))**(1/a),
-    so y is smooth in t up to both ends.
+    The exponent 1/a rounds to a double e, and p**e is p**(1/a) times
+    p**(e - 1/a), off by |ln p| |e - 1/a| relative: 5e-15, some 20 to 45
+    ulp, at p = 2**-53 and a = 0.4, which the share would inherit.  The
+    root adds back t ln(p) (1/a - e).
     """
-    t_max = 0.5 ** (1.0 / a)
-    t = t_max * np.arange(_SHARE_INTERVALS + 1) / _SHARE_INTERVALS
+
+    exponent: float  # e
+    residue: float  # 1/a - e
+
+    @classmethod
+    def of(cls, a: float) -> _Root:
+        exponent = 1.0 / a
+        # 1/a - e = (da de - na ne) / (na de) in integers, rounded once.
+        na, da = a.as_integer_ratio()
+        ne, de = exponent.as_integer_ratio()
+        return cls(exponent, (da * de - na * ne) / (na * de))
+
+    def __call__(self, p):
+        t = np.power(p, self.exponent)
+        return t + t * (self.residue * np.log(p))
+
+
+def _refined_quantile(a: float, b: float, p: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
+    """Quantiles of Beta(a, b) at 0 < p < 1: one Newton step on ``betainc`` from ``x``.
+
+    Above p = 1/2 the step reads the upper tail, I(b, a, 1 - x) against
+    1 - p (exact there), which is better conditioned near 1.  ``x`` is
+    overwritten.
+    """
+    upper = p > 0.5
+    lower = ~upper
+    rest = 1.0 - x[upper]
+    x[upper] = 1.0 - rest
+    excess = np.empty_like(x)  # F(x) - p
+    excess[lower] = betainc(a, b, x[lower]) - p[lower]
+    excess[upper] = (1.0 - p[upper]) - betainc(b, a, rest)
+    return x - excess * (beta * x ** (1.0 - a) * (1.0 - x) ** (1.0 - b))
+
+
+# A table of this many intervals or fewer takes its nodes' first guesses
+# from betaincinv; a finer one from the table with an eighth of its
+# intervals, within 2e-10 relative and built in half the time that
+# betaincinv takes for every node.
+_SHARE_COARSE = _SHARE_INTERVALS // 8
+
+
+def _tail_nodes(
+    a: float, b: float, p_max: float, intervals: int
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Lower-tail quantiles of Beta(a, b) on a uniform grid in t = p**(1/a), p <= p_max.
+
+    Returns the grid's end t_max, the quantiles x and their first two
+    derivatives in t.  With c = lim x / t = (a B(a, b))**(1/a) the slope
+    is s = c (x / (c t))**(1-a) (1-x)**(1-b), and
+    x'' = s ((a-1) (1/t - s/x) + (b-1) s / (1-x)), 2 (b-1) c**2 / (a+1) at t = 0.
+    """
+    beta = math.exp(betaln(a, b))
+    root = _Root.of(a)
+    t_max = root(p_max)
+    t = t_max * np.arange(intervals + 1) / intervals
     p = t**a
-    p[-1] = 0.5
-    y = betaincinv(a, b, p)
-    log_ab = math.log(a) + betaln(a, b)
-    ratio = np.concatenate(([math.exp(log_ab / a)], y[1:] / t[1:]))
-    slope = np.exp(log_ab + (1.0 - a) * np.log(ratio) + (1.0 - b) * np.log1p(-y))
-    return t_max, y, slope
+    p[-1] = p_max
+    if intervals > _SHARE_COARSE:
+        coarse = _hermite_tail(root, *_tail_nodes(a, b, p_max, intervals // 8))
+        guess = _interpolate(coarse, t[1:])
+    else:
+        guess = betaincinv(a, b, p[1:])
+    x = np.zeros_like(t)
+    x[1:] = _refined_quantile(a, b, p[1:], guess, beta)
+    # Near t = 2**-64, x / t is c to rounding; a power of two keeps p exact.
+    tiny = np.array([2.0 ** -math.ceil(64.0 * a)])
+    c = float(_refined_quantile(a, b, tiny, betaincinv(a, b, tiny), beta)[0] / root(tiny[0]))
+    ratio = np.ones_like(t)
+    ratio[1:] = x[1:] / (c * t[1:])
+    slope = c * ratio ** (1.0 - a) * (1.0 - x) ** (1.0 - b)
+    curve = np.empty_like(t)
+    s, xs, ts = slope[1:], x[1:], t[1:]
+    curve[1:] = s * ((a - 1.0) * (1.0 / ts - s / xs) + (b - 1.0) * s / (1.0 - xs))
+    curve[0] = 2.0 * (b - 1.0) * c * c / (a + 1.0)
+    return t_max, x, slope, curve
 
 
 class _ShareTail(NamedTuple):
-    """Hermite table of one tail's share x(t), t = p**exponent."""
+    """Quintic Hermite table of one tail's quantile y(t), t = root(p)."""
 
-    exponent: float
+    root: _Root
     scale: float  # intervals per unit of t
-    # (4, intervals + 1): x = c0 + theta (c1 + theta (c2 + theta c3)).  The
-    # last column continues the table linearly past t_max, where rounding
-    # can put t for p = 1/2, so that no index needs clamping.
+    # (6, intervals + 1): y = c0 + theta (c1 + ... + theta c5).  The last
+    # column continues the table linearly past t_max, where rounding can
+    # put t for the split, so that no index needs clamping.
     coef: np.ndarray
 
 
-def _hermite_tail(exponent: float, t_max: float, x: np.ndarray, slope: np.ndarray) -> _ShareTail:
-    m = (t_max / _SHARE_INTERVALS) * slope
-    x0, x1, m0, m1 = x[:-1], x[1:], m[:-1], m[1:]
-    coef = np.stack((x0, m0, 3.0 * (x1 - x0) - 2.0 * m0 - m1, 2.0 * (x0 - x1) + m0 + m1))
-    last = np.array([[x[-1]], [m[-1]], [0.0], [0.0]])
-    return _ShareTail(exponent, _SHARE_INTERVALS / t_max, np.hstack((coef, last)))
+def _hermite_tail(root: _Root, t_max: float, y, slope, curve) -> _ShareTail:
+    h = t_max / (len(y) - 1)
+    m, k = h * slope, (h * h) * curve
+    y0, y1, m0, m1, k0, k1 = y[:-1], y[1:], m[:-1], m[1:], k[:-1], k[1:]
+    # The cubic, quartic and quintic terms match y, m and k at theta = 1.
+    rise = y1 - y0 - m0 - 0.5 * k0
+    bend = m1 - m0 - k0
+    turn = k1 - k0
+    coef = np.stack(
+        (
+            y0,
+            m0,
+            0.5 * k0,
+            10.0 * rise - 4.0 * bend + 0.5 * turn,
+            -15.0 * rise + 7.0 * bend - turn,
+            6.0 * rise - 3.0 * bend + 0.5 * turn,
+        )
+    )
+    last = np.array([[y[-1]], [m[-1]], [0.0], [0.0], [0.0], [0.0]])
+    return _ShareTail(root, 1.0 / h, np.hstack((coef, last)))
 
 
 class _ShareTable(NamedTuple):
-    beta: float  # B(a, b)
-    lower: _ShareTail  # u <= 1/2: x(t), t = u**(1/a)
-    upper: _ShareTail  # u > 1/2: x = 1 - I^-1(b, a, 1 - u), t = (1 - u)**(1/b)
+    split: float  # b / (a + b): u <= split reads the lower tail
+    lower: _ShareTail  # x(t), t = u**(1/a)
+    upper: _ShareTail  # 1 - x = I^-1(b, a, 1 - u) in t = (1 - u)**(1/b)
 
 
 @functools.lru_cache(maxsize=64)
@@ -404,66 +488,70 @@ def _share_table(a: float, b: float) -> _ShareTable | None:
     """The Hermite tables of Beta(a, b)'s share, or None outside the tables' domain."""
     if not (a >= _SHARE_MIN_A and b >= _SHARE_MIN_B and a + b <= _SHARE_MAX_SUM):
         return None
-    t_max, x, slope = _tail_nodes(a, b)
-    lower = _hermite_tail(1.0 / a, t_max, x, slope)
-    t_max, y, slope = _tail_nodes(b, a)
-    upper = _hermite_tail(1.0 / b, t_max, 1.0 - y, -slope)
-    return _ShareTable(math.exp(betaln(a, b)), lower, upper)
+    split = b / (a + b)
+    lower = _hermite_tail(_Root.of(a), *_tail_nodes(a, b, split, _SHARE_INTERVALS))
+    upper = _hermite_tail(_Root.of(b), *_tail_nodes(b, a, 1.0 - split, _SHARE_INTERVALS))
+    return _ShareTable(split, lower, upper)
 
 
-def _tail_guess(tail: _ShareTail, p):
-    t = np.power(p, tail.exponent)
+def _quintic(c, theta):
+    """c[0] + theta (c[1] + ... + theta c[5]), in place on arrays."""
+    y = c[5] * theta
+    for k in (4, 3, 2, 1):
+        y += c[k]
+        y *= theta
+    y += c[0]
+    return y
+
+
+def _interpolate(tail: _ShareTail, t: np.ndarray) -> np.ndarray:
     pos = t * tail.scale
     j = pos.astype(np.intp)
-    theta = pos - j
-    c0, c1, c2, c3 = tail.coef.take(j, axis=1)
-    return c0 + theta * (c1 + theta * (c2 + theta * c3))
+    return _quintic(tail.coef.take(j, axis=1), pos - j)
 
 
-# Shares for 0 < u <= 1/2 (lower) and u > 1/2 (upper, p = 1 - u): a table
-# guess plus one Newton step on the tail probability, 1 / pdf(x) being
-# B(a, b) x**(1-a) (1-x)**(1-b).  Both take an array or a numpy scalar.
+def _tail_quantile(tail: _ShareTail, p: np.ndarray) -> np.ndarray:
+    return _interpolate(tail, tail.root(p))
 
 
-def _lower_share(table: _ShareTable, a: float, b: float, p):
-    x = _tail_guess(table.lower, p)
-    step = np.power(x, 1.0 - a) * np.power(1.0 - x, 1.0 - b) * table.beta
-    return x - (betainc(a, b, x) - p) * step
+def _scalar_tail_quantile(tail: _ShareTail, p) -> float:
+    # The same operations as _tail_quantile on Python floats: on one value
+    # the array calls cost several times more.
+    pos = float(tail.root(p)) * tail.scale
+    j = int(pos)
+    return _quintic(tail.coef[:, j].tolist(), pos - j)
 
 
-def _upper_share(table: _ShareTable, a: float, b: float, p):
-    # Round the guess so that rest = 1 - x holds exactly: the upper tail's
-    # probability is then I(b, a, rest); betaincc(a, b, x) costs ten times more.
-    rest = 1.0 - _tail_guess(table.upper, p)
-    x = 1.0 - rest
-    step = np.power(x, 1.0 - a) * np.power(rest, 1.0 - b) * table.beta
-    return x + (betainc(b, a, rest) - p) * step
-
-
-def _beta_share(a: float, b: float, u: np.ndarray) -> np.ndarray:
+def _beta_share(a: float, b: float, u: np.ndarray, table: _ShareTable | None) -> np.ndarray:
     """Beta(a, b) quantiles of ``u``: ``betaincinv(a, b, u)`` to rounding.
 
-    Each share depends on its own uniform and the shape only, so a batch
-    of one equals its entry in any batch bit for bit.  u = 0 gives
-    exactly 0, as betaincinv does; at x = 0 the Newton step's x**(1-a)
-    would be infinite for a > 1.
+    ``table`` is ``_share_table(a, b)``.  Each share depends on its own
+    uniform and the shape only, so a batch of one equals its entry in any
+    batch bit for bit.
     """
-    table = _share_table(a, b)
     if table is None:
         return betaincinv(a, b, u)
     if u.shape == (1,):
-        # A single draw runs the same operations on a numpy scalar, which
-        # costs a tenth of the array calls on one element.
         v = u[0]
-        if v > 0.5:
-            return np.array([_upper_share(table, a, b, 1.0 - v)])
-        return np.array([_lower_share(table, a, b, v) if v > 0.0 else 0.0])
+        if v > table.split:
+            return np.array([1.0 - _scalar_tail_quantile(table.upper, 1.0 - v)])
+        return np.array([_scalar_tail_quantile(table.lower, v) if v > 0.0 else 0.0])
+    # The masks and gathers cost twice as much on a strided column.
+    u = np.ascontiguousarray(u)
+    # u = 0 keeps its exact 0, and the root never takes ln 0.
     share = np.zeros(u.shape)
-    upper = u > 0.5
+    upper = u > table.split
     lower = (u > 0.0) ^ upper
-    share[lower] = _lower_share(table, a, b, u[lower])
-    share[upper] = _upper_share(table, a, b, 1.0 - u[upper])
+    share[lower] = _tail_quantile(table.lower, u[lower])
+    share[upper] = 1.0 - _tail_quantile(table.upper, 1.0 - u[upper])
     return share
+
+
+def _medium_table(coef: EnsembleCoefficients, cols: _Columns, mode: SamplerMode) -> _ShareTable | None:
+    """The share table of one medium's Beta shape; None in mean mode."""
+    if mode is SamplerMode.MEAN_MAGNITUDES:
+        return None
+    return _share_table(*_share_shape(coef, cols.channels))
 
 
 def _magnitudes(
@@ -472,11 +560,13 @@ def _magnitudes(
     mode: SamplerMode,
     uniforms: np.ndarray,
     splits: tuple[np.ndarray, np.ndarray] | None,
+    table: _ShareTable | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude arrays (T, R, V) for a (draws, columns) uniform block.
 
-    ``splits`` are the block's ``_channel_splits``.  Mean mode returns
-    one row of constants, (1, channels) and (1,), whatever the draws.
+    ``splits`` are the block's ``_channel_splits`` and ``table`` is the
+    medium's ``_medium_table``.  Mean mode returns one row of constants,
+    (1, channels) and (1,), whatever the draws.
     """
     n = cols.channels
     if mode is SamplerMode.MEAN_MAGNITUDES:
@@ -490,7 +580,7 @@ def _magnitudes(
         spont = np.zeros(draws)
     total = 1.0 + spont
 
-    trans_share = _beta_share(*_share_shape(coef, n), uniforms[:, cols.share])
+    trans_share = _beta_share(*_share_shape(coef, n), uniforms[:, cols.share], table)
 
     trans_split, refl_split = splits
     trans = (total * trans_share)[:, None] * trans_split
@@ -545,7 +635,8 @@ def sample_realization(
     cols = _layout(spec.channels)
     block = _uniforms_for(config, cols, draw_index)[None, :]
     splits = _channel_splits(config.mode, cols, block)
-    trans, refl, spont = _magnitudes(coef, cols, config.mode, block, splits)
+    table = _medium_table(coef, cols, config.mode)
+    trans, refl, spont = _magnitudes(coef, cols, config.mode, block, splits, table)
     trans_ph, refl_ph, spont_ph = _phases(cols, block)
     return DisorderRealization(
         trans_mags=trans[0],
@@ -629,10 +720,10 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
         )
     rows = _CHUNK_DOUBLES // columns
     coefs = [mean_coefficients(spec) for spec in specs]
-    if config.mode is SamplerMode.EXPONENTIAL_MAGNITUDES:
-        # Build the share tables here: pool threads would race to fill the cache.
-        for coef in coefs:
-            _share_table(*_share_shape(coef, cols.channels))
+    # Each medium's table is resolved here, once: the chunks never touch
+    # the cache, so pool threads neither race to fill it nor rebuild
+    # evicted tables.
+    tables = [_medium_table(coef, cols, config.mode) for coef in coefs]
     seed, count = operator.index(config.seed), config.realizations
 
     def chunk(start: int) -> list:
@@ -640,8 +731,9 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
         cos2 = np.cos(2.0 * _phases(cols, uniforms)[0])
         splits = _channel_splits(config.mode, cols, uniforms)
         out = []
-        for coef in coefs:
-            sums = _batch_values(*_magnitudes(coef, cols, config.mode, uniforms, splits), cos2)
+        for coef, table in zip(coefs, tables):
+            magnitudes = _magnitudes(coef, cols, config.mode, uniforms, splits, table)
+            sums = _batch_values(*magnitudes, cos2)
             # Read-only views repeat mean mode's one-entry sums over the draws.
             out.append(reduce(_ChannelSums(*(np.broadcast_to(s, cos2.shape[:1]) for s in sums))))
         return out

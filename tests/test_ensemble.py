@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -288,7 +289,7 @@ def test_mean_mode_channel_sums_stay_one_array_wide(reference_spec):
     coef = mean_coefficients(reference_spec)
     tracemalloc.start()
     try:
-        ensemble._batch_values(*ensemble._magnitudes(coef, cols, mode, uniforms, None), cos2)
+        ensemble._batch_values(*ensemble._magnitudes(coef, cols, mode, uniforms, None, None), cos2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -788,6 +789,10 @@ SHARE_IDS = [f"a={a:.4g}" for a, _ in SHARE_SHAPES[:-1]] + ["a=2,b=6"]
 EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
 
 
+def beta_share(a, b, u):
+    return ensemble._beta_share(a, b, u, ensemble._share_table(a, b))
+
+
 def ulps_off(x, reference):
     return np.abs(x - reference) / np.spacing(np.abs(reference))
 
@@ -797,7 +802,7 @@ def test_beta_share_within_32_ulp_of_betaincinv(shape):
     a, b = shape
     assert ensemble._share_table(a, b) is not None
     u = np.random.default_rng(1300).random(100_000)
-    off = ulps_off(ensemble._beta_share(a, b, u), betaincinv(a, b, u))
+    off = ulps_off(beta_share(a, b, u), betaincinv(a, b, u))
     assert off.max() <= 32, (off.max(), u[np.argmax(off)])
 
 
@@ -806,7 +811,7 @@ def test_beta_share_edge_uniforms(shape):
     a, b = shape
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        share = ensemble._beta_share(a, b, EDGE_UNIFORMS)
+        share = beta_share(a, b, EDGE_UNIFORMS)
     assert np.all((share >= 0.0) & (share <= 1.0)), share
     assert share[0] == 0.0 and math.copysign(1.0, share[0]) == 1.0
     assert np.all(share[1:] > 0.0)
@@ -819,19 +824,21 @@ def test_beta_share_single_rows_equal_bulk(shape):
     a, b = shape
     block = np.random.default_rng(1301).random((200, 3))
     block[:5, 1] = EDGE_UNIFORMS
-    bulk = ensemble._beta_share(a, b, block[:, 1])
+    bulk = beta_share(a, b, block[:, 1])
     for k in range(block.shape[0]):
-        single = ensemble._beta_share(a, b, block[k : k + 1, 1])
+        single = beta_share(a, b, block[k : k + 1, 1])
         assert single.shape == (1,)
         assert single[0].hex() == bulk[k].hex(), k
 
 
-@pytest.mark.parametrize("shape", [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5)])
+@pytest.mark.parametrize(
+    "shape", [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5), (0.85, 2.15), (2.4, 9.6)]
+)
 def test_beta_share_outside_domain_is_betaincinv(shape):
     a, b = shape
     assert ensemble._share_table(a, b) is None
     u = np.concatenate((EDGE_UNIFORMS, np.random.default_rng(1302).random(2000)))
-    assert np.array_equal(ensemble._beta_share(a, b, u), betaincinv(a, b, u))
+    assert np.array_equal(beta_share(a, b, u), betaincinv(a, b, u))
 
 
 def test_share_tables_built_once_per_grid_shape(monkeypatch):
@@ -845,6 +852,28 @@ def test_share_tables_built_once_per_grid_shape(monkeypatch):
     assert ensemble._share_table.cache_info().misses == 19
 
 
+def test_share_tables_resolved_once_past_the_cache(monkeypatch):
+    # 70 shapes overflow the 64-entry cache: each table is still built
+    # once, on the calling thread, and no chunk looks one up again
+    monkeypatch.setattr(ensemble, "_worker_count", lambda: 2)
+    builders = []
+    tail_nodes = ensemble._tail_nodes
+
+    def recorded(*args):
+        builders.append(threading.current_thread())
+        return tail_nodes(*args)
+
+    monkeypatch.setattr(ensemble, "_tail_nodes", recorded)
+    specs = [MediumSpec(thickness_ratio=1.5 + k / 4, gain_ratio=0.0, channels=4) for k in range(70)]
+    shapes = {ensemble._share_shape(mean_coefficients(s), 4) for s in specs}
+    assert len(shapes) == 70
+    ensemble._share_table.cache_clear()
+    rows = ensemble._CHUNK_DOUBLES // ensemble._uniform_columns(MODES[1], ensemble._layout(4))
+    ensemble.medium_moments(specs, config(MODES[1], realizations=3 * rows + 1, seed=4))
+    assert ensemble._share_table.cache_info().misses == 70
+    assert builders and set(builders) == {threading.current_thread()}
+
+
 # Beta(a, b) quantiles to 40 digits, computed once with mpmath 1.3.0:
 #
 #     mp.mp.dps = 50
@@ -856,21 +885,33 @@ def test_share_tables_built_once_per_grid_shape(monkeypatch):
 #             r = (1 - mp.mpf(u)) - mp.betainc(a, b, x, 1, regularized=True)
 #         x -= r * mp.beta(a, b) / (x ** (a - 1) * (1 - x) ** (b - 1))
 #     mp.nstr(x, 40, min_fixed=0, max_fixed=0)
+#
+# For (0.4, 7.6) and (1.6, 6.4) they include u = b / (a + b), where the
+# two tails meet, its two float neighbours, and a u halfway into the
+# lower tail's first interval (0.045 and 4e-06).
 FROZEN_BETA_QUANTILES = (
     (0.4, 7.6, 1.1102230246251565e-16, "1.3184093357066752772302288381023536721e-41"),
     (0.4, 7.6, 1e-10, "1.015137088227859562675097901548375787799e-26"),
     (0.4, 7.6, 0.01, "1.015141946346348555782161881787375495586e-6"),
+    (0.4, 7.6, 0.045, "4.361594390648230356185950866870884866523e-5"),
     (0.4, 7.6, 0.3, "5.126084200297974407748705893172810383119e-3"),
     (0.4, 7.6, 0.5, "1.966346401371551329101360125796211064318e-2"),
     (0.4, 7.6, 0.5000000000000001, "1.966346401371552528821331558756976080886e-2"),
+    (0.4, 7.6, 0.9499999999999998, "2.033506923089053247644826195359124966807e-1"),
+    (0.4, 7.6, 0.95, "2.033506923089055164300510527804425701837e-1"),
+    (0.4, 7.6, 0.9500000000000001, "2.033506923089057080956194860253853789782e-1"),
     (0.4, 7.6, 0.99, "3.364362477656437621414152672052001969706e-1"),
     (0.4, 7.6, 0.9999999999999999, "9.896160010563942632472172532490449689125e-1"),
     (1.6, 6.4, 1.1102230246251565e-16, "1.99503001866708522082238147808552078549e-11"),
     (1.6, 6.4, 1e-10, "1.050916318896148029985332605013071342031e-7"),
+    (1.6, 6.4, 4e-06, "7.905454492734556661031688916121559512922e-5"),
     (1.6, 6.4, 0.01, "1.074654185671860588332311510841870692155e-2"),
     (1.6, 6.4, 0.3, "1.110380086386139842969802981865007526144e-1"),
     (1.6, 6.4, 0.5, "1.744678788380058537791240459550719411302e-1"),
     (1.6, 6.4, 0.5000000000000001, "1.744678788380058918336532197010695141098e-1"),
+    (1.6, 6.4, 0.7999999999999999, "3.078035604825020748078506164667783858681e-1"),
+    (1.6, 6.4, 0.8, "3.078035604825021448882195880825946065635e-1"),
+    (1.6, 6.4, 0.8000000000000002, "3.078035604825022149685885596984395677373e-1"),
     (1.6, 6.4, 0.99, "5.854403245665011364112422018432473514605e-1"),
     (1.6, 6.4, 0.9999999999999999, "9.973748641840762744257008924755327657113e-1"),
     (4.0, 4.0, 1.1102230246251565e-16, "4.220331289376522904487795269965444199686e-5"),
@@ -887,5 +928,5 @@ FROZEN_BETA_QUANTILES = (
 @pytest.mark.parametrize("a, b, u, quantile", FROZEN_BETA_QUANTILES)
 def test_beta_share_against_40_digit_quantiles(a, b, u, quantile):
     ulp = Decimal(float(np.spacing(float(quantile))))
-    for share in (ensemble._beta_share(a, b, np.array([u]))[0], betaincinv(a, b, u)):
+    for share in (beta_share(a, b, np.array([u]))[0], betaincinv(a, b, u)):
         assert abs(Decimal(float(share)) - Decimal(quantile)) <= 32 * ulp, (share, quantile)

@@ -930,3 +930,26 @@ def test_beta_share_against_40_digit_quantiles(a, b, u, quantile):
     ulp = Decimal(float(np.spacing(float(quantile))))
     for share in (beta_share(a, b, np.array([u]))[0], betaincinv(a, b, u)):
         assert abs(Decimal(float(share)) - Decimal(quantile)) <= 32 * ulp, (share, quantile)
+
+
+# The smallest uniforms at two grid shapes whose exponent 1/a rounds far
+# from 1/a, against 40-digit quantiles from the same snippet: the share
+# reads p**(1/a) to within an ulp there, and within 4 ulp of the quantile,
+# where p**e with the rounded exponent e alone reads 9 to 15 ulp off.
+TINY_BETA_QUANTILES = (
+    (1.9300592530812632, 6.0699407469187365,
+     1.1102230246251565e-16, "1.151348905602315809675729594725893540692e-9"),
+    (1.9300592530812632, 6.0699407469187365,
+     1e-10, "1.400854273998857374067861992009376788608e-6"),
+    (2.761821043008646, 5.238178956991354,
+     1.1102230246251565e-16, "4.739321975089016840806324093099283587551e-7"),
+    (2.761821043008646, 5.238178956991354,
+     1e-10, "6.78870147416387206661986245882667897474e-5"),
+)
+
+
+@pytest.mark.parametrize("a, b, u, quantile", TINY_BETA_QUANTILES)
+def test_beta_share_of_tiny_uniforms_within_4_ulp(a, b, u, quantile):
+    ulp = Decimal(float(np.spacing(float(quantile))))
+    share = beta_share(a, b, np.array([u]))[0]
+    assert abs(Decimal(float(share)) - Decimal(quantile)) <= 4 * ulp, (share, quantile)

@@ -384,66 +384,6 @@ class _Root(NamedTuple):
         return t + t * (self.residue * np.log(p))
 
 
-def _refined_quantile(a: float, b: float, p: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
-    """Quantiles of Beta(a, b) at 0 < p < 1: one Newton step on ``betainc`` from ``x``.
-
-    Above p = 1/2 the step reads the upper tail, I(b, a, 1 - x) against
-    1 - p (exact there), which is better conditioned near 1.  ``x`` is
-    overwritten.
-    """
-    upper = p > 0.5
-    lower = ~upper
-    rest = 1.0 - x[upper]
-    x[upper] = 1.0 - rest
-    excess = np.empty_like(x)  # F(x) - p
-    excess[lower] = betainc(a, b, x[lower]) - p[lower]
-    excess[upper] = (1.0 - p[upper]) - betainc(b, a, rest)
-    return x - excess * (beta * x ** (1.0 - a) * (1.0 - x) ** (1.0 - b))
-
-
-# A table of this many intervals or fewer takes its nodes' first guesses
-# from betaincinv; a finer one from the table with an eighth of its
-# intervals, within 2e-10 relative and built in half the time that
-# betaincinv takes for every node.
-_SHARE_COARSE = _SHARE_INTERVALS // 8
-
-
-def _tail_nodes(
-    a: float, b: float, p_max: float, intervals: int
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Lower-tail quantiles of Beta(a, b) on a uniform grid in t = p**(1/a), p <= p_max.
-
-    Returns the grid's end t_max, the quantiles x and their first two
-    derivatives in t.  With c = lim x / t = (a B(a, b))**(1/a) the slope
-    is s = c (x / (c t))**(1-a) (1-x)**(1-b), and
-    x'' = s ((a-1) (1/t - s/x) + (b-1) s / (1-x)), 2 (b-1) c**2 / (a+1) at t = 0.
-    """
-    beta = math.exp(betaln(a, b))
-    root = _Root.of(a)
-    t_max = root(p_max)
-    t = t_max * np.arange(intervals + 1) / intervals
-    p = t**a
-    p[-1] = p_max
-    if intervals > _SHARE_COARSE:
-        coarse = _hermite_tail(root, *_tail_nodes(a, b, p_max, intervals // 8))
-        guess = _interpolate(coarse, t[1:])
-    else:
-        guess = betaincinv(a, b, p[1:])
-    x = np.zeros_like(t)
-    x[1:] = _refined_quantile(a, b, p[1:], guess, beta)
-    # Near t = 2**-64, x / t is c to rounding; a power of two keeps p exact.
-    tiny = np.array([2.0 ** -math.ceil(64.0 * a)])
-    c = float(_refined_quantile(a, b, tiny, betaincinv(a, b, tiny), beta)[0] / root(tiny[0]))
-    ratio = np.ones_like(t)
-    ratio[1:] = x[1:] / (c * t[1:])
-    slope = c * ratio ** (1.0 - a) * (1.0 - x) ** (1.0 - b)
-    curve = np.empty_like(t)
-    s, xs, ts = slope[1:], x[1:], t[1:]
-    curve[1:] = s * ((a - 1.0) * (1.0 / ts - s / xs) + (b - 1.0) * s / (1.0 - xs))
-    curve[0] = 2.0 * (b - 1.0) * c * c / (a + 1.0)
-    return t_max, x, slope, curve
-
-
 class _ShareTail(NamedTuple):
     """Quintic Hermite table of one tail's quantile y(t), t = root(p)."""
 
@@ -477,6 +417,63 @@ def _hermite_tail(root: _Root, t_max: float, y, slope, curve) -> _ShareTail:
     return _ShareTail(root, 1.0 / h, np.hstack((coef, last)))
 
 
+def _refined_quantile(a: float, b: float, p: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
+    """Quantiles of Beta(a, b) at 0 < p < 1: one Newton step on ``betainc`` from ``x``.
+
+    Above p = 1/2 the step reads the upper tail, I(b, a, 1 - x) against
+    1 - p (exact there), which is better conditioned near 1.  ``x`` is
+    overwritten.
+    """
+    upper = p > 0.5
+    lower = ~upper
+    rest = 1.0 - x[upper]
+    x[upper] = 1.0 - rest
+    excess = np.empty_like(x)  # F(x) - p
+    excess[lower] = betainc(a, b, x[lower]) - p[lower]
+    excess[upper] = (1.0 - p[upper]) - betainc(b, a, rest)
+    return x - excess * (beta * x ** (1.0 - a) * (1.0 - x) ** (1.0 - b))
+
+
+# A table of this many intervals or fewer takes its nodes' first guesses
+# from betaincinv; a finer one from the table with an eighth of its
+# intervals, within 2e-10 relative and built in half the time that
+# betaincinv takes for every node.
+_SHARE_COARSE = _SHARE_INTERVALS // 8
+
+
+def _share_tail(a: float, b: float, p_max: float, intervals: int) -> _ShareTail:
+    """Table of Beta(a, b)'s lower-tail quantiles on a uniform grid in t = p**(1/a), p <= p_max.
+
+    Its nodes carry the quantiles x and their first two derivatives in t.
+    With c = lim x / t = (a B(a, b))**(1/a) the slope is
+    s = c (x / (c t))**(1-a) (1-x)**(1-b), and
+    x'' = s ((a-1) (1/t - s/x) + (b-1) s / (1-x)), 2 (b-1) c**2 / (a+1) at t = 0.
+    """
+    beta = math.exp(betaln(a, b))
+    root = _Root.of(a)
+    t_max = root(p_max)
+    t = t_max * np.arange(intervals + 1) / intervals
+    p = t**a
+    p[-1] = p_max
+    if intervals > _SHARE_COARSE:
+        guess = _interpolate(_share_tail(a, b, p_max, intervals // 8), t[1:])
+    else:
+        guess = betaincinv(a, b, p[1:])
+    x = np.zeros_like(t)
+    x[1:] = _refined_quantile(a, b, p[1:], guess, beta)
+    # Near t = 2**-64, x / t is c to rounding; a power of two keeps p exact.
+    tiny = np.array([2.0 ** -math.ceil(64.0 * a)])
+    c = float(_refined_quantile(a, b, tiny, betaincinv(a, b, tiny), beta)[0] / root(tiny[0]))
+    ratio = np.ones_like(t)
+    ratio[1:] = x[1:] / (c * t[1:])
+    slope = c * ratio ** (1.0 - a) * (1.0 - x) ** (1.0 - b)
+    curve = np.empty_like(t)
+    s, xs, ts = slope[1:], x[1:], t[1:]
+    curve[1:] = s * ((a - 1.0) * (1.0 / ts - s / xs) + (b - 1.0) * s / (1.0 - xs))
+    curve[0] = 2.0 * (b - 1.0) * c * c / (a + 1.0)
+    return _hermite_tail(root, t_max, x, slope, curve)
+
+
 class _ShareTable(NamedTuple):
     split: float  # b / (a + b): u <= split reads the lower tail
     lower: _ShareTail  # x(t), t = u**(1/a)
@@ -489,8 +486,8 @@ def _share_table(a: float, b: float) -> _ShareTable | None:
     if not (a >= _SHARE_MIN_A and b >= _SHARE_MIN_B and a + b <= _SHARE_MAX_SUM):
         return None
     split = b / (a + b)
-    lower = _hermite_tail(_Root.of(a), *_tail_nodes(a, b, split, _SHARE_INTERVALS))
-    upper = _hermite_tail(_Root.of(b), *_tail_nodes(b, a, 1.0 - split, _SHARE_INTERVALS))
+    lower = _share_tail(a, b, split, _SHARE_INTERVALS)
+    upper = _share_tail(b, a, 1.0 - split, _SHARE_INTERVALS)
     return _ShareTable(split, lower, upper)
 
 
@@ -547,7 +544,9 @@ def _beta_share(a: float, b: float, u: np.ndarray, table: _ShareTable | None) ->
     return share
 
 
-def _medium_table(coef: EnsembleCoefficients, cols: _Columns, mode: SamplerMode) -> _ShareTable | None:
+def _medium_table(
+    coef: EnsembleCoefficients, cols: _Columns, mode: SamplerMode
+) -> _ShareTable | None:
     """The share table of one medium's Beta shape; None in mean mode."""
     if mode is SamplerMode.MEAN_MAGNITUDES:
         return None

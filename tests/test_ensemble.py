@@ -857,13 +857,13 @@ def test_share_tables_resolved_once_past_the_cache(monkeypatch):
     # once, on the calling thread, and no chunk looks one up again
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 2)
     builders = []
-    tail_nodes = ensemble._tail_nodes
+    share_tail = ensemble._share_tail
 
     def recorded(*args):
         builders.append(threading.current_thread())
-        return tail_nodes(*args)
+        return share_tail(*args)
 
-    monkeypatch.setattr(ensemble, "_tail_nodes", recorded)
+    monkeypatch.setattr(ensemble, "_share_tail", recorded)
     specs = [MediumSpec(thickness_ratio=1.5 + k / 4, gain_ratio=0.0, channels=4) for k in range(70)]
     shapes = {ensemble._share_shape(mean_coefficients(s), 4) for s in specs}
     assert len(shapes) == 70

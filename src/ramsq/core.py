@@ -110,7 +110,8 @@ class InputState:
     vacuum level of 1.  Any r >= 0 is accepted, since sub-shot-noise
     results need only e^(-2r), but whatever grows as e^(2r) raises
     ``ParameterError`` once r exceeds ``MAX_SQUEEZE_R`` (about 354.9).
-    ``amplitude`` is the coherent displacement; it moves quadrature means
+    ``amplitude`` is the coherent displacement, any complex number (real
+    and numpy numbers included, bools not); it moves quadrature means
     but never variances, and is retained so mean checks can exercise
     that fact.
     """
@@ -122,6 +123,8 @@ class InputState:
         _real("squeeze_r", self.squeeze_r)
         if not self.squeeze_r >= 0.0:
             raise ParameterError(f"squeeze_r must be >= 0 (got {self.squeeze_r})")
+        if isinstance(self.amplitude, bool) or not isinstance(self.amplitude, numbers.Complex):
+            raise ParameterError(f"amplitude must be a complex number (got {self.amplitude!r})")
 
     @property
     def x_variance(self) -> float:

@@ -31,7 +31,7 @@ rows at a time, with the 64x64 -> 128-bit products emulated in 32-bit
 halves.  Each chunk is one task on a thread pool of at most one worker
 per usable CPU (``_worker_count``): it draws its own uniforms, channel
 splits, Beta shares and sums, so memory stays at a few chunks whatever
-the draw count.  Each medium's share table is looked up once, on the
+the draw count.  Each medium's share function is looked up once, on the
 calling thread before the pool starts, and handed to every chunk, so
 the chunks never touch the table cache.  A single draw keeps numpy's own
 ``Philox`` on the calling thread: on one row the few hundred small array
@@ -84,8 +84,8 @@ The normalized channel splits depend on the uniforms only, so each
 chunk computes them once and each medium forms only V, the Beta share
 and the two scalings.  The Beta share is the Beta(a, b) quantile of its
 uniform u, which ``betaincinv`` computes by an iterative search that
-cost nearly all of a bulk exponential run.  ``_beta_share`` instead
-reads, per shape, 1024 quintic Hermite intervals for each tail: below
+cost nearly all of a bulk exponential run.  ``_share_table`` instead
+gives, per shape, 1024 quintic Hermite intervals for each tail: below
 u = b/(a+b) the quantile in t = u**(1/a), above it 1 - I^-1(b, a, 1 - u)
 in t = (1 - u)**(1/b), coordinates in which the quantile is smooth up
 to both ends.  The tails meet where the two are about equally well
@@ -95,9 +95,9 @@ each node refined once by a Newton step when the table is built.  The
 shares stay within 32 ulp of ``betaincinv`` on the standard grid's
 shapes; shapes outside the measured domain keep ``betaincinv``.  Each
 share depends only on its own uniform and the shape, so a single draw,
-which runs the same operations on Python floats, still equals its bulk
-entry bit for bit.  Which uniform feeds which quantity is fixed in one
-place, ``_layout``.
+which runs the same operations on one numpy scalar, still equals its
+bulk entry bit for bit.  Which uniform feeds which quantity is fixed
+in one place, ``_layout``.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln
@@ -385,7 +385,11 @@ class _Root(NamedTuple):
 
 
 class _ShareTail(NamedTuple):
-    """Quintic Hermite table of one tail's quantile y(t), t = root(p)."""
+    """Quintic Hermite table of one tail's quantile y(t), t = root(p).
+
+    Called on an array of p or on one numpy scalar, it runs the same
+    operations on each value, so the two agree bit for bit.
+    """
 
     root: _Root
     scale: float  # intervals per unit of t
@@ -393,6 +397,9 @@ class _ShareTail(NamedTuple):
     # column continues the table linearly past t_max, where rounding can
     # put t for the split, so that no index needs clamping.
     coef: np.ndarray
+
+    def __call__(self, p):
+        return _interpolate(self, self.root(p))
 
 
 def _hermite_tail(root: _Root, t_max: float, y, slope, curve) -> _ShareTail:
@@ -479,12 +486,34 @@ class _ShareTable(NamedTuple):
     lower: _ShareTail  # x(t), t = u**(1/a)
     upper: _ShareTail  # 1 - x = I^-1(b, a, 1 - u) in t = (1 - u)**(1/b)
 
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Beta(a, b) quantiles of ``u``: ``betaincinv(a, b, u)`` to rounding.
+
+        Each share depends on its own uniform and the shape only, so a
+        batch of one equals its entry in any batch bit for bit.
+        """
+        if u.shape == (1,):
+            # On one value the masks and gathers below cost several times more.
+            v = u[0]
+            if v > self.split:
+                return np.array([1.0 - self.upper(1.0 - v)])
+            return np.array([self.lower(v) if v > 0.0 else 0.0])
+        # The masks and gathers cost twice as much on a strided column.
+        u = np.ascontiguousarray(u)
+        # u = 0 keeps its exact 0, and the root never takes ln 0.
+        share = np.zeros(u.shape)
+        upper = u > self.split
+        lower = (u > 0.0) ^ upper
+        share[lower] = self.lower(u[lower])
+        share[upper] = 1.0 - self.upper(1.0 - u[upper])
+        return share
+
 
 @functools.lru_cache(maxsize=64)
-def _share_table(a: float, b: float) -> _ShareTable | None:
-    """The Hermite tables of Beta(a, b)'s share, or None outside the tables' domain."""
+def _share_table(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Beta(a, b)'s share function: its tables, or betaincinv outside their domain."""
     if not (a >= _SHARE_MIN_A and b >= _SHARE_MIN_B and a + b <= _SHARE_MAX_SUM):
-        return None
+        return functools.partial(betaincinv, a, b)
     split = b / (a + b)
     lower = _share_tail(a, b, split, _SHARE_INTERVALS)
     upper = _share_tail(b, a, 1.0 - split, _SHARE_INTERVALS)
@@ -507,47 +536,10 @@ def _interpolate(tail: _ShareTail, t: np.ndarray) -> np.ndarray:
     return _quintic(tail.coef.take(j, axis=1), pos - j)
 
 
-def _tail_quantile(tail: _ShareTail, p: np.ndarray) -> np.ndarray:
-    return _interpolate(tail, tail.root(p))
-
-
-def _scalar_tail_quantile(tail: _ShareTail, p) -> float:
-    # The same operations as _tail_quantile on Python floats: on one value
-    # the array calls cost several times more.
-    pos = float(tail.root(p)) * tail.scale
-    j = int(pos)
-    return _quintic(tail.coef[:, j].tolist(), pos - j)
-
-
-def _beta_share(a: float, b: float, u: np.ndarray, table: _ShareTable | None) -> np.ndarray:
-    """Beta(a, b) quantiles of ``u``: ``betaincinv(a, b, u)`` to rounding.
-
-    ``table`` is ``_share_table(a, b)``.  Each share depends on its own
-    uniform and the shape only, so a batch of one equals its entry in any
-    batch bit for bit.
-    """
-    if table is None:
-        return betaincinv(a, b, u)
-    if u.shape == (1,):
-        v = u[0]
-        if v > table.split:
-            return np.array([1.0 - _scalar_tail_quantile(table.upper, 1.0 - v)])
-        return np.array([_scalar_tail_quantile(table.lower, v) if v > 0.0 else 0.0])
-    # The masks and gathers cost twice as much on a strided column.
-    u = np.ascontiguousarray(u)
-    # u = 0 keeps its exact 0, and the root never takes ln 0.
-    share = np.zeros(u.shape)
-    upper = u > table.split
-    lower = (u > 0.0) ^ upper
-    share[lower] = _tail_quantile(table.lower, u[lower])
-    share[upper] = 1.0 - _tail_quantile(table.upper, 1.0 - u[upper])
-    return share
-
-
-def _medium_table(
+def _medium_share(
     coef: EnsembleCoefficients, cols: _Columns, mode: SamplerMode
-) -> _ShareTable | None:
-    """The share table of one medium's Beta shape; None in mean mode."""
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The share function of one medium's Beta shape; None in mean mode."""
     if mode is SamplerMode.MEAN_MAGNITUDES:
         return None
     return _share_table(*_share_shape(coef, cols.channels))
@@ -559,12 +551,12 @@ def _magnitudes(
     mode: SamplerMode,
     uniforms: np.ndarray,
     splits: tuple[np.ndarray, np.ndarray] | None,
-    table: _ShareTable | None,
+    share: Callable[[np.ndarray], np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude arrays (T, R, V) for a (draws, columns) uniform block.
 
-    ``splits`` are the block's ``_channel_splits`` and ``table`` is the
-    medium's ``_medium_table``.  Mean mode returns one row of constants,
+    ``splits`` are the block's ``_channel_splits`` and ``share`` is the
+    medium's ``_medium_share``.  Mean mode returns one row of constants,
     (1, channels) and (1,), whatever the draws.
     """
     n = cols.channels
@@ -579,7 +571,7 @@ def _magnitudes(
         spont = np.zeros(draws)
     total = 1.0 + spont
 
-    trans_share = _beta_share(*_share_shape(coef, n), uniforms[:, cols.share], table)
+    trans_share = share(uniforms[:, cols.share])
 
     trans_split, refl_split = splits
     trans = (total * trans_share)[:, None] * trans_split
@@ -634,8 +626,8 @@ def sample_realization(
     cols = _layout(spec.channels)
     block = _uniforms_for(config, cols, draw_index)[None, :]
     splits = _channel_splits(config.mode, cols, block)
-    table = _medium_table(coef, cols, config.mode)
-    trans, refl, spont = _magnitudes(coef, cols, config.mode, block, splits, table)
+    share = _medium_share(coef, cols, config.mode)
+    trans, refl, spont = _magnitudes(coef, cols, config.mode, block, splits, share)
     trans_ph, refl_ph, spont_ph = _phases(cols, block)
     return DisorderRealization(
         trans_mags=trans[0],
@@ -719,10 +711,10 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
         )
     rows = _CHUNK_DOUBLES // columns
     coefs = [mean_coefficients(spec) for spec in specs]
-    # Each medium's table is resolved here, once: the chunks never touch
+    # Each medium's share is resolved here, once: the chunks never touch
     # the cache, so pool threads neither race to fill it nor rebuild
     # evicted tables.
-    tables = [_medium_table(coef, cols, config.mode) for coef in coefs]
+    shares = [_medium_share(coef, cols, config.mode) for coef in coefs]
     seed, count = operator.index(config.seed), config.realizations
 
     def chunk(start: int) -> list:
@@ -730,8 +722,8 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
         cos2 = np.cos(2.0 * _phases(cols, uniforms)[0])
         splits = _channel_splits(config.mode, cols, uniforms)
         out = []
-        for coef, table in zip(coefs, tables):
-            magnitudes = _magnitudes(coef, cols, config.mode, uniforms, splits, table)
+        for coef, share in zip(coefs, shares):
+            magnitudes = _magnitudes(coef, cols, config.mode, uniforms, splits, share)
             sums = _batch_values(*magnitudes, cos2)
             # Read-only views repeat mean mode's one-entry sums over the draws.
             out.append(reduce(_ChannelSums(*(np.broadcast_to(s, cos2.shape[:1]) for s in sums))))

@@ -162,8 +162,8 @@ def test_criterion_5():
     assert mean_check.detail["shaped_max_std_error"] == 0.0
     assert mean_check.detail["worst_exact_error"] <= 1e-12
     # The seed-42 margins are pinned: mean mode draws no Beta share, so
-    # its margin is exact; the exponential shares (a table guess plus one
-    # Newton step) may move it by rounding only.
+    # its margin is exact; the exponential shares (a quintic table lookup)
+    # may move it by rounding only.
     assert mean_check.detail["worst_sigma_margin"] == 1.9411576274924047
     exponential_margin = by_name["mc-oracle-exponential"].detail["worst_sigma_margin"]
     assert abs(exponential_margin - 1.619867979918262) <= 1e-12

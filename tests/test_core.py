@@ -81,6 +81,9 @@ def _draw(draw_index=0, **fields):
     (lambda: _medium(gain_ratio=False, channels=0), GainAboveThreshold),
     (lambda: InputState(squeeze_r=True), ParameterError),
     (lambda: InputState(squeeze_r="1"), ParameterError),
+    (lambda: InputState(squeeze_r=1.0, amplitude=None), ParameterError),
+    (lambda: InputState(squeeze_r=1.0, amplitude="x"), ParameterError),
+    (lambda: InputState(squeeze_r=1.0, amplitude=True), ParameterError),
     (lambda: PhysicalUnits(**{**_UNITS, "mfp": "1"}), ParameterError),
     (lambda: PhysicalUnits(**{**_UNITS, "thickness": True}), ParameterError),
     (lambda: _draw(seed=True), ParameterError),
@@ -88,13 +91,14 @@ def _draw(draw_index=0, **fields):
     (lambda: _draw(draw_index=True), ParameterError),
 ], ids=[
     "channels-bool", "thickness-str", "thickness-bool", "gain-none", "gain-complex",
-    "gain-bool", "squeeze-bool", "squeeze-str", "units-str", "units-bool", "seed-bool",
+    "gain-bool", "squeeze-bool", "squeeze-str", "amplitude-none", "amplitude-str",
+    "amplitude-bool", "units-str", "units-bool", "seed-bool",
     "realizations-bool", "draw-index-bool",
 ])
 def test_value_types_refuse_bools_and_non_reals(build, error):
-    # a bool is not a count or a ratio, and a non-number must not escape
-    # the bound checks as a bare TypeError: each field raises its own
-    # bound's class, in the bound order
+    # a bool is not a count, a ratio or an amplitude, and a non-number
+    # must not escape the bound checks as a bare TypeError: each field
+    # raises its own bound's class, in the bound order
     with pytest.raises(ParameterError) as raised:
         build()
     assert type(raised.value) is error
@@ -106,6 +110,8 @@ def test_numpy_numbers_stored_unchanged():
     assert (spec.thickness_ratio, spec.gain_ratio) == (ratio, gain)
     assert type(spec.thickness_ratio) is np.float32 and type(spec.gain_ratio) is np.int64
     assert type(InputState(squeeze_r=r).squeeze_r) is np.float64
+    for amplitude in (np.complex64(1 - 2j), np.float32(1.5), np.int64(2), 3, 0.5):
+        assert InputState(squeeze_r=r, amplitude=amplitude).amplitude is amplitude
     assert type(PhysicalUnits(**{**_UNITS, "mfp": np.float32(1.0)}).mfp) is np.float32
 
 

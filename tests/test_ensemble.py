@@ -1,5 +1,6 @@
 """Monte Carlo sampler: determinism, constraint, collapse and convergence."""
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -789,8 +790,12 @@ SHARE_IDS = [f"a={a:.4g}" for a, _ in SHARE_SHAPES[:-1]] + ["a=2,b=6"]
 EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
 
 
+# Shapes outside the tables' domain: a < 0.3, b < 2.5 or a + b > 10.5.
+OUTSIDE_SHAPES = [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5), (0.85, 2.15), (2.4, 9.6)]
+
+
 def beta_share(a, b, u):
-    return ensemble._beta_share(a, b, u, ensemble._share_table(a, b))
+    return ensemble._share_table(a, b)(u)
 
 
 def ulps_off(x, reference):
@@ -800,7 +805,7 @@ def ulps_off(x, reference):
 @pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
 def test_beta_share_within_32_ulp_of_betaincinv(shape):
     a, b = shape
-    assert ensemble._share_table(a, b) is not None
+    assert isinstance(ensemble._share_table(a, b), ensemble._ShareTable)
     u = np.random.default_rng(1300).random(100_000)
     off = ulps_off(beta_share(a, b, u), betaincinv(a, b, u))
     assert off.max() <= 32, (off.max(), u[np.argmax(off)])
@@ -818,9 +823,14 @@ def test_beta_share_edge_uniforms(shape):
     assert np.all(ulps_off(share[1:], betaincinv(a, b, EDGE_UNIFORMS[1:])) <= 32)
 
 
-@pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
+@pytest.mark.parametrize(
+    "shape",
+    SHARE_SHAPES + OUTSIDE_SHAPES,
+    ids=SHARE_IDS + [f"outside-a={a:.4g},b={b:.4g}" for a, b in OUTSIDE_SHAPES],
+)
 def test_beta_share_single_rows_equal_bulk(shape):
-    # strided columns of a uniform block, as _magnitudes reads them
+    # strided columns of a uniform block, as _magnitudes reads them, on
+    # both the tables and betaincinv
     a, b = shape
     block = np.random.default_rng(1301).random((200, 3))
     block[:5, 1] = EDGE_UNIFORMS
@@ -831,12 +841,11 @@ def test_beta_share_single_rows_equal_bulk(shape):
         assert single[0].hex() == bulk[k].hex(), k
 
 
-@pytest.mark.parametrize(
-    "shape", [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5), (0.85, 2.15), (2.4, 9.6)]
-)
+@pytest.mark.parametrize("shape", OUTSIDE_SHAPES)
 def test_beta_share_outside_domain_is_betaincinv(shape):
     a, b = shape
-    assert ensemble._share_table(a, b) is None
+    share = ensemble._share_table(a, b)
+    assert isinstance(share, functools.partial) and share.func is betaincinv
     u = np.concatenate((EDGE_UNIFORMS, np.random.default_rng(1302).random(2000)))
     assert np.array_equal(beta_share(a, b, u), betaincinv(a, b, u))
 

@@ -31,9 +31,7 @@ from .core import (
     InputState,
     MediumSpec,
     ParameterError,
-    PhysicalUnits,
     ThinMedium,
-    units_to_spec,
 )
 from .ensemble import (
     DisorderRealization,
@@ -70,7 +68,6 @@ __all__ = [
     "McEstimate",
     "MediumSpec",
     "ParameterError",
-    "PhysicalUnits",
     "RegionScan",
     "SamplerConfig",
     "SamplerMode",
@@ -89,7 +86,6 @@ __all__ = [
     "sample_realization",
     "snl_condition",
     "threshold_closed_form",
-    "units_to_spec",
     "variance_p_nowfs",
     "variance_p_single",
     "variance_p_wfs",

@@ -47,7 +47,7 @@ def mean_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
     if spec.gain_ratio == 0.0:
         return linear_coefficients(spec)
     gain = spec.gain_ratio
-    mfp_gain = spec.mfp_over_amp_length
+    mfp_gain = gain / spec.thickness_ratio
     denom = math.sin(gain)
     t_bar = math.sin(mfp_gain) / denom
     r_bar = math.sin(gain - mfp_gain) / denom

@@ -4,9 +4,8 @@ A disordered amplifying slab is described by two dimensionless ratios:
 the optical thickness L/l (slab thickness over transport mean free path)
 and the gain strength L/La (thickness over amplification length).  All
 physics downstream depends only on these two numbers plus the channel
-count, so laboratory units enter exclusively through ``units_to_spec``.
-The bounds are checked where a value is built: a ``MediumSpec`` that
-exists is in bounds, so no code downstream checks it again.
+count.  The bounds are checked where a value is built: a ``MediumSpec``
+that exists is in bounds, so no code downstream checks it again.
 """
 
 from __future__ import annotations
@@ -95,11 +94,6 @@ class MediumSpec:
         if _integer("channels", self.channels, BadChannels) < 1:
             raise BadChannels(f"channels must be >= 1 (got {self.channels})")
 
-    @property
-    def mfp_over_amp_length(self) -> float:
-        """l/La, the mean free path in units of the amplification length."""
-        return self.gain_ratio / self.thickness_ratio
-
 
 @dataclass(frozen=True)
 class InputState:
@@ -163,64 +157,3 @@ class EnsembleCoefficients:
     def flux_residual(self) -> float:
         """t_bar + r_bar - v_bar - 1; zero for any physical slab."""
         return self.t_bar + self.r_bar - self.v_bar - 1.0
-
-    def t_per_channel(self, channels: int) -> float:
-        """Mean transmitted weight of a single channel."""
-        return self.t_bar / channels
-
-    def r_per_channel(self, channels: int) -> float:
-        """Mean reflected weight of a single channel."""
-        return self.r_bar / channels
-
-
-@dataclass(frozen=True)
-class PhysicalUnits:
-    """Laboratory description of a slab, everything in one unit system.
-
-    Fields: diffusion constant D, amplification time tau_a, transport
-    mean free path l, slab thickness L and light speed c.  Only the
-    combination La = sqrt(D * tau_a) and the two ratios matter.
-    """
-
-    diffusion_const: float
-    amp_time: float
-    mfp: float
-    thickness: float
-    light_speed: float
-
-    def __post_init__(self) -> None:
-        for name in ("diffusion_const", "amp_time", "mfp", "thickness", "light_speed"):
-            _real(name, getattr(self, name))
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be > 0 (got {getattr(self, name)})")
-
-    @classmethod
-    def from_transport(
-        cls, *, light_speed: float, mfp: float, amp_time: float, thickness: float
-    ) -> "PhysicalUnits":
-        """Build with the diffusive-medium estimate D = c * l / 3."""
-        return cls(
-            diffusion_const=light_speed * mfp / 3.0,
-            amp_time=amp_time,
-            mfp=mfp,
-            thickness=thickness,
-            light_speed=light_speed,
-        )
-
-    @property
-    def amplification_length(self) -> float:
-        """La = sqrt(D * tau_a)."""
-        return math.sqrt(self.diffusion_const * self.amp_time)
-
-
-def units_to_spec(units: PhysicalUnits) -> tuple[float, float]:
-    """Reduce laboratory units to the dimensionless pair (L/l, L/La).
-
-    Pure arithmetic; the result may still violate the medium bounds
-    (e.g. a pumped slab past threshold), which building a ``MediumSpec``
-    from the pair reports.
-    """
-    return (
-        units.thickness / units.mfp,
-        units.thickness / units.amplification_length,
-    )

@@ -561,8 +561,8 @@ def _magnitudes(
     """
     n = cols.channels
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        refl = np.full((1, n), coef.r_per_channel(n))
-        return np.full((1, n), coef.t_per_channel(n)), refl, np.full(1, coef.v_bar)
+        refl = np.full((1, n), coef.r_bar / n)
+        return np.full((1, n), coef.t_bar / n), refl, np.full(1, coef.v_bar)
 
     draws = uniforms.shape[0]
     if coef.v_bar > 0.0:

@@ -5,7 +5,8 @@ Every dataset is reproducible from its manifest: the manifest core
 canonically, the CSV carries that hash as its first line, and rerunning
 the recorded command line yields byte-identical CSV.  Floats are
 rendered with ``repr``, the shortest string that round-trips to the
-same double.
+same double.  Both the hashed payload and the manifest file are strict
+JSON (RFC 8259), so a non-finite parameter is a ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__
+from .core import ParameterError
 
 
 def format_value(value) -> str:
@@ -53,7 +56,16 @@ class RunManifest:
         }
 
     def checksum(self) -> str:
-        canonical = json.dumps(self.core_payload(), sort_keys=True, separators=(",", ":"))
+        try:
+            canonical = json.dumps(
+                self.core_payload(), sort_keys=True, separators=(",", ":"), allow_nan=False
+            )
+        except ValueError:
+            bad = ", ".join(
+                f"{key}={value!r}" for key, value in sorted(self.parameters.items())
+                if isinstance(value, float) and not math.isfinite(value)
+            )
+            raise ParameterError(f"a manifest records finite parameters only (got {bad})") from None
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def command_line(self) -> str:
@@ -79,4 +91,4 @@ def manifest_json(manifest: RunManifest, csv_bytes: bytes) -> bytes:
     payload["manifest_sha256"] = manifest.checksum()
     payload["csv_sha256"] = hashlib.sha256(csv_bytes).hexdigest()
     payload["command_line"] = manifest.command_line()
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()

@@ -95,15 +95,21 @@ def test_seed_out_of_range_exits_2(capfd, seed):
 @pytest.mark.parametrize("argv", [
     ["fig4", "--panel", "a", "--x-steps", "0"],
     ["fig4", "--panel", "a", "--x-max", "400"],
-    ["fig4", "--panel", "a", "--out", "{missing}/x.csv"],
-], ids=["zero-steps", "overflowing-squeeze", "unwritable-out"])
+    ["fig4", "--panel", "a", "--out", "{tmp}/missing/x.csv"],
+    ["coeffs", "--L-over-l", "inf", "--L-over-La", "1", "--out", "{tmp}/x.csv"],
+    ["snl-region", "--squeeze-r", "inf", "--out", "{tmp}/x.csv"],
+], ids=["zero-steps", "overflowing-squeeze", "unwritable-out", "infinite-thickness",
+        "infinite-squeeze"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capfd, argv):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    # no case writes a file: a manifest is strict JSON, so a non-finite
+    # parameter is refused before any byte of CSV or manifest goes out
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run(capfd, argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(("parameter error: ", "error: "))
+    assert not any(tmp_path.iterdir())
 
 
 THIN = ("parameter error: thickness_ratio must exceed 1 (got {}); "

@@ -1,12 +1,14 @@
 """Fuzz over CLI argv: every accepted command line ends in a documented exit.
 
 ``main`` must return 0, 1 or 2 and never raise, and a nonzero exit must
-write exactly one line to stderr and emit no warning.  Sizes stay small
-(grids of at most 40 steps, at most 300 draws and 6 channels) so each
-example runs quickly.
+write exactly one line to stderr and emit no warning.  An exit-0 run
+with ``--out`` writes a manifest that a strict JSON parser reads.  Sizes
+stay small (grids of at most 40 steps, at most 300 draws and 6
+channels) so each example runs quickly.
 """
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -82,6 +84,10 @@ def command_lines(draw):
     return argv, draw(OUTS)
 
 
+def strict_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_captured(argv):
     # Warnings are recorded here rather than printed; outside a test run
     # each one would add lines to stderr.
@@ -104,7 +110,12 @@ def test_cli_exit_contract(tmp_path, case):
     argv, out = case
     if out is not None:
         argv = argv + [f"--out={tmp_path / ('missing/x' if out == 'missing' else 'x')}"]
+    # tmp_path is shared by all examples: drop the last example's manifest
+    manifest = tmp_path / "x.manifest.json"
+    manifest.unlink(missing_ok=True)
     code, err, caught = run_captured(argv)
     assert code in (0, 1, 2), (argv, code, err)
     if code != 0:
         assert err.count("\n") == 1 and not caught, (argv, code, err, caught)
+    elif out == "ok" and argv[0] != "validate":
+        json.loads(manifest.read_text(), parse_constant=strict_constant)

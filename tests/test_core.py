@@ -1,4 +1,4 @@
-"""Value types, parameter bounds and unit reduction."""
+"""Value types and parameter bounds."""
 import math
 
 import numpy as np
@@ -14,9 +14,7 @@ from ramsq.core import (
     MAX_SQUEEZE_R,
     MediumSpec,
     ParameterError,
-    PhysicalUnits,
     ThinMedium,
-    units_to_spec,
 )
 from ramsq.ensemble import SamplerConfig, sample_realization
 
@@ -60,9 +58,6 @@ def test_bounds_checked_in_order():
         MediumSpec(thickness_ratio=2.0, gain_ratio=4.0, channels=0)
 
 
-_UNITS = dict(diffusion_const=1.0, amp_time=4.0, mfp=1.0, thickness=6.0, light_speed=3.0)
-
-
 def _medium(**fields):
     return MediumSpec(**{"thickness_ratio": 2.0, "gain_ratio": 1.0, **fields})
 
@@ -84,16 +79,13 @@ def _draw(draw_index=0, **fields):
     (lambda: InputState(squeeze_r=1.0, amplitude=None), ParameterError),
     (lambda: InputState(squeeze_r=1.0, amplitude="x"), ParameterError),
     (lambda: InputState(squeeze_r=1.0, amplitude=True), ParameterError),
-    (lambda: PhysicalUnits(**{**_UNITS, "mfp": "1"}), ParameterError),
-    (lambda: PhysicalUnits(**{**_UNITS, "thickness": True}), ParameterError),
     (lambda: _draw(seed=True), ParameterError),
     (lambda: _draw(realizations=True), ParameterError),
     (lambda: _draw(draw_index=True), ParameterError),
 ], ids=[
     "channels-bool", "thickness-str", "thickness-bool", "gain-none", "gain-complex",
     "gain-bool", "squeeze-bool", "squeeze-str", "amplitude-none", "amplitude-str",
-    "amplitude-bool", "units-str", "units-bool", "seed-bool",
-    "realizations-bool", "draw-index-bool",
+    "amplitude-bool", "seed-bool", "realizations-bool", "draw-index-bool",
 ])
 def test_value_types_refuse_bools_and_non_reals(build, error):
     # a bool is not a count, a ratio or an amplitude, and a non-number
@@ -112,7 +104,6 @@ def test_numpy_numbers_stored_unchanged():
     assert type(InputState(squeeze_r=r).squeeze_r) is np.float64
     for amplitude in (np.complex64(1 - 2j), np.float32(1.5), np.int64(2), 3, 0.5):
         assert InputState(squeeze_r=r, amplitude=amplitude).amplitude is amplitude
-    assert type(PhysicalUnits(**{**_UNITS, "mfp": np.float32(1.0)}).mfp) is np.float32
 
 
 def test_numpy_integer_channel_count_accepted():
@@ -125,10 +116,6 @@ def test_all_bound_errors_are_parameter_errors():
     for exc in (GainAboveThreshold, ThinMedium, BadChannels):
         assert issubclass(exc, ParameterError)
     assert issubclass(ParameterError, ValueError)
-
-
-def test_mfp_over_amp_length():
-    assert MediumSpec(thickness_ratio=10.0, gain_ratio=2.5).mfp_over_amp_length == 0.25
 
 
 def test_laser_threshold_is_pi():
@@ -182,42 +169,5 @@ def test_amplitude_defaults_to_zero():
 
 def test_coefficient_accessors():
     coef = EnsembleCoefficients(t_bar=0.4, r_bar=1.3, v_bar=0.7)
-    assert coef.t_per_channel(4) == 0.1
-    assert coef.r_per_channel(4) == 0.325
     assert abs(coef.flux_residual()) <= 1e-15
 
-
-@pytest.mark.parametrize(
-    "field", ["diffusion_const", "amp_time", "mfp", "thickness", "light_speed"]
-)
-def test_units_positivity(field):
-    good = dict(diffusion_const=1.0, amp_time=4.0, mfp=1.0, thickness=6.0, light_speed=3.0)
-    good[field] = 0.0
-    with pytest.raises(ParameterError):
-        PhysicalUnits(**good)
-
-
-def test_units_to_spec_plain():
-    units = PhysicalUnits(
-        diffusion_const=1.0, amp_time=4.0, mfp=1.0, thickness=6.0, light_speed=3.0
-    )
-    assert units.amplification_length == 2.0
-    assert units_to_spec(units) == (6.0, 3.0)
-
-
-def test_units_from_transport():
-    # D = c l / 3 with c = 3, l = 1 gives D = 1 and La = 1
-    units = PhysicalUnits.from_transport(light_speed=3.0, mfp=1.0, amp_time=1.0, thickness=2.0)
-    assert units.diffusion_const == 1.0
-    assert units_to_spec(units) == (2.0, 2.0)
-
-
-def test_units_to_spec_can_exceed_threshold():
-    # reduction is pure arithmetic; the bound fires downstream
-    units = PhysicalUnits(
-        diffusion_const=0.25, amp_time=4.0, mfp=0.5, thickness=5.0, light_speed=1.0
-    )
-    pair = units_to_spec(units)
-    assert pair == (10.0, 5.0)
-    with pytest.raises(GainAboveThreshold):
-        MediumSpec(thickness_ratio=pair[0], gain_ratio=pair[1])

@@ -337,8 +337,8 @@ def test_mc_average_repeatable(reference_spec, reference_state):
 def test_mean_mode_magnitudes_are_ensemble_means(reference_spec):
     coef = mean_coefficients(reference_spec)
     real = sample_realization(reference_spec, config(MODES[0]), 3)
-    assert np.all(real.trans_mags == coef.t_per_channel(4))
-    assert np.all(real.refl_mags == coef.r_per_channel(4))
+    assert np.all(real.trans_mags == coef.t_bar / 4)
+    assert np.all(real.refl_mags == coef.r_bar / 4)
     assert real.spont_mag == coef.v_bar
 
 
@@ -740,11 +740,18 @@ def test_validation_reduces_like_mc_average(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("case", ["pass", "warning", "fail"])
-def test_mc_check_matches_scalar_reference(monkeypatch, mode, case):
+@pytest.mark.parametrize("case, channels", [
+    pytest.param("pass", 4, id="pass"),
+    *(pytest.param("pass", n, id=f"pass-{n}-channels") for n in (1, 2, 6, 8)),
+    pytest.param("warning", 4, id="warning"),
+    pytest.param("fail", 4, id="fail"),
+])
+def test_mc_check_matches_scalar_reference(monkeypatch, mode, case, channels):
     # the whole-grid check reports what the point-by-point loop reports,
-    # byte for byte: a passing run, a low-draw warning, and a failing run
-    # with more failures than the report lists (its cap and order)
+    # byte for byte: a passing run (at every channel count, since N sets
+    # both the Beta shape and the Dirichlet splits), a low-draw warning,
+    # and a failing run with more failures than the report lists (its cap
+    # and order)
     monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 10.0))
     monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 2.5))
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0, 1.0))
@@ -760,9 +767,9 @@ def test_mc_check_matches_scalar_reference(monkeypatch, mode, case):
 
         monkeypatch.setattr(validation, "full_report", moved)
     check = validation.run_validation(
-        channels=4, seed=seed, realizations=draws, sampler=mode.value
+        channels=channels, seed=seed, realizations=draws, sampler=mode.value
     ).checks[-1]
-    status, detail, failures = scalar_mc_check(mode, 4, seed, draws)
+    status, detail, failures = scalar_mc_check(mode, channels, seed, draws)
     assert (check.status, status) == (case, case)
     assert json.dumps(check.detail, sort_keys=True) == json.dumps(detail, sort_keys=True)
     if case == "warning":
@@ -962,3 +969,11 @@ def test_beta_share_of_tiny_uniforms_within_4_ulp(a, b, u, quantile):
     ulp = Decimal(float(np.spacing(float(quantile))))
     share = beta_share(a, b, np.array([u]))[0]
     assert abs(Decimal(float(share)) - Decimal(quantile)) <= 4 * ulp, (share, quantile)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 6, 8])
+def test_gate_passes_at_other_channel_counts(channels):
+    # test_criterion_5 gates 4 channels; N also sets the Beta shape (on
+    # the share table or on betaincinv) and the Dirichlet splits
+    report = validation.run_validation(channels=channels, seed=42, realizations=10_000)
+    assert report.status == "pass", [c.name for c in report.checks if c.status != "pass"]

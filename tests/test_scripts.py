@@ -1,13 +1,19 @@
-"""scripts/run_full_validation.py: the report and exit codes come from the CLI."""
+"""scripts/run_full_validation.py: the report and exit codes come from the CLI.
+
+Also: README's code runs, and every public name resolves.
+"""
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
+import ramsq
 from ramsq import cli
 from ramsq.validation import run_validation
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -56,3 +62,12 @@ def test_full_validation_unwritable_out_exits_2_before_run(tmp_path, capfd, monk
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ")
+
+
+def test_readme_code_runs_and_public_names_resolve(capfd):
+    # a removed name must leave README's examples and ramsq.__all__ with it
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert [name for name in ramsq.__all__ if not hasattr(ramsq, name)] == []

@@ -49,7 +49,6 @@ from .ensemble import (
 from .snl import (
     LARGE_SQUEEZING_R,
     RegionScan,
-    SnlThreshold,
     region_scan,
     snl_condition,
     threshold_closed_form,
@@ -71,7 +70,6 @@ __all__ = [
     "RegionScan",
     "SamplerConfig",
     "SamplerMode",
-    "SnlThreshold",
     "ThinMedium",
     "VarianceReport",
     "coherent_baseline",

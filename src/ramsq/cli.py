@@ -7,14 +7,16 @@ every coordinate of the point (L/l, L/La, r) that a panel does not sweep
 is the flag of the same name (``--squeeze-r`` for r).  One handler resolves the flags, records them unchanged as the
 manifest's ``parameters`` and calls the builder; the CSV goes to stdout
 or to ``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
-validation suite.  Exit codes: 0 success, 1 failed validation or scan
-integrity, 2 parameter errors and output files that cannot be written.
+validation suite.  Exit codes: 0 success, 1 failed validation, 2
+parameter errors (among them a non-finite ``--curve-values`` entry and
+a grid too large to allocate) and output files that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import stat
 import sys
@@ -90,10 +92,13 @@ def _grid(p, axis: str) -> list[float]:
 
 def _curve_values(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         msg = f"--curve-values must be comma-separated numbers (got {text!r})"
         raise ParameterError(msg) from None
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"--curve-values must be finite (got {text!r})")
+    return values
 
 
 _X_FLAGS = _axis("x", None, None, None)
@@ -267,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -37,6 +37,11 @@ def grid(lo: float, hi: float, steps: int) -> list[float]:
         raise ParameterError(f"grid endpoints must be finite (got {lo}, {hi})")
     if steps == 1:
         return [float(lo)]
+    # linspace counts in doubles, exact only up to 2**53 points; numpy
+    # runs out of memory far below that, and above it fails with
+    # ValueError or IndexError instead of MemoryError.
+    if steps > 2**53:
+        raise ParameterError(f"grid of {steps} steps is too large to allocate")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             points = np.linspace(lo, hi, steps)

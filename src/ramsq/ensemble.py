@@ -251,6 +251,16 @@ def _uniform_columns(mode: SamplerMode, cols: _Columns) -> int:
     return cols.spont_phase + 1 if mode is SamplerMode.MEAN_MAGNITUDES else cols.refl_split.stop
 
 
+def _draw_width(mode: SamplerMode, channels: int) -> int:
+    """Uniforms in one bulk draw; ``ParameterError`` if more than ``_CHUNK_DOUBLES``."""
+    columns = _uniform_columns(mode, _layout(channels))
+    if columns > _CHUNK_DOUBLES:
+        raise ParameterError(
+            f"one draw's {columns} uniforms exceed the {_CHUNK_DOUBLES} doubles of a chunk"
+        )
+    return columns
+
+
 def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low and high words of the 128-bit products, built from 32-bit halves."""
     m_lo, m_hi = multiplier & _LOW32, multiplier >> _SHIFT32
@@ -704,11 +714,7 @@ def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list
             f"need one or more media sharing one channel count (got channel counts {counts})"
         )
     cols = _layout(counts[0])
-    columns = _uniform_columns(config.mode, cols)
-    if columns > _CHUNK_DOUBLES:
-        raise ParameterError(
-            f"one draw's {columns} uniforms exceed the {_CHUNK_DOUBLES} doubles of a chunk"
-        )
+    columns = _draw_width(config.mode, counts[0])
     rows = _CHUNK_DOUBLES // columns
     coefs = [mean_coefficients(spec) for spec in specs]
     # Each medium's share is resolved here, once: the chunks never touch

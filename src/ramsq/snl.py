@@ -6,19 +6,21 @@ below the shot-noise level 1 exactly when
     margin = sin(l/La) (1 + e^(-2r)) + 2 sin((L-l)/La) - 2 sin(L/La) < 0
 
 which is (Var x_wfs - 1) * sin(L/La), so the margin and the variance
-excess share a sign everywhere below threshold.  At fixed l/La the
-boundary in the gain ratio has a closed form: with p = sin(l/La),
-m = (1 - sqrt(1 - p^2)) / p and n = 1 + e^(-2r), the margin is negative
-iff sin(L/La) lies between the roots
+excess share a sign everywhere below threshold.  With mu = l/La,
+G = L/La and n = 1 + e^(-2r), the sum-to-product rules give
 
-    M_pm = (m n -+ sqrt(4 m^2 - n^2 + 4)) / (2 (m^2 + 1))
+    margin = 2 sin(mu/2) (n cos(mu/2) - 2 cos(G - mu/2)),
 
-of a quadratic with M_minus < 0 < M_plus <= 1, so the largest admissible
-gain ratio is arcsin(M_plus).  The closed form needs l/La < pi/2 where
-arcsin inverts the sine uniquely; the region scanner below instead finds
-the boundary by bisection in the gain ratio at fixed L/l, which stays
-valid on the whole sub-threshold range and never assumes which arcsine
-branch applies.
+and sin(mu/2) > 0 for 0 < mu < pi, so at fixed mu the margin is negative
+for 0 < G < pi exactly below G_max(mu) = mu/2 + arccos((n/2) cos(mu/2)).
+
+Along a row of fixed L/l = k > 1 the margin changes sign at most once.
+Since n <= 2, sqrt(1 - (n/2)^2 cos^2(mu/2)) >= sin(mu/2), so
+
+    G_max'(mu) = 1/2 + (n/4) sin(mu/2) / sqrt(1 - (n/2)^2 cos^2(mu/2)) <= (1 + n/2)/2 <= 1,
+
+and h(G) = G - G_max(G/k) has h'(G) >= 1 - 1/k > 0.  The row is
+sub-SNL exactly below the one root of h, which the region scanner bisects.
 """
 
 from __future__ import annotations
@@ -63,46 +65,17 @@ def snl_condition(spec: MediumSpec, state: InputState) -> float:
     return float(_margin(spec.thickness_ratio, spec.gain_ratio, 1.0 + state.x_variance))
 
 
-@dataclass(frozen=True)
-class SnlThreshold:
-    """Closed-form boundary at fixed l/La.
+def threshold_closed_form(mfp_gain: float, state: InputState) -> float:
+    """Largest sub-SNL gain ratio at fixed l/La = ``mfp_gain``, for 0 < l/La < pi.
 
-    ``p = sin(l/La)``, ``m = (1 - sqrt(1 - p^2))/p``, ``n = 1 + e^(-2r)``;
-    ``m_plus`` is the positive quadratic root and ``gain_max = arcsin(m_plus)``
-    the largest gain ratio whose shaped output still beats shot noise.
+    Returns G_max = l/La / 2 + arccos((n/2) cos(l/La / 2)) with
+    n = 1 + e^(-2r); the margin is negative exactly below it.  Outside
+    0 < l/La < pi, ``DomainError`` is raised.
     """
-
-    m: float
-    n: float
-    p: float
-    m_plus: float
-    gain_max: float
-
-
-def threshold_closed_form(mfp_gain: float, state: InputState) -> SnlThreshold:
-    """Largest sub-SNL gain ratio at fixed l/La = ``mfp_gain``.
-
-    Valid for 0 < l/La < pi/2; outside, arcsin no longer identifies the
-    boundary uniquely and ``DomainError`` is raised.  The returned
-    ``gain_max`` is the principal-branch solution: the sign change sits
-    at arcsin(M_plus) only while cos(gain_max) = (n - 2 m M_plus)/2 is
-    nonnegative.  For n < 2 m M_plus the crossing moves past pi/2 to
-    pi - arcsin(M_plus); the region scanner bisects the margin directly
-    and stays correct on both branches.
-    """
-    if not 0.0 < mfp_gain < 0.5 * math.pi:
-        raise DomainError(
-            f"closed form needs 0 < l/La < pi/2 (got {mfp_gain}); "
-            "use the bisection scan outside this range"
-        )
-    p = math.sin(mfp_gain)
-    m = (1.0 - math.sqrt(1.0 - p * p)) / p
-    n = 1.0 + state.x_variance
-    disc = 4.0 * m * m - n * n + 4.0
-    m_plus = (m * n + math.sqrt(disc)) / (2.0 * (m * m + 1.0))
-    # m_plus <= 1 analytically; guard the arcsine against the last ulp.
-    gain_max = math.asin(min(m_plus, 1.0))
-    return SnlThreshold(m=m, n=n, p=p, m_plus=m_plus, gain_max=gain_max)
+    if not 0.0 < mfp_gain < math.pi:
+        raise DomainError(f"closed form needs 0 < l/La < pi (got {mfp_gain})")
+    half = 0.5 * mfp_gain
+    return half + math.acos(0.5 * (1.0 + state.x_variance) * math.cos(half))
 
 
 @dataclass(frozen=True)
@@ -127,14 +100,12 @@ def region_scan(
 ) -> RegionScan:
     """Map the sub-SNL region and bisect its boundary on all rows at once.
 
-    Scanned gain ratios must stay below pi - 1e-6; the margin is checked
-    for a single sign change along each row (on a fixed fine mesh) and a
-    ``RuntimeError`` names any row where that numerical assumption fails
-    rather than silently keeping one root.  Every row bisects the bracket
-    (1e-8, pi - 1e-6) until it is narrower than ``BISECT_TOL``; the
-    margin is negative as gain -> 0+ for any r > 0, so rows whose margin
-    is not negative at the bottom and positive at the top (e.g. r = 0)
-    have no boundary and report NaN.
+    Scanned gain ratios must stay below pi - 1e-6.  The margin changes
+    sign at most once along a row (see the module docstring), so every
+    row bisects the bracket (1e-8, pi - 1e-6) until it is narrower than
+    ``BISECT_TOL``; the margin is negative as gain -> 0+ for any r > 0,
+    so rows whose margin is not negative at the bottom and positive at
+    the top (e.g. r = 0) have no boundary and report NaN.
     """
     thickness = np.asarray(thickness_values, dtype=float)
     gain = np.asarray(gain_values, dtype=float)
@@ -148,15 +119,6 @@ def region_scan(
         MediumSpec(thickness_ratio=float(th), gain_ratio=0.0)
     n = 1.0 + state.x_variance
     below = _margin(thickness[:, None], gain, n) < 0.0
-    probe = np.linspace(1e-4, math.pi - GAIN_EXCLUSION, 1024)
-    for th in thickness:
-        signs = _margin(th, probe, n) < 0.0
-        flips = int(np.count_nonzero(signs[1:] != signs[:-1]))
-        if flips > 1:
-            raise RuntimeError(
-                f"margin changes sign {flips} times along L/l = {th}; "
-                "the single-boundary assumption does not hold here"
-            )
     lo = np.full(thickness.size, 1e-8)
     hi = np.full(thickness.size, math.pi - GAIN_EXCLUSION)
     bracket = (_margin(thickness, lo, n) < 0.0) & (_margin(thickness, hi, n) > 0.0)

@@ -34,6 +34,7 @@ from .analytic import (
 from .core import InputState, MediumSpec, ParameterError
 from .ensemble import (
     _QUANTITIES,
+    _draw_width,
     SamplerConfig,
     SamplerMode,
     medium_moments,
@@ -202,13 +203,8 @@ def _check_snl_sign() -> CheckResult:
     )
 
 
-def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) -> CheckResult:
-    config = SamplerConfig(mode=mode, realizations=realizations, seed=seed)
-    specs = [
-        MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
-        for th in STANDARD_THICKNESS
-        for g in STANDARD_GAIN
-    ]
+def _check_mc(config: SamplerConfig, specs: list[MediumSpec]) -> CheckResult:
+    mode, realizations = config.mode, config.realizations
     states = [InputState(squeeze_r=r) for r in STANDARD_SQUEEZE]
     # (medium, squeezing, quantity) arrays, in grid order.
     mean, std = map(np.stack, zip(*(
@@ -252,8 +248,8 @@ def _check_mc(mode: SamplerMode, channels: int, seed: int, realizations: int) ->
     detail = {
         "sampler": mode.value,
         "realizations": realizations,
-        "seed": seed,
-        "channels": channels,
+        "seed": config.seed,
+        "channels": specs[0].channels,
         "grid_points": len(specs) * len(states),
         "worst_sigma_margin": float(np.max(err[spread] / std[spread], initial=0.0)),
         "sigma_bound": 3.0,
@@ -282,14 +278,22 @@ def run_validation(
     modes = [m for m in SamplerMode if sampler in (m.value, "both")]
     if not modes:
         raise ParameterError(f"sampler must be 'mean', 'exponential' or 'both' (got {sampler!r})")
+    configs = [SamplerConfig(mode=mode, realizations=realizations, seed=seed) for mode in modes]
+    specs = [
+        MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
+        for th in STANDARD_THICKNESS
+        for g in STANDARD_GAIN
+    ]
+    # A draw wider than a chunk is refused before the first check runs.
+    for mode in modes:
+        _draw_width(mode, channels)
     checks = [
         _check_flux(corrupt_constraint),
         _check_linear_limit(),
         _check_analytic_identities(),
         _check_snl_sign(),
     ]
-    for mode in modes:
-        checks.append(_check_mc(mode, channels, seed, realizations))
+    checks += [_check_mc(config, specs) for config in configs]
     if any(c.status == "fail" for c in checks):
         status = "fail"
     elif any(c.status == "warning" for c in checks):

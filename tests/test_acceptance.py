@@ -194,19 +194,20 @@ def test_criterion_7(grid_points):
             assert abs(margin) <= 2e-12
 
     # closed form vs independent bisection at l/La = 0.1, n = 1
-    thr = threshold_closed_form(0.1, InputState(squeeze_r=600.0))
-    assert thr.n == 1.0
+    state = InputState(squeeze_r=600.0)
+    assert 1.0 + state.x_variance == 1.0
+    gain_max = threshold_closed_form(0.1, state)
     root = bisect_gain_threshold(0.1, 1.0)
-    assert abs(thr.gain_max - root) <= 1e-9
-    assert abs(thr.m_plus - 0.890262) <= 1e-6
-    assert abs(thr.gain_max - math.asin(0.890262)) <= 1e-5
+    assert abs(gain_max - root) <= 1e-9
+    assert abs(math.sin(gain_max) - 0.890262) <= 1e-6
+    assert abs(gain_max - math.asin(0.890262)) <= 1e-5
 
 
 @criterion(8, "no-squeezing degeneracy", 1.0)
 def test_criterion_8():
     for mfp_gain in (0.05, 0.1, 0.5, 1.0):
-        thr = threshold_closed_form(mfp_gain, InputState(squeeze_r=0.0))
-        assert abs(thr.gain_max - mfp_gain) <= 1e-12
+        gain_max = threshold_closed_form(mfp_gain, InputState(squeeze_r=0.0))
+        assert abs(gain_max - mfp_gain) <= 1e-12
     scan = region_scan(
         np.linspace(1.2, 12.0, 12), np.linspace(0.05, 3.1, 25), InputState(squeeze_r=0.0)
     )
@@ -349,7 +350,7 @@ def test_criterion_9(tmp_path):
     assert len(boundary_rows) == 1
     found = float(boundary_rows[0]["gain_boundary"])
     fixed = bisect_fixed_point_boundary(
-        pinned, lambda m: threshold_closed_form(m, state).gain_max
+        pinned, lambda m: threshold_closed_form(m, state)
     )
     assert abs(found - fixed) <= 1e-9
     assert abs(found - math.asin(0.890262)) <= 1e-4

@@ -7,10 +7,9 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from ramsq import cli, ensemble, snl, validation
+from ramsq import cli, ensemble, validation
 from ramsq.analytic import coherent_baseline, mean_coefficients
 from ramsq.cli import main
 from ramsq.core import MediumSpec
@@ -98,8 +97,14 @@ def test_seed_out_of_range_exits_2(capfd, seed):
     ["fig4", "--panel", "a", "--out", "{tmp}/missing/x.csv"],
     ["coeffs", "--L-over-l", "inf", "--L-over-La", "1", "--out", "{tmp}/x.csv"],
     ["snl-region", "--squeeze-r", "inf", "--out", "{tmp}/x.csv"],
+    ["fig3", "--panel", "a", "--curve-values", "inf", "--out", "{tmp}/x.csv"],
+    ["fig3", "--panel", "d", "--curve-values", "1e400", "--out", "{tmp}/x.csv"],
+    ["fig4", "--panel", "a", "--x-steps", str(2**61), "--out", "{tmp}/x.csv"],
+    ["fig4", "--panel", "a", "--x-steps", str(2**63), "--out", "{tmp}/x.csv"],
+    ["fig4", "--panel", "a", "--x-steps", str(10**22), "--out", "{tmp}/x.csv"],
 ], ids=["zero-steps", "overflowing-squeeze", "unwritable-out", "infinite-thickness",
-        "infinite-squeeze"])
+        "infinite-squeeze", "infinite-curve", "overflowing-curve", "steps-2**61",
+        "steps-2**63", "steps-10**22"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capfd, argv):
     # no case writes a file: a manifest is strict JSON, so a non-finite
     # parameter is refused before any byte of CSV or manifest goes out
@@ -475,26 +480,6 @@ def test_snl_region_rows(capfd):
             assert r[below_idx] in {"0", "1"}
 
 
-def test_snl_region_failed_scan_exits_1(tmp_path, capfd, monkeypatch):
-    # a margin that changes sign twice along the last preset row fails
-    # the scan's integrity check after every other row passed it
-    real = snl._margin
-
-    def margin(thickness, gain, n):
-        twice = np.where(np.abs(gain - 2.0) < 0.5, -1.0, 1.0)
-        return np.where(thickness == 12.0, twice, real(thickness, gain, n))
-
-    monkeypatch.setattr(snl, "_margin", margin)
-    path = tmp_path / "region.csv"
-    code, out, err = run(capfd, ["snl-region", "--out", str(path)])
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: margin changes sign 2 times along L/l = 12.0;")
-    assert not path.exists()
-    assert not (tmp_path / "region.csv.manifest.json").exists()
-
-
 # -- validate ----------------------------------------------------------------
 
 def test_validate_passes(tmp_path, capfd):
@@ -633,6 +618,23 @@ def test_validate_too_wide_draw_exits_2(capfd, monkeypatch, sampler):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("parameter error: one draw's")
+
+
+def test_validate_too_wide_draw_exits_2_before_any_check(tmp_path, capfd, monkeypatch):
+    # with both samplers, the exponential draw's width is refused before
+    # the mean sampler's check runs
+    def refuse_checks(*args):
+        raise AssertionError("no Monte Carlo check may run")
+
+    monkeypatch.setattr(validation, "medium_moments", refuse_checks)
+    path = tmp_path / "report.json"
+    code, out, err = run(capfd, ["validate", "--sampler", "both", "--channels", "40000",
+                                 "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parameter error: one draw's")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("values", ["1,,2", " ", ""], ids=["double-comma", "blank", "empty"])

@@ -22,7 +22,11 @@ FLOATS = st.one_of(
     st.floats(min_value=-5.0, max_value=25.0),
     st.sampled_from([0.0, 1.0, math.pi, 400.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
 )
-STEPS = st.integers(min_value=-3, max_value=40)
+# The huge counts are refused before any allocation.
+STEPS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.sampled_from([2**61, 2**63, 10**22]),
+)
 SEEDS = st.one_of(
     st.integers(min_value=-3, max_value=100),
     st.integers(min_value=-(2**140), max_value=2**140),

@@ -75,37 +75,52 @@ def test_margin_rejects_negative_gain():
 # -- closed-form boundary ----------------------------------------------------
 
 def test_threshold_pinned_point():
-    thr = threshold_closed_form(0.1, InputState(squeeze_r=SATURATED_R))
-    assert thr.n == 1.0
-    assert math.isclose(thr.m_plus, THRESHOLD_01_N1["m_plus"], rel_tol=1e-14)
-    assert math.isclose(thr.gain_max, THRESHOLD_01_N1["gain_max"], rel_tol=1e-14)
+    state = InputState(squeeze_r=SATURATED_R)
+    assert 1.0 + state.x_variance == 1.0
+    gain_max = threshold_closed_form(0.1, state)
+    assert math.isclose(math.sin(gain_max), THRESHOLD_01_N1["m_plus"], rel_tol=1e-14)
+    assert math.isclose(gain_max, THRESHOLD_01_N1["gain_max"], rel_tol=1e-14)
 
 
 def test_threshold_against_bisection():
-    # closed form vs direct root finding on the margin; the quadratic
-    # root fixes sin at the crossing on either side of pi/2, and the
-    # principal branch applies while cos = (n - 2 m M_plus)/2 >= 0
-    principal = falling = 0
-    for mfp_gain in (0.05, 0.3, 0.8, 1.3):
+    # closed form vs direct root finding on the margin, with crossings
+    # on both sides of pi/2 and l/La itself past pi/2
+    for mfp_gain in (0.05, 0.3, 0.8, 1.3, 1.5, 2.0, 2.5, 3.0):
         for squeeze in (0.25, 1.0, 2.5, SATURATED_R):
             state = InputState(squeeze_r=squeeze)
-            thr = threshold_closed_form(mfp_gain, state)
             root = bisect_gain_threshold(mfp_gain, 1.0 + state.x_variance)
-            if thr.n >= 2.0 * thr.m * thr.m_plus:
-                assert abs(thr.gain_max - root) <= 1e-9, (mfp_gain, squeeze)
-                principal += 1
-            else:
-                assert abs((math.pi - thr.gain_max) - root) <= 1e-9, (mfp_gain, squeeze)
-                falling += 1
-            assert abs(math.cos(root) - 0.5 * (thr.n - 2.0 * thr.m * thr.m_plus)) <= 1e-9
-    assert principal > 0 and falling > 0
+            assert abs(threshold_closed_form(mfp_gain, state) - root) <= 1e-9, (mfp_gain, squeeze)
+
+
+@pytest.mark.parametrize("squeeze", [1e-6, 0.5, 2.0, SATURATED_R])
+def test_threshold_slope_at_most_one(squeeze):
+    # the lemma behind the single crossing per row: G_max rises with
+    # l/La, never faster than l/La itself
+    state = InputState(squeeze_r=squeeze)
+    mfp_gain = np.linspace(1e-3, math.pi - 1e-3, 2001)
+    gain_max = np.array([threshold_closed_form(m, state) for m in mfp_gain])
+    slope = np.diff(gain_max) / np.diff(mfp_gain)
+    assert np.all(slope >= 0.0)
+    assert np.all(slope <= 1.0 + 1e-9), slope.max()
+
+
+@pytest.mark.parametrize("squeeze", [1e-6, 0.5, 2.0, SATURATED_R])
+def test_margin_changes_sign_at_most_once_per_row(squeeze):
+    # what region_scan's bisection relies on: along a row of fixed
+    # L/l > 1 the margin itself changes sign at most once
+    n = 1.0 + InputState(squeeze_r=squeeze).x_variance
+    thickness = np.array([1.0 + 1e-9, 1.2, 2.0, 5.0, 20.0, 50.0])
+    gain = np.linspace(0.0, math.pi - 1e-6, 20003)[1:-1]
+    signs = snl._margin(thickness[:, None], gain, n) < 0.0
+    flips = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
+    assert np.all(flips <= 1), flips
 
 
 @pytest.mark.parametrize("mfp_gain", [0.05, 0.1, 0.5, 1.0])
 def test_threshold_degenerates_without_squeezing(mfp_gain):
     # n = 2 closes the window: the boundary collapses onto l/La itself
-    thr = threshold_closed_form(mfp_gain, InputState(squeeze_r=0.0))
-    assert abs(thr.gain_max - mfp_gain) <= 1e-12
+    gain_max = threshold_closed_form(mfp_gain, InputState(squeeze_r=0.0))
+    assert abs(gain_max - mfp_gain) <= 1e-12
 
 
 def test_threshold_opens_with_squeezing():
@@ -120,19 +135,20 @@ def test_threshold_opens_with_squeezing():
 def test_threshold_root_in_unit_interval():
     for mfp_gain in (1e-6, 0.01, 0.7, 1.5, 0.5 * math.pi - 1e-9):
         for squeeze in (0.0, 0.3, 2.0, SATURATED_R):
-            thr = threshold_closed_form(mfp_gain, InputState(squeeze_r=squeeze))
-            assert 0.0 < thr.m_plus <= 1.0
+            gain_max = threshold_closed_form(mfp_gain, InputState(squeeze_r=squeeze))
+            assert 0.0 < math.sin(gain_max) <= 1.0
 
 
 def test_margin_changes_sign_at_boundary():
-    thr = threshold_closed_form(0.4, InputState(squeeze_r=1.0))
-    n = thr.n
+    state = InputState(squeeze_r=1.0)
+    gain_max = threshold_closed_form(0.4, state)
+    n = 1.0 + state.x_variance
     eps = 1e-6
-    assert margin_at_fixed_mfp_gain(thr.gain_max - eps, 0.4, n) < 0.0
-    assert margin_at_fixed_mfp_gain(thr.gain_max + eps, 0.4, n) > 0.0
+    assert margin_at_fixed_mfp_gain(gain_max - eps, 0.4, n) < 0.0
+    assert margin_at_fixed_mfp_gain(gain_max + eps, 0.4, n) > 0.0
 
 
-@pytest.mark.parametrize("mfp_gain", [0.0, -0.1, 0.5 * math.pi, 2.0])
+@pytest.mark.parametrize("mfp_gain", [0.0, -0.1, math.pi, 4.0])
 def test_threshold_domain(mfp_gain):
     with pytest.raises(DomainError):
         threshold_closed_form(mfp_gain, InputState(squeeze_r=1.0))
@@ -188,20 +204,9 @@ def test_region_scan_boundary_is_gain_fixed_point():
     thickness, gain = scan_grids()
     state = InputState(squeeze_r=LARGE_SQUEEZING_R)
     scan = region_scan(thickness, gain, state)
-    checked = 0
-    for i, th in enumerate(thickness):
-        b = scan.boundary[i]
-        if math.isnan(b) or b / th >= 0.5 * math.pi:
-            continue
-        thr = threshold_closed_form(b / th, state)
-        if thr.n < 2.0 * thr.m * thr.m_plus:
-            continue  # crossing past pi/2: arcsin branch does not apply
-        fixed = bisect_fixed_point_boundary(
-            float(th), lambda m: threshold_closed_form(m, state).gain_max
-        )
+    for th, b in zip(thickness, scan.boundary):
+        fixed = bisect_fixed_point_boundary(float(th), lambda m: threshold_closed_form(m, state))
         assert abs(b - fixed) <= 1e-9, th
-        checked += 1
-    assert checked > 0
 
 
 def test_region_scan_pinned_row():
@@ -238,19 +243,6 @@ def test_region_scan_matches_scalar_reference(squeeze):
         assert np.array_equal(scan.below_snl, below)
         assert [b.hex() for b in scan.boundary.tolist()] == [b.hex() for b in boundary.tolist()]
         assert np.isnan(boundary).all() == (squeeze == 0.0)
-
-
-def test_region_scan_refuses_second_sign_change(monkeypatch):
-    # margin + - + along the gain axis on row L/l = 5, the real one elsewhere
-    real = snl._margin
-
-    def margin(thickness, gain, n):
-        twice = np.where(np.abs(gain - 2.0) < 0.5, -1.0, 1.0)
-        return np.where(thickness == 5.0, twice, real(thickness, gain, n))
-
-    monkeypatch.setattr(snl, "_margin", margin)
-    with pytest.raises(RuntimeError, match=r"changes sign 2 times along L/l = 5\.0;"):
-        region_scan(np.array([2.0, 5.0, 8.0]), np.array([1.0, 2.0]), InputState(squeeze_r=1.0))
 
 
 def test_region_scan_empty_grids():

@@ -25,32 +25,59 @@ Philox4x64-10 (Salmon et al., SC'11) with key words
 ``j = 1..ceil(columns / 4)``; each 64-bit output word ``u`` becomes the
 double ``(u >> 11) * 2**-53``.  That is exactly the stream of numpy's
 ``Generator(Philox(key=s, counter=k * 2**128))``, which increments the
-counter before each four-word block.  Bulk draws run the ten rounds in
-numpy over a fixed, index-ordered chunk of ``_CHUNK_DOUBLES // columns``
-rows at a time, with the 64x64 -> 128-bit products emulated in 32-bit
-halves.  Each chunk is one task on a thread pool of at most one worker
-per usable CPU (``_worker_count``): it draws its own uniforms, channel
-splits, Beta shares and sums, so memory stays at a few chunks whatever
-the draw count.  Each medium's share function is looked up once, on the
-calling thread before the pool starts, and handed to every chunk, so
-the chunks never touch the table cache.  A single draw keeps numpy's own
-``Philox`` on the calling thread: on one row the few hundred small array
-operations of the emulation cost about ten times more than numpy's
-generator.
+counter before each four-word block, so a mean-mode row is exactly the
+first 2n + 1 doubles of the exponential row for the same (seed, index).
+Bulk draws run the ten rounds in numpy over fixed, index-ordered chunks
+of ``_chunk_rows`` rows, ``max(1, _CHUNK_DOUBLES // (4n + 3))``: as many
+exponential-mode draws as a chunk holds, in either mode, so one sampler
+alone and both together reduce the same chunks in the same order.  The
+64x64 -> 128-bit products are emulated in 32-bit halves.  Each chunk is
+one task on a thread pool of at most one worker per usable CPU
+(``_worker_count``), and makes all of its work in one pass: it draws its
+rows once, at the widest width its modes need, forms cos 2phi once and
+each mode's split sums once, and then reduces each medium, so memory
+stays at a few chunks whatever the draw count.  Each medium's share
+function is looked up once, on the calling thread before the pool
+starts, and handed to every chunk, so the chunks never touch the table
+cache.  A single draw keeps numpy's own ``Philox`` on the calling thread:
+on one row the few hundred small array operations of the emulation cost
+about ten times more than numpy's generator.
 
 Reduction
 ---------
 Every per-draw variance is linear in the transmission weights and in
 cos^2 phi = (1 + cos 2phi)/2, so three channel sums carry it: sum T,
-sum T cos 2phi (phases phi) and sum R + V.  ``_batch_values`` forms
-them and ``quadrature_values`` holds the four variance formulas.  With
-g = (v_p - v_x)/2 the unshaped x and p read
-sum T v_x + (sum T -/+ sum T cos 2phi) g + sum R + V: g is exactly 0 at
-r = 0, so mean-mode estimates there have exactly zero spread, and near
-MAX_SQUEEZE_R the form is finite wherever the per-channel cos^2/sin^2
-form is (halves (v_x +/- v_p)/2 would cancel two overflows into NaN).
-A single draw is the same reducer over a batch of one, reduced once on
-first use, so it equals its entry in the bulk values bit for bit.
+sum T cos 2phi (phases phi) and sum R + V.  ``quadrature_values`` holds
+the four variance formulas.  With g = (v_p - v_x)/2 the unshaped x and p
+read sum T v_x + (sum T -/+ sum T cos 2phi) g + sum R + V: g is exactly 0
+at r = 0, so mean-mode estimates there have exactly zero spread, and
+near MAX_SQUEEZE_R the form is finite wherever the per-channel
+cos^2/sin^2 form is (halves (v_x +/- v_p)/2 would cancel two overflows
+into NaN).
+
+Each channel weight is a group total times a channel split,
+T_i = t split_T,i and R_j = r split_R,j, where the splits depend on the
+uniforms only and t, r and V are per-draw scalars of the medium.  So
+``_split_sums`` forms sum split_T, sum split_T cos 2phi and sum split_R
+once per chunk, and ``_batch_values`` gives each medium its three sums
+in O(draws) work, whatever the channel count:
+
+    sum T = t sum split_T,  sum T cos 2phi = t sum split_T cos 2phi,
+    sum R + V = r sum split_R + V,
+
+with t = (1 + V) S and r = (1 + V)(1 - S) for the Beta share S in
+exponential mode, and the constants t_bar, r_bar, v_bar with splits 1/n
+in mean mode.  Against summing the n products t split_i, sum T and
+sum R + V, sums of positive terms, move by a few ulp relative (at most
+5.1e-16 at seed 42, 100k draws, 4 and 8 channels).  sum T cos 2phi
+cancels, so its rounding is bounded in absolute terms: both forms are
+within about (n + 1) 2**-53 sum |T_i cos 2phi_i| <= (n + 1) 2**-53 sum T
+of the exact sum (measured: at most 4.4e-16 sum T), the size of the
+rounding of the sum T g term it enters beside.  A single draw is the
+same reducer: a sampled ``DisorderRealization`` carries its group totals
+and splits and reduces through them once, on first use, so it equals its
+entry in the bulk values bit for bit; a realization built or replaced
+from arrays reduces them with unit totals.
 
 A bulk estimate never holds its values: each chunk reduces each
 medium's sums to moments (``_moments``), and the chunks merge in
@@ -61,8 +88,8 @@ Magnitude modes
 ---------------
 MEAN_MAGNITUDES freezes every magnitude at its ensemble mean and leaves
 only the phases random; shaped-quadrature estimates then have zero
-spread, a deliberately sharp test of the algebra.  Its magnitudes are
-one row of constants, broadcast over the draws.
+spread, a deliberately sharp test of the algebra.  Its group totals
+are constants and its splits one row of 1/n, broadcast over the draws.
 
 EXPONENTIAL_MAGNITUDES adds Rayleigh-speckle-like magnitude statistics
 while keeping the constraint exact and the channel-sum means exactly
@@ -80,11 +107,14 @@ channels.  When t_bar = r_bar this reproduces exactly the law of iid
 exponential draws rescaled onto the constraint surface; for unequal
 means it is the mean-exact generalization.
 
-The normalized channel splits depend on the uniforms only, so each
-chunk computes them once and each medium forms only V, the Beta share
-and the two scalings.  The Beta share is the Beta(a, b) quantile of its
-uniform u, which ``betaincinv`` computes by an iterative search that
-cost nearly all of a bulk exponential run.  ``_share_table`` instead
+The normalized channel splits, the exponential draw behind V and the
+share's uniform depend on the uniforms only (``_shared_draws``), so each
+chunk forms them once and each medium forms only V, the Beta share and
+the two group totals (``_magnitudes``).
+
+The Beta share is the Beta(a, b) quantile of its uniform u, which
+``betaincinv`` computes by an iterative search that cost nearly all of a
+bulk exponential run.  ``_share_table`` instead
 gives, per shape, 1024 quintic Hermite intervals for each tail: below
 u = b/(a+b) the quantile in t = u**(1/a), above it 1 - I^-1(b, a, 1 - u)
 in t = (1 - u)**(1/b), coordinates in which the quantile is smooth up
@@ -108,7 +138,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -193,6 +223,11 @@ class DisorderRealization:
     refl_phases: np.ndarray
     spont_mag: float
     spont_phase: float
+    # The group totals and channel splits a sampled realization was drawn
+    # as, (t, split_T, r, split_R) with T = t split_T and R = r split_R; it
+    # reduces through them, as its bulk entry does.  Not an init field, so
+    # a dataclasses.replace copy drops them and reduces its own arrays.
+    _groups: tuple | None = field(default=None, init=False, repr=False)
 
     def flux_residual(self) -> float:
         return float(np.sum(self.trans_mags) + np.sum(self.refl_mags) - self.spont_mag - 1.0)
@@ -201,8 +236,11 @@ class DisorderRealization:
     # so a copy with new phases or magnitudes never inherits stale sums.
     @functools.cached_property
     def _sums(self) -> _ChannelSums:
-        cos2 = np.cos(2.0 * self.trans_phases)
-        return _batch_values(self.trans_mags, self.refl_mags, self.spont_mag, cos2)
+        trans, trans_split, refl, refl_split = self._groups or (
+            1.0, self.trans_mags, 1.0, self.refl_mags
+        )
+        split = _split_sums(trans_split, refl_split, _cos2(self.trans_phases))
+        return _batch_values(trans, refl, self.spont_mag, split)
 
 
 @dataclass(frozen=True)
@@ -262,15 +300,26 @@ def _draw_width(mode: SamplerMode, channels: int) -> int:
 
 
 def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high words of the 128-bit products, built from 32-bit halves."""
+    """Low and high words of the 128-bit products, built from 32-bit halves.
+
+    With a = x_lo m_lo, b = x_hi m_lo, c = x_lo m_hi, the high word is
+    x_hi m_hi + (b >> 32) + ((a >> 32) + (b & mask) + c) >> 32, and the
+    inner sum is at most 2**64 - 1.  Updates run in place on the halves.
+    """
     m_lo, m_hi = multiplier & _LOW32, multiplier >> _SHIFT32
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_lo = x_lo * m_lo
+    cross = x_lo * m_lo
+    cross >>= _SHIFT32
     hi_lo = x_hi * m_lo
-    lo_hi = x_lo * m_hi
-    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
-    high = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
-    return x * multiplier, high
+    x_lo *= m_hi
+    cross += x_lo
+    cross += hi_lo & _LOW32
+    cross >>= _SHIFT32
+    hi_lo >>= _SHIFT32
+    x_hi *= m_hi
+    x_hi += hi_lo
+    x_hi += cross
+    return x * multiplier, x_hi
 
 
 def _philox_rows(seed: int, columns: int, start: int, stop: int) -> np.ndarray:
@@ -329,21 +378,32 @@ def _worker_count() -> int:
         return cpus
 
 
-def _channel_splits(
-    mode: SamplerMode, cols: _Columns, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Normalized exponential splits of the transmission and reflection totals.
+class _SharedDraws(NamedTuple):
+    """What a block of draws gives every medium, whatever its coefficients.
 
-    Each row sums to 1 and does not depend on the medium; mean mode has
-    no splits (None).
+    The channel splits spread each group total over its channels, each
+    row summing to 1; mean mode has one row of 1/n.  Exponential mode
+    adds the unit exponential draws that V scales and the Beta share's
+    uniforms (None in mean mode).
     """
+
+    trans_split: np.ndarray
+    refl_split: np.ndarray
+    spont: np.ndarray | None  # -log1p(-u) = V / v_bar
+    share: np.ndarray | None
+
+
+def _shared_draws(mode: SamplerMode, cols: _Columns, uniforms: np.ndarray) -> _SharedDraws:
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        return None
+        even = np.full((1, cols.channels), 1.0 / cols.channels)
+        return _SharedDraws(even, even, None, None)
     trans_draws = -np.log1p(-uniforms[:, cols.trans_split])
     refl_draws = -np.log1p(-uniforms[:, cols.refl_split])
-    return (
+    return _SharedDraws(
         trans_draws / trans_draws.sum(axis=1, keepdims=True),
         refl_draws / refl_draws.sum(axis=1, keepdims=True),
+        -np.log1p(-uniforms[:, cols.spont]),
+        np.ascontiguousarray(uniforms[:, cols.share]),
     )
 
 
@@ -557,42 +617,38 @@ def _medium_share(
 
 def _magnitudes(
     coef: EnsembleCoefficients,
-    cols: _Columns,
     mode: SamplerMode,
-    uniforms: np.ndarray,
-    splits: tuple[np.ndarray, np.ndarray] | None,
+    shared: _SharedDraws,
     share: Callable[[np.ndarray], np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Magnitude arrays (T, R, V) for a (draws, columns) uniform block.
+    """One medium's group totals t and r and spontaneous weight V per draw.
 
-    ``splits`` are the block's ``_channel_splits`` and ``share`` is the
-    medium's ``_medium_share``.  Mean mode returns one row of constants,
-    (1, channels) and (1,), whatever the draws.
+    The magnitudes are T_i = t split_T,i and R_j = r split_R,j over the
+    block's ``_shared_draws``; ``share`` is the medium's
+    ``_medium_share``.  Mean mode returns one entry each, the constants
+    (t_bar, r_bar, v_bar), whatever the draws.
     """
-    n = cols.channels
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        refl = np.full((1, n), coef.r_bar / n)
-        return np.full((1, n), coef.t_bar / n), refl, np.full(1, coef.v_bar)
-
-    draws = uniforms.shape[0]
+        return np.array([[coef.t_bar], [coef.r_bar], [coef.v_bar]])
     if coef.v_bar > 0.0:
-        spont = -coef.v_bar * np.log1p(-uniforms[:, cols.spont])
+        spont = coef.v_bar * shared.spont
     else:
-        spont = np.zeros(draws)
+        spont = np.zeros(shared.spont.shape)
     total = 1.0 + spont
+    trans_share = share(shared.share)
+    return total * trans_share, total * (1.0 - trans_share), spont
 
-    trans_share = share(uniforms[:, cols.share])
 
-    trans_split, refl_split = splits
-    trans = (total * trans_share)[:, None] * trans_split
-    refl = (total * (1.0 - trans_share))[:, None] * refl_split
-    return trans, refl, spont
+_TWO_PI = 2.0 * math.pi
 
 
 def _phases(cols: _Columns, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    two_pi = 2.0 * math.pi
     columns = (cols.trans_phase, cols.refl_phase, cols.spont_phase)
-    return tuple(two_pi * uniforms[:, c] for c in columns)
+    return tuple(_TWO_PI * uniforms[:, c] for c in columns)
+
+
+def _cos2(trans_phases: np.ndarray) -> np.ndarray:
+    return np.cos(2.0 * trans_phases)
 
 
 class _ChannelSums(NamedTuple):
@@ -601,27 +657,41 @@ class _ChannelSums(NamedTuple):
     rest: np.ndarray  # sum R + V
 
 
+class _SplitSums(NamedTuple):
+    trans: np.ndarray  # sum split_T
+    trans_cos2: np.ndarray  # sum split_T cos 2phi
+    refl: np.ndarray  # sum split_R
+
+
 # Channel sums over the last axis.  This is the reduction np.sum runs,
 # without the wrapper that costs more than the sum on one draw's channels.
 _channel_sum = np.add.reduce
 
 
-def _batch_values(
-    trans: np.ndarray,
-    refl: np.ndarray,
-    spont: np.ndarray,
-    cos2: np.ndarray,
-) -> _ChannelSums:
-    """Reduce (draws, channels) arrays once to the three per-draw channel sums.
+def _split_sums(trans_split: np.ndarray, refl_split: np.ndarray, cos2: np.ndarray) -> _SplitSums:
+    """The medium-independent channel sums of a block's splits and phases."""
+    return _SplitSums(
+        trans=_channel_sum(trans_split, axis=-1),
+        trans_cos2=_channel_sum(trans_split * cos2, axis=-1),
+        refl=_channel_sum(refl_split, axis=-1),
+    )
 
-    A single row of magnitudes (mean mode) gives one-entry T and R + V sums.
+
+def _batch_values(
+    trans: np.ndarray, refl: np.ndarray, spont: np.ndarray, split: _SplitSums
+) -> _ChannelSums:
+    """One medium's three per-draw channel sums from its group totals and the split sums.
+
+    sum T = t sum split_T, sum T cos 2phi = t sum split_T cos 2phi and
+    sum R + V = r sum split_R + V: O(draws) work, whatever the channel
+    count.  Mean mode's constant totals give one-entry T and R + V sums.
     """
     return _ChannelSums(
-        trans=_channel_sum(trans, axis=-1),
-        trans_cos2=_channel_sum(trans * cos2, axis=-1),
+        trans=trans * split.trans,
+        trans_cos2=trans * split.trans_cos2,
         # Reflection and spontaneous vacuum noise is phase-isotropic, so
         # it enters every variance with unit weight.
-        rest=_channel_sum(refl, axis=-1) + spont,
+        rest=refl * split.refl + spont,
     )
 
 
@@ -635,18 +705,21 @@ def sample_realization(
     coef = mean_coefficients(spec)
     cols = _layout(spec.channels)
     block = _uniforms_for(config, cols, draw_index)[None, :]
-    splits = _channel_splits(config.mode, cols, block)
+    shared = _shared_draws(config.mode, cols, block)
     share = _medium_share(coef, cols, config.mode)
-    trans, refl, spont = _magnitudes(coef, cols, config.mode, block, splits, share)
+    trans, refl, spont = (x[0] for x in _magnitudes(coef, config.mode, shared, share))
+    trans_split, refl_split = shared.trans_split[0], shared.refl_split[0]
     trans_ph, refl_ph, spont_ph = _phases(cols, block)
-    return DisorderRealization(
-        trans_mags=trans[0],
+    real = DisorderRealization(
+        trans_mags=trans * trans_split,
         trans_phases=trans_ph[0],
-        refl_mags=refl[0],
+        refl_mags=refl * refl_split,
         refl_phases=refl_ph[0],
-        spont_mag=float(spont[0]),
+        spont_mag=float(spont),
         spont_phase=float(spont_ph[0]),
     )
+    object.__setattr__(real, "_groups", (trans, trans_split, refl, refl_split))
+    return real
 
 
 def variance_x_wfs_single(real: DisorderRealization, state: InputState) -> float:
@@ -699,40 +772,70 @@ def _check_quantity(quantity: str) -> None:
         raise ParameterError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
 
 
-def _over_chunks(specs: list[MediumSpec], config: SamplerConfig, reduce) -> list[list]:
-    """``reduce`` of each medium's channel sums, one chunk of draws at a time.
+def _chunk_rows(channels: int) -> int:
+    """Draws per chunk: as many exponential-mode draws as ``_CHUNK_DOUBLES`` holds, at least one.
 
-    The outer list runs over the chunks in draw-index order, the inner
-    over ``specs``, which share one channel count and each chunk's
-    uniforms.  Raises ``ParameterError`` before any draw when ``specs``
-    is empty or mixes channel counts, or when one draw's uniforms exceed
-    ``_CHUNK_DOUBLES``.
+    The count does not depend on the sampler mode, so one sampler alone
+    and both together reduce the same chunks in the same order.
+    """
+    width = _uniform_columns(SamplerMode.EXPONENTIAL_MAGNITUDES, _layout(channels))
+    return max(1, _CHUNK_DOUBLES // width)
+
+
+def _over_chunks(
+    specs: list[MediumSpec], configs: Sequence[SamplerConfig], reduce
+) -> list[list[list]]:
+    """``reduce`` of each medium's channel sums under each config, one chunk of draws at a time.
+
+    The outer list runs over the chunks in draw-index order, the next
+    over ``configs`` and the inner over ``specs``.  The media share one
+    channel count and the configs one seed and draw count, so a chunk
+    draws its uniforms once, at the widest width its modes need (a
+    mean-mode row is the first 2n + 1 doubles of the exponential row),
+    forms cos 2phi and each mode's split sums once, and leaves each
+    medium O(draws) work.  Raises ``ParameterError`` before any draw
+    when ``specs`` is empty or mixes channel counts, when ``configs`` is
+    empty or mixes seeds or draw counts, or when one draw's uniforms
+    exceed ``_CHUNK_DOUBLES``.
     """
     counts = sorted({spec.channels for spec in specs})
     if len(counts) != 1:
         raise ParameterError(
             f"need one or more media sharing one channel count (got channel counts {counts})"
         )
+    runs = sorted({(operator.index(c.seed), c.realizations) for c in configs})
+    if len(runs) != 1:
+        raise ParameterError(
+            f"need one or more configs sharing one (seed, realizations) (got {runs})"
+        )
+    [(seed, count)] = runs
     cols = _layout(counts[0])
-    columns = _draw_width(config.mode, counts[0])
-    rows = _CHUNK_DOUBLES // columns
+    columns = max(_draw_width(config.mode, counts[0]) for config in configs)
+    rows = _chunk_rows(counts[0])
     coefs = [mean_coefficients(spec) for spec in specs]
     # Each medium's share is resolved here, once: the chunks never touch
     # the cache, so pool threads neither race to fill it nor rebuild
     # evicted tables.
-    shares = [_medium_share(coef, cols, config.mode) for coef in coefs]
-    seed, count = operator.index(config.seed), config.realizations
+    plans = [
+        (config.mode, [_medium_share(coef, cols, config.mode) for coef in coefs])
+        for config in configs
+    ]
 
-    def chunk(start: int) -> list:
+    def chunk(start: int) -> list[list]:
         uniforms = _philox_rows(seed, columns, start, min(start + rows, count))
-        cos2 = np.cos(2.0 * _phases(cols, uniforms)[0])
-        splits = _channel_splits(config.mode, cols, uniforms)
+        cos2 = _cos2(_TWO_PI * uniforms[:, cols.trans_phase])
         out = []
-        for coef, share in zip(coefs, shares):
-            magnitudes = _magnitudes(coef, cols, config.mode, uniforms, splits, share)
-            sums = _batch_values(*magnitudes, cos2)
-            # Read-only views repeat mean mode's one-entry sums over the draws.
-            out.append(reduce(_ChannelSums(*(np.broadcast_to(s, cos2.shape[:1]) for s in sums))))
+        for mode, shares in plans:
+            shared = _shared_draws(mode, cols, uniforms)
+            split = _split_sums(shared.trans_split, shared.refl_split, cos2)
+            out.append([
+                # Read-only views repeat mean mode's one-entry sums over the draws.
+                reduce(_ChannelSums(*(
+                    np.broadcast_to(s, uniforms.shape[:1])
+                    for s in _batch_values(*_magnitudes(coef, mode, shared, share), split)
+                )))
+                for coef, share in zip(coefs, shares)
+            ])
         return out
 
     starts = range(0, count, rows)
@@ -759,9 +862,9 @@ def _moments(sums: _ChannelSums) -> _Moments:
     """
     basis = np.stack((sums.trans, sums.trans_cos2, sums.trans + sums.rest))
     count = basis.shape[1]
-    shifted = basis - basis[:, :1]
-    offset = np.add.reduce(shifted, axis=1) / count
-    centered = shifted - offset[:, None]
+    centered = basis - basis[:, :1]
+    offset = np.add.reduce(centered, axis=1) / count
+    centered -= offset[:, None]
     comoment = np.add.reduce(centered[:, None, :] * centered[None, :, :], axis=-1)
     return _Moments(count, basis[:, 0] + offset, comoment)
 
@@ -775,14 +878,21 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     return _Moments(count, mean, a.comoment + b.comoment + outer)
 
 
-def medium_moments(specs: list[MediumSpec], config: SamplerConfig) -> list[_Moments]:
-    """Moments of each medium over draws [0, realizations), merged in chunk order.
+def medium_moments(
+    specs: list[MediumSpec], configs: Sequence[SamplerConfig]
+) -> list[list[_Moments]]:
+    """Moments of each medium under each config over draws [0, realizations), merged in chunk order.
 
-    The merge order depends on the chunk indices only, so the moments are
-    bit-identical for any worker count.
+    The outer list runs over ``configs``, the inner over ``specs``.  The
+    merge order depends on the chunk indices only, so the moments are
+    bit-identical for any worker count and for any set of configs run
+    together.
     """
-    chunks = _over_chunks(specs, config, _moments)
-    return [functools.reduce(_merge, medium) for medium in zip(*chunks)]
+    chunks = _over_chunks(specs, configs, _moments)
+    return [
+        [functools.reduce(_merge, medium) for medium in zip(*per_config)]
+        for per_config in zip(*chunks)
+    ]
 
 
 # Channel sums of three unit draws in the moment basis: a variance's
@@ -839,8 +949,8 @@ def realization_values(
     chunk's moments.
     """
     _check_quantity(quantity)
-    chunks = _over_chunks([spec], config, lambda sums: sums)
-    sums = _ChannelSums(*(np.concatenate(field) for field in zip(*(c[0] for c in chunks))))
+    chunks = _over_chunks([spec], [config], lambda sums: sums)
+    sums = _ChannelSums(*(np.concatenate(column) for column in zip(*(c[0][0] for c in chunks))))
     return quadrature_values(sums, state, quantity)
 
 
@@ -853,6 +963,6 @@ def mc_average(
     ``validation``'s grid check reads, so the two agree bit for bit.
     """
     _check_quantity(quantity)
-    moments = medium_moments([spec], config)[0]
+    [[moments]] = medium_moments([spec], [config])
     means, std_errors = moment_estimate(moments, [state], (quantity,))
     return McEstimate(float(means[0, 0]), float(std_errors[0, 0]), moments.count)

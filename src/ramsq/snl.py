@@ -71,11 +71,17 @@ def threshold_closed_form(mfp_gain: float, state: InputState) -> float:
     Returns G_max = l/La / 2 + arccos((n/2) cos(l/La / 2)) with
     n = 1 + e^(-2r); the margin is negative exactly below it.  Outside
     0 < l/La < pi, ``DomainError`` is raised.
+
+    The arccos of x = (n/2) cos(mu/2) near 1 (n -> 2, mu -> 0) would
+    cancel, so it is evaluated as 2 arcsin sqrt((1 - x)/2), where
+    (1 - x)/2 = sin^2(mu/4) - expm1(-2r) cos(mu/2)/4 is a sum of two
+    nonnegative terms.
     """
     if not 0.0 < mfp_gain < math.pi:
         raise DomainError(f"closed form needs 0 < l/La < pi (got {mfp_gain})")
     half = 0.5 * mfp_gain
-    return half + math.acos(0.5 * (1.0 + state.x_variance) * math.cos(half))
+    gap = math.sin(0.5 * half) ** 2 - math.expm1(-2.0 * state.squeeze_r) * math.cos(half) / 4.0
+    return half + 2.0 * math.asin(math.sqrt(gap))
 
 
 @dataclass(frozen=True)

@@ -203,13 +203,13 @@ def _check_snl_sign() -> CheckResult:
     )
 
 
-def _check_mc(config: SamplerConfig, specs: list[MediumSpec]) -> CheckResult:
+def _check_mc(config: SamplerConfig, specs: list[MediumSpec], moments: list) -> CheckResult:
+    """The check of one sampler from ``moments``, each medium's in ``specs`` order."""
     mode, realizations = config.mode, config.realizations
     states = [InputState(squeeze_r=r) for r in STANDARD_SQUEEZE]
     # (medium, squeezing, quantity) arrays, in grid order.
     mean, std = map(np.stack, zip(*(
-        moment_estimate(moments, states, _QUANTITIES)
-        for moments in medium_moments(specs, config)
+        moment_estimate(medium, states, _QUANTITIES) for medium in moments
     )))
     analytic = np.array([
         [[getattr(full_report(spec, state), q) for q in _QUANTITIES] for state in states]
@@ -293,7 +293,11 @@ def run_validation(
         _check_analytic_identities(),
         _check_snl_sign(),
     ]
-    checks += [_check_mc(config, specs) for config in configs]
+    # One pass of draws serves every requested sampler.
+    checks += [
+        _check_mc(config, specs, moments)
+        for config, moments in zip(configs, medium_moments(specs, configs))
+    ]
     if any(c.status == "fail" for c in checks):
         status = "fail"
     elif any(c.status == "warning" for c in checks):

@@ -175,10 +175,11 @@ def test_config_rejects_seed_outside_philox_key(seed):
 
 # -- streamed chunks ---------------------------------------------------------
 
-def _chunk_draws(monkeypatch, mode, rows):
-    """Shrink the chunk budget to ``rows`` draws of ``mode`` at 4 channels."""
-    columns = ensemble._uniform_columns(mode, ensemble._layout(4))
+def _chunk_draws(monkeypatch, rows):
+    """Shrink the chunk budget to ``rows`` draws at 4 channels, in either mode."""
+    columns = ensemble._uniform_columns(MODES[1], ensemble._layout(4))
     monkeypatch.setattr(ensemble, "_CHUNK_DOUBLES", rows * columns)
+    assert ensemble._chunk_rows(4) == rows
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -187,7 +188,7 @@ def test_chunked_estimates_bit_identical(monkeypatch, mode):
     # draw indices only.  3 workers take the chunks unevenly, 7 outnumber
     # the cores, 64 the chunks (the pool never exceeds them), and a short
     # switch interval interleaves the chunk threads as often as it can.
-    _chunk_draws(monkeypatch, mode, 200)
+    _chunk_draws(monkeypatch, 200)
     specs = [MediumSpec(thickness_ratio=th, gain_ratio=g) for th in (2.0, 20.0) for g in (0.0, 1.0, 3.0)]
     pools = []
     executor = ensemble.ThreadPoolExecutor
@@ -203,7 +204,7 @@ def test_chunked_estimates_bit_identical(monkeypatch, mode):
     try:
         for workers in (1, 2, 3, 7, 64):
             monkeypatch.setattr(ensemble, "_worker_count", lambda: workers)
-            moments = ensemble.medium_moments(specs, config(mode, realizations=4000, seed=42))
+            [moments] = ensemble.medium_moments(specs, [config(mode, realizations=4000, seed=42)])
             estimates[workers] = [
                 [x.hex() for x in np.concatenate((m.mean, m.comoment.ravel())).tolist()]
                 for m in moments
@@ -219,7 +220,7 @@ def test_chunked_estimates_bit_identical(monkeypatch, mode):
 def test_chunk_edge_rows_match_single_draws(monkeypatch, mode, reference_spec, reference_state):
     # 64-draw chunks on 3 workers: both sides of every edge equal the
     # single-draw path bit for bit
-    _chunk_draws(monkeypatch, mode, 64)
+    _chunk_draws(monkeypatch, 64)
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
     cfg = config(mode, realizations=300, seed=42)
     batch = {q: realization_values(reference_spec, reference_state, cfg, q) for q in QUANTITIES}
@@ -241,7 +242,7 @@ def test_small_batches_start_no_thread(monkeypatch, mode, reference_spec, refere
 
     monkeypatch.setattr(ensemble, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 4)
-    chunk = ensemble._CHUNK_DOUBLES // ensemble._uniform_columns(mode, ensemble._layout(4))
+    chunk = ensemble._chunk_rows(4)
     cfg = config(mode, realizations=chunk, seed=3)
     mc_average(reference_spec, reference_state, cfg, "x_nowfs")
     realization_values(reference_spec, reference_state, cfg, "x_nowfs")
@@ -281,20 +282,29 @@ def test_draw_width_bound(monkeypatch, mode, reference_state):
         realization_values(wide, reference_state, cfg, "x_wfs")
 
 
-def test_mean_mode_channel_sums_stay_one_array_wide(reference_spec):
-    # constant magnitudes are one row, not (draws, channels) fills: the
-    # only chunk-sized temporary of a medium is the T cos 2phi product
-    draws, mode, cols = 20_000, MODES[0], ensemble._layout(4)
-    uniforms = ensemble._philox_rows(42, ensemble._uniform_columns(mode, cols), 0, draws)
-    cos2 = np.cos(2.0 * ensemble._phases(cols, uniforms)[0])
-    coef = mean_coefficients(reference_spec)
-    tracemalloc.start()
-    try:
-        ensemble._batch_values(*ensemble._magnitudes(coef, cols, mode, uniforms, None, None), cos2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * draws * 4 * np.dtype(float).itemsize
+@pytest.mark.parametrize("mode", MODES)
+def test_medium_reduction_allocates_o_draws(mode):
+    # a medium's part of a chunk reads the chunk's split sums and makes a
+    # few draw-length arrays: at 8 channels it peaks where it does at 1,
+    # below one (draws, channels) array (the medium's shape is outside
+    # the share tables' domain at both counts, so both read betaincinv)
+    draws, peaks = 20_000, {}
+    for channels in (1, 8):
+        spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=channels)
+        coef, cols = mean_coefficients(spec), ensemble._layout(channels)
+        uniforms = ensemble._philox_rows(42, ensemble._uniform_columns(mode, cols), 0, draws)
+        shared = ensemble._shared_draws(mode, cols, uniforms)
+        cos2 = ensemble._cos2(ensemble._TWO_PI * uniforms[:, cols.trans_phase])
+        split = ensemble._split_sums(shared.trans_split, shared.refl_split, cos2)
+        share = ensemble._medium_share(coef, cols, mode)
+        tracemalloc.start()
+        try:
+            ensemble._batch_values(*ensemble._magnitudes(coef, mode, shared, share), split)
+            peaks[channels] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.1 * peaks[1], peaks
+    assert peaks[8] < draws * 8 * np.dtype(float).itemsize, peaks
 
 
 def test_exponential_oracle_memory_does_not_grow(monkeypatch):
@@ -307,7 +317,7 @@ def test_exponential_oracle_memory_does_not_grow(monkeypatch):
     for draws in (20_000, 80_000):
         tracemalloc.start()
         try:
-            ensemble.medium_moments(specs, config(MODES[1], realizations=draws, seed=42))
+            ensemble.medium_moments(specs, [config(MODES[1], realizations=draws, seed=42)])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -322,7 +332,19 @@ def test_bulk_paths_reject_channel_count(monkeypatch, channels):
     specs = [MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=n) for n in channels]
     monkeypatch.setattr(ensemble, "_philox_rows", None)
     with pytest.raises(ParameterError, match=re.escape(f"channel counts {list(channels)}")):
-        ensemble.medium_moments(specs, config(MODES[0]))
+        ensemble.medium_moments(specs, [config(MODES[0])])
+
+
+@pytest.mark.parametrize("runs", [((1, 100), (2, 100)), ((1, 100), (1, 200)), ()],
+                         ids=["seeds", "draw-counts", "empty"])
+def test_bulk_paths_reject_mixed_configs(monkeypatch, runs):
+    # configs streamed together read each chunk's one block of uniforms,
+    # so they need one seed and draw count; refused before any draw
+    specs = [MediumSpec(thickness_ratio=10.0, gain_ratio=2.5)]
+    configs = [config(mode, realizations=n, seed=seed) for mode, (seed, n) in zip(MODES, runs)]
+    monkeypatch.setattr(ensemble, "_philox_rows", None)
+    with pytest.raises(ParameterError, match="one .seed, realizations."):
+        ensemble.medium_moments(specs, configs)
 
 
 def test_mc_average_repeatable(reference_spec, reference_state):
@@ -515,7 +537,9 @@ def test_shaped_x_single_past_antisqueezing_limit(reference_spec):
     state = InputState(squeeze_r=400.0)
     real = sample_realization(reference_spec, config(MODES[1], seed=4), 0)
     assert state.x_variance == 0.0
-    assert variance_x_wfs_single(real, state) == float(np.sum(real.refl_mags) + real.spont_mag)
+    shaped = variance_x_wfs_single(real, state)
+    assert shaped == float(real._sums.rest)
+    assert math.isclose(shaped, float(np.sum(real.refl_mags) + real.spont_mag), rel_tol=1e-15)
     with pytest.raises(ParameterError):
         variance_x_nowfs_single(real, state)
 
@@ -619,10 +643,11 @@ def test_shaped_mean_mode_has_zero_spread(reference_spec, reference_state):
             assert abs(est.mean - target) <= 1e-12
 
 
-def _grid_estimates(mode, seed, draws):
-    """Validation's grid media and squeezings, and its stacked estimates.
+def _grid_estimates(modes, seed, draws):
+    """Validation's grid media and squeezings, and each mode's stacked estimates.
 
-    The means and standard errors have axes (medium, squeezing, quantity).
+    All modes run in one pass of draws.  Each mode's means and standard
+    errors have axes (medium, squeezing, quantity).
     """
     specs = [
         MediumSpec(thickness_ratio=th, gain_ratio=g)
@@ -630,9 +655,12 @@ def _grid_estimates(mode, seed, draws):
         for g in validation.STANDARD_GAIN
     ]
     states = [InputState(squeeze_r=r) for r in validation.STANDARD_SQUEEZE]
-    moments = ensemble.medium_moments(specs, config(mode, realizations=draws, seed=seed))
-    means, std_errors = zip(*(ensemble.moment_estimate(m, states, QUANTITIES) for m in moments))
-    return specs, states, np.stack(means), np.stack(std_errors)
+    configs = [config(mode, realizations=draws, seed=seed) for mode in modes]
+    estimates = [
+        tuple(map(np.stack, zip(*(ensemble.moment_estimate(m, states, QUANTITIES) for m in moments))))
+        for moments in ensemble.medium_moments(specs, configs)
+    ]
+    return specs, states, estimates
 
 
 def test_zero_gain_exponential_spread_stays_at_rounding(monkeypatch):
@@ -642,7 +670,7 @@ def test_zero_gain_exponential_spread_stays_at_rounding(monkeypatch):
     # sum R (which rounds to ~1e-11 or to below zero)
     monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0,))
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0,))
-    specs, [state], means, std_errors = _grid_estimates(MODES[1], seed=42, draws=20_000)
+    specs, [state], [(means, std_errors)] = _grid_estimates([MODES[1]], seed=42, draws=20_000)
     assert means.shape == (len(validation.STANDARD_THICKNESS), 1, 4)
     cfg = config(MODES[1], realizations=20_000, seed=42)
     for spec, mean, std_error in zip(specs, means[:, 0], std_errors[:, 0]):
@@ -660,7 +688,7 @@ def test_unshaped_mean_mode_exact_at_zero_squeezing(monkeypatch):
     # at r = 0 the phases drop out exactly: with constant magnitudes
     # every draw gives the same number, on every medium of the grid
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0,))
-    specs, [state], means, std_errors = _grid_estimates(MODES[0], seed=42, draws=2000)
+    specs, [state], [(means, std_errors)] = _grid_estimates([MODES[0]], seed=42, draws=2000)
     unshaped = [QUANTITIES.index(q) for q in ("x_nowfs", "p_nowfs")]
     assert std_errors[..., unshaped].size == 2 * len(specs) == 2 * 4 * 6
     for spec, mean, std_error in zip(specs, means[:, 0], std_errors[:, 0]):
@@ -722,13 +750,18 @@ def test_validation_rejects_unknown_sampler(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_validation_reduces_like_mc_average(monkeypatch, mode):
-    # the grid check reduces each medium once and estimates all its
+    # the grid check draws both samplers in one pass over 8 chunks,
+    # reduces each medium once per sampler and estimates all its
     # squeezings and quantities in one stack; every element must equal
-    # the per-quantity mc_average bit for bit
+    # that sampler's per-quantity mc_average bit for bit, with the mode
+    # first or second in the pass, and a both-sampler report's check
+    # must equal the single-sampler report's
+    _chunk_draws(monkeypatch, 64)
     monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 10.0))
     monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 2.5))
     monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0, 1.0))
-    specs, states, means, std_errors = _grid_estimates(mode, seed=5, draws=500)
+    other = MODES[1 - MODES.index(mode)]
+    specs, states, [(means, std_errors), _] = _grid_estimates([mode, other], seed=5, draws=500)
     assert means.shape == std_errors.shape == (4, 2, 4)
     cfg = config(mode, realizations=500, seed=5)
     for (i, spec), (j, state), (k, quantity) in itertools.product(
@@ -737,6 +770,13 @@ def test_validation_reduces_like_mc_average(monkeypatch, mode):
         est = mc_average(spec, state, cfg, quantity)
         stacked = (float(means[i, j, k]).hex(), float(std_errors[i, j, k]).hex())
         assert (est.mean.hex(), est.std_error.hex()) == stacked, (spec, state, quantity)
+    both, single = (
+        {c.name: c for c in validation.run_validation(realizations=500, seed=5, sampler=s).checks}
+        for s in ("both", mode.value)
+    )
+    name = f"mc-oracle-{mode.value}"
+    assert both[name].status == single[name].status
+    assert json.dumps(both[name].detail) == json.dumps(single[name].detail)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -863,7 +903,7 @@ def test_share_tables_built_once_per_grid_shape(monkeypatch):
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
     specs, shapes = _grid_shares()
     ensemble._share_table.cache_clear()
-    ensemble.medium_moments(specs, config(MODES[1], realizations=3 * 2**13, seed=4))
+    ensemble.medium_moments(specs, [config(MODES[1], realizations=3 * 2**13, seed=4)])
     assert len(shapes) == 19
     assert ensemble._share_table.cache_info().misses == 19
 
@@ -884,8 +924,8 @@ def test_share_tables_resolved_once_past_the_cache(monkeypatch):
     shapes = {ensemble._share_shape(mean_coefficients(s), 4) for s in specs}
     assert len(shapes) == 70
     ensemble._share_table.cache_clear()
-    rows = ensemble._CHUNK_DOUBLES // ensemble._uniform_columns(MODES[1], ensemble._layout(4))
-    ensemble.medium_moments(specs, config(MODES[1], realizations=3 * rows + 1, seed=4))
+    rows = ensemble._chunk_rows(4)
+    ensemble.medium_moments(specs, [config(MODES[1], realizations=3 * rows + 1, seed=4)])
     assert ensemble._share_table.cache_info().misses == 70
     assert builders and set(builders) == {threading.current_thread()}
 

@@ -1,5 +1,6 @@
 """Sub-shot-noise margin, closed-form boundary and region scanner."""
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ def test_threshold_pinned_point():
     gain_max = threshold_closed_form(0.1, state)
     assert math.isclose(math.sin(gain_max), THRESHOLD_01_N1["m_plus"], rel_tol=1e-14)
     assert math.isclose(gain_max, THRESHOLD_01_N1["gain_max"], rel_tol=1e-14)
+
+
+# G_max = mu/2 + arccos((n/2) cos(mu/2)) to 50 digits, n = 1 + e^(-2r),
+# computed once with mpmath 1.3.0 (mp.dps = 60) from the exact doubles
+# r and mu.  Here n -> 2 and mu -> 0, where an arccos of its argument
+# near 1 cancels: at r = 0 and mu = 1e-8 it read 0.5 relative off.
+FROZEN_THRESHOLDS = (
+    (0.0, 1e-8, "1.0000000000000000209225608301284726753266340891855e-8"),
+    (0.0, 1e-6, "9.9999999999999995474811182588625868561393872369086e-7"),
+    (0.0, 1e-3, "1.0000000000000000208166817117216851329430937767029e-3"),
+    (1e-6, 1e-8, "1.4142179731264272282191602551849013254899708108182e-3"),
+    (1e-6, 1e-6, "1.4147130615059111847604109337532686824598055587036e-3"),
+    (1e-6, 1e-3, "1.9999993888890542018329755082828430351825428192765e-3"),
+)
+
+
+@pytest.mark.parametrize("squeeze, mfp_gain, gain_max", FROZEN_THRESHOLDS)
+def test_threshold_without_cancellation(squeeze, mfp_gain, gain_max):
+    got = threshold_closed_form(mfp_gain, InputState(squeeze_r=squeeze))
+    assert abs(Decimal(got) - Decimal(gain_max)) <= Decimal("1e-15") * Decimal(gain_max)
 
 
 def test_threshold_against_bisection():

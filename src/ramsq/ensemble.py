@@ -620,16 +620,16 @@ def _magnitudes(
     mode: SamplerMode,
     shared: _SharedDraws,
     share: Callable[[np.ndarray], np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple:
     """One medium's group totals t and r and spontaneous weight V per draw.
 
     The magnitudes are T_i = t split_T,i and R_j = r split_R,j over the
     block's ``_shared_draws``; ``share`` is the medium's
-    ``_medium_share``.  Mean mode returns one entry each, the constants
-    (t_bar, r_bar, v_bar), whatever the draws.
+    ``_medium_share``.  Mean mode returns the constants (t_bar, r_bar,
+    v_bar), whatever the draws.
     """
     if mode is SamplerMode.MEAN_MAGNITUDES:
-        return np.array([[coef.t_bar], [coef.r_bar], [coef.v_bar]])
+        return coef.t_bar, coef.r_bar, coef.v_bar
     if coef.v_bar > 0.0:
         spont = coef.v_bar * shared.spont
     else:
@@ -684,7 +684,8 @@ def _batch_values(
 
     sum T = t sum split_T, sum T cos 2phi = t sum split_T cos 2phi and
     sum R + V = r sum split_R + V: O(draws) work, whatever the channel
-    count.  Mean mode's constant totals give one-entry T and R + V sums.
+    count.  Mean mode's constant totals give one-entry T and R + V sums
+    from its one-row splits.
     """
     return _ChannelSums(
         trans=trans * split.trans,
@@ -707,7 +708,9 @@ def sample_realization(
     block = _uniforms_for(config, cols, draw_index)[None, :]
     shared = _shared_draws(config.mode, cols, block)
     share = _medium_share(coef, cols, config.mode)
-    trans, refl, spont = (x[0] for x in _magnitudes(coef, config.mode, shared, share))
+    trans, refl, spont = _magnitudes(coef, config.mode, shared, share)
+    if config.mode is SamplerMode.EXPONENTIAL_MAGNITUDES:
+        trans, refl, spont = trans[0], refl[0], spont[0]
     trans_split, refl_split = shared.trans_split[0], shared.refl_split[0]
     trans_ph, refl_ph, spont_ph = _phases(cols, block)
     real = DisorderRealization(

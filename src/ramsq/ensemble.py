@@ -74,10 +74,10 @@ cancels, so its rounding is bounded in absolute terms: both forms are
 within about (n + 1) 2**-53 sum |T_i cos 2phi_i| <= (n + 1) 2**-53 sum T
 of the exact sum (measured: at most 4.4e-16 sum T), the size of the
 rounding of the sum T g term it enters beside.  A single draw is the
-same reducer: a sampled ``DisorderRealization`` carries its group totals
-and splits and reduces through them once, on first use, so it equals its
-entry in the bulk values bit for bit; a realization built or replaced
-from arrays reduces them with unit totals.
+same reducer: a ``DisorderRealization`` stores its group totals and
+splits as they were drawn and reduces through them once, on first use,
+so a sampled one, and any unchanged copy of it, equals its entry in the
+bulk values bit for bit.
 
 A bulk estimate never holds its values: each chunk reduces each
 medium's sums to moments (``_moments``), and the chunks merge in
@@ -138,7 +138,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -208,26 +208,35 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class DisorderRealization:
-    """One frozen disorder configuration of the slab.
+    """One frozen disorder configuration of the slab, stored as it was drawn.
 
-    Arrays hold one entry per channel; the spontaneous contribution is
-    aggregated into a single weight and phase.  All magnitudes are
-    nonnegative and satisfy the flux constraint to float precision.
-    The channel sums are reduced once, on first use: derive a changed
-    realization with ``dataclasses.replace``, never by editing arrays.
+    Each group's channel weights are a group total times a channel
+    split, T_i = trans_total trans_split_i and R_j = refl_total
+    refl_split_j, with one entry per channel; the spontaneous
+    contribution is aggregated into a single weight and phase.  All
+    magnitudes are nonnegative and satisfy the flux constraint to float
+    precision.  A realization built by hand passes totals of 1.0 with its
+    weights as the splits, or 0.0 for a group with no weight.  The channel
+    sums are reduced once, on first use: derive a changed realization
+    with ``dataclasses.replace``, never by editing arrays.
     """
 
-    trans_mags: np.ndarray
+    trans_total: float
+    trans_split: np.ndarray
     trans_phases: np.ndarray
-    refl_mags: np.ndarray
+    refl_total: float
+    refl_split: np.ndarray
     refl_phases: np.ndarray
     spont_mag: float
     spont_phase: float
-    # The group totals and channel splits a sampled realization was drawn
-    # as, (t, split_T, r, split_R) with T = t split_T and R = r split_R; it
-    # reduces through them, as its bulk entry does.  Not an init field, so
-    # a dataclasses.replace copy drops them and reduces its own arrays.
-    _groups: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def trans_mags(self) -> np.ndarray:
+        return self.trans_total * self.trans_split
+
+    @property
+    def refl_mags(self) -> np.ndarray:
+        return self.refl_total * self.refl_split
 
     def flux_residual(self) -> float:
         return float(np.sum(self.trans_mags) + np.sum(self.refl_mags) - self.spont_mag - 1.0)
@@ -236,11 +245,8 @@ class DisorderRealization:
     # so a copy with new phases or magnitudes never inherits stale sums.
     @functools.cached_property
     def _sums(self) -> _ChannelSums:
-        trans, trans_split, refl, refl_split = self._groups or (
-            1.0, self.trans_mags, 1.0, self.refl_mags
-        )
-        split = _split_sums(trans_split, refl_split, _cos2(self.trans_phases))
-        return _batch_values(trans, refl, self.spont_mag, split)
+        split = _split_sums(self.trans_split, self.refl_split, _cos2(self.trans_phases))
+        return _batch_values(self.trans_total, self.refl_total, self.spont_mag, split)
 
 
 @dataclass(frozen=True)
@@ -403,6 +409,7 @@ def _shared_draws(mode: SamplerMode, cols: _Columns, uniforms: np.ndarray) -> _S
         trans_draws / trans_draws.sum(axis=1, keepdims=True),
         refl_draws / refl_draws.sum(axis=1, keepdims=True),
         -np.log1p(-uniforms[:, cols.spont]),
+        # The share's masks and gathers cost twice as much on a strided column.
         np.ascontiguousarray(uniforms[:, cols.share]),
     )
 
@@ -568,8 +575,6 @@ class _ShareTable(NamedTuple):
             if v > self.split:
                 return np.array([1.0 - self.upper(1.0 - v)])
             return np.array([self.lower(v) if v > 0.0 else 0.0])
-        # The masks and gathers cost twice as much on a strided column.
-        u = np.ascontiguousarray(u)
         # u = 0 keeps its exact 0, and the root never takes ln 0.
         share = np.zeros(u.shape)
         upper = u > self.split
@@ -642,11 +647,6 @@ def _magnitudes(
 _TWO_PI = 2.0 * math.pi
 
 
-def _phases(cols: _Columns, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    columns = (cols.trans_phase, cols.refl_phase, cols.spont_phase)
-    return tuple(_TWO_PI * uniforms[:, c] for c in columns)
-
-
 def _cos2(trans_phases: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * trans_phases)
 
@@ -705,24 +705,22 @@ def sample_realization(
         raise ParameterError(f"draw_index must lie in [0, 2**128) (got {draw_index})")
     coef = mean_coefficients(spec)
     cols = _layout(spec.channels)
-    block = _uniforms_for(config, cols, draw_index)[None, :]
-    shared = _shared_draws(config.mode, cols, block)
+    row = _uniforms_for(config, cols, draw_index)
+    shared = _shared_draws(config.mode, cols, row[None, :])
     share = _medium_share(coef, cols, config.mode)
     trans, refl, spont = _magnitudes(coef, config.mode, shared, share)
     if config.mode is SamplerMode.EXPONENTIAL_MAGNITUDES:
         trans, refl, spont = trans[0], refl[0], spont[0]
-    trans_split, refl_split = shared.trans_split[0], shared.refl_split[0]
-    trans_ph, refl_ph, spont_ph = _phases(cols, block)
-    real = DisorderRealization(
-        trans_mags=trans * trans_split,
-        trans_phases=trans_ph[0],
-        refl_mags=refl * refl_split,
-        refl_phases=refl_ph[0],
+    return DisorderRealization(
+        trans_total=float(trans),
+        trans_split=shared.trans_split[0],
+        trans_phases=_TWO_PI * row[cols.trans_phase],
+        refl_total=float(refl),
+        refl_split=shared.refl_split[0],
+        refl_phases=_TWO_PI * row[cols.refl_phase],
         spont_mag=float(spont),
-        spont_phase=float(spont_ph[0]),
+        spont_phase=_TWO_PI * float(row[cols.spont_phase]),
     )
-    object.__setattr__(real, "_groups", (trans, trans_split, refl, refl_split))
-    return real
 
 
 def variance_x_wfs_single(real: DisorderRealization, state: InputState) -> float:
@@ -841,12 +839,8 @@ def _over_chunks(
             ])
         return out
 
-    starts = range(0, count, rows)
-    workers = min(_worker_count(), len(starts))
-    if workers < 2:
-        return [chunk(start) for start in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk, starts))
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        return list(pool.map(chunk, range(0, count, rows)))
 
 
 class _Moments(NamedTuple):

@@ -1,7 +1,7 @@
 """Run manifests and deterministic CSV serialization.
 
 Every dataset is reproducible from its manifest: the manifest core
-(command, fully resolved parameters, seed, tool version) is hashed
+(command, fully resolved parameters, preset, tool version) is hashed
 canonically, the CSV carries that hash as its first line, and rerunning
 the recorded command line yields byte-identical CSV.  Floats are
 rendered with ``repr``, the shortest string that round-trips to the
@@ -43,7 +43,6 @@ class RunManifest:
 
     command: str
     parameters: dict
-    seed: int | None = None
     preset: str | None = None
 
     def core_payload(self) -> dict:
@@ -51,7 +50,9 @@ class RunManifest:
             "command": self.command,
             "parameters": self.parameters,
             "preset": self.preset,
-            "seed": self.seed,
+            # No dataset is random.  The null seed stays in the payload so
+            # that every published manifest hash still holds.
+            "seed": None,
             "version": __version__,
         }
 

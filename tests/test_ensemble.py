@@ -185,19 +185,20 @@ def _chunk_draws(monkeypatch, rows):
 @pytest.mark.parametrize("mode", MODES)
 def test_chunked_estimates_bit_identical(monkeypatch, mode):
     # 20 chunks of 200 draws: chunk edges and the merge order depend on
-    # draw indices only.  3 workers take the chunks unevenly, 7 outnumber
-    # the cores, 64 the chunks (the pool never exceeds them), and a short
-    # switch interval interleaves the chunk threads as often as it can.
+    # draw indices only.  1 worker runs the same pool as the rest, 3 take
+    # the chunks unevenly, 7 outnumber the cores, 64 the chunks, and a
+    # short switch interval interleaves the chunk threads as often as it
+    # can.
     _chunk_draws(monkeypatch, 200)
     specs = [MediumSpec(thickness_ratio=th, gain_ratio=g) for th in (2.0, 20.0) for g in (0.0, 1.0, 3.0)]
     pools = []
-    executor = ensemble.ThreadPoolExecutor
 
-    def recorded(max_workers):
-        pools.append(max_workers)
-        return executor(max_workers=max_workers)
+    class Recorded(ensemble.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            pools.append((self._max_workers, len(self._threads)))
 
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", Recorded)
     estimates = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -211,7 +212,11 @@ def test_chunked_estimates_bit_identical(monkeypatch, mode):
             ]
     finally:
         sys.setswitchinterval(interval)
-    assert pools == [2, 3, 7, 20]
+    # every run, one worker too, goes through one pool, and no pool
+    # starts more threads than the 20 chunks
+    assert [size for size, _ in pools] == [1, 2, 3, 7, 64]
+    assert pools[0] == (1, 1)
+    assert all(1 <= threads <= min(size, 20) for size, threads in pools), pools
     for workers in (2, 3, 7, 64):
         assert estimates[workers] == estimates[1]
 
@@ -231,24 +236,6 @@ def test_chunk_edge_rows_match_single_draws(monkeypatch, mode, reference_spec, r
         assert batch["x_nowfs"][k] == variance_x_nowfs_single(real, reference_state)
         assert batch["p_wfs"][k] == variance_p_single(real, reference_state, shaped=True)
         assert batch["p_nowfs"][k] == variance_p_single(real, reference_state, shaped=False)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_small_batches_start_no_thread(monkeypatch, mode, reference_spec, reference_state):
-    # one chunk of draws and a single draw stay on the calling thread;
-    # one draw more makes two chunks, which do start a pool
-    def refuse(*args, **kwargs):
-        raise AssertionError("no thread pool for one chunk")
-
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(ensemble, "_worker_count", lambda: 4)
-    chunk = ensemble._chunk_rows(4)
-    cfg = config(mode, realizations=chunk, seed=3)
-    mc_average(reference_spec, reference_state, cfg, "x_nowfs")
-    realization_values(reference_spec, reference_state, cfg, "x_nowfs")
-    sample_realization(reference_spec, cfg, 2**62)
-    with pytest.raises(AssertionError, match="no thread pool"):
-        mc_average(reference_spec, reference_state, config(mode, chunk + 1, seed=3), "x_nowfs")
 
 
 @pytest.mark.parametrize("text,workers", [
@@ -522,7 +509,7 @@ def test_replaced_realization_reduces_afresh(reference_spec, reference_state):
     real = sample_realization(reference_spec, config(MODES[1], seed=8), 1)
     variance_x_wfs_single(real, reference_state)
     tweaked = dataclasses.replace(
-        real, refl_mags=real.refl_mags * 3.0, spont_mag=real.spont_mag + 5.0
+        real, refl_total=real.refl_total * 3.0, spont_mag=real.spont_mag + 5.0
     )
     expected = (
         math.fsum(tweaked.trans_mags) * reference_state.x_variance
@@ -530,6 +517,28 @@ def test_replaced_realization_reduces_afresh(reference_spec, reference_state):
         + tweaked.spont_mag
     )
     assert abs(variance_x_wfs_single(tweaked, reference_state) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_copied_realization_reduces_as_drawn(mode, reference_spec, reference_state):
+    # an unchanged copy, by dataclasses.replace or rebuilt from the
+    # fields, reduces bit for bit as the sampled realization does
+    cfg = config(mode, realizations=2000, seed=42)
+    singles = (
+        variance_x_wfs_single,
+        variance_x_nowfs_single,
+        functools.partial(variance_p_single, shaped=True),
+        functools.partial(variance_p_single, shaped=False),
+    )
+    moved = set()
+    for k in range(2000):
+        real = sample_realization(reference_spec, cfg, k)
+        fields = {f.name: getattr(real, f.name) for f in dataclasses.fields(real) if f.init}
+        expected = [single(real, reference_state).hex() for single in singles]
+        for copy in (dataclasses.replace(real), DisorderRealization(**fields)):
+            if [single(copy, reference_state).hex() for single in singles] != expected:
+                moved.add(k)
+    assert not moved, f"{len(moved)} of 2000 draws moved"
 
 
 def test_shaped_x_single_past_antisqueezing_limit(reference_spec):
@@ -580,9 +589,11 @@ def test_mean_amplitude_identity_channel():
     # single channel with full transmission: means are (2 Re a, 2 Im a),
     # displacement applied after squeezing
     real = DisorderRealization(
-        trans_mags=np.array([1.0]),
+        trans_total=1.0,
+        trans_split=np.array([1.0]),
         trans_phases=np.array([0.0]),
-        refl_mags=np.array([0.0]),
+        refl_total=0.0,
+        refl_split=np.array([1.0]),
         refl_phases=np.array([0.0]),
         spont_mag=0.0,
         spont_phase=0.0,
@@ -600,7 +611,7 @@ def test_mean_amplitude_depends_only_on_transmission(reference_spec):
     state = InputState(squeeze_r=0.5, amplitude=2.0 + 1.0j)
     real = sample_realization(reference_spec, config(MODES[1], seed=8), 1)
     tweaked = dataclasses.replace(
-        real, refl_mags=real.refl_mags * 3.0, spont_mag=real.spont_mag + 5.0
+        real, refl_total=real.refl_total * 3.0, spont_mag=real.spont_mag + 5.0
     )
     assert mean_amplitude_check(tweaked, state) == mean_amplitude_check(real, state)
 

@@ -82,7 +82,13 @@ bulk values bit for bit.
 A bulk estimate never holds its values: each chunk reduces each
 medium's sums to moments (``_moments``), and the chunks merge in
 chunk-index order (Chan, Golub & LeVeque 1983; Pebay, SAND2008-6212),
-so the estimates are bit-identical for any worker count.
+so the estimates are bit-identical for any worker count.  A chunk's
+moments are two-pass about its first row in the basis (sum T,
+sum T cos 2phi, total).  Mean mode's sum T and total are one-entry
+constants: each is its own mean, with co-moments of exactly +0.0, and is
+never spread over the draws.  Each varying column is centred on its own,
+and each of the 6 distinct co-moments is one reduction, mirrored across
+the diagonal.
 
 Magnitude modes
 ---------------
@@ -126,8 +132,13 @@ shares stay within 32 ulp of ``betaincinv`` on the standard grid's
 shapes; shapes outside the measured domain keep ``betaincinv``.  Each
 share depends only on its own uniform and the shape, so a single draw,
 which runs the same operations on one numpy scalar, still equals its
-bulk entry bit for bit.  Which uniform feeds which quantity is fixed
-in one place, ``_layout``.
+bulk entry bit for bit.  A chunk sorts its share uniforms once, for all
+media (``_ShareUniforms``): a table then splits the ascending column at
+0 and at the tails' meeting point into three contiguous slices, with no
+mask, gather or scatter, and each medium restores draw order with one
+``take``.  ``betaincinv`` shapes read the same sorted column; a single
+draw is not sorted.  Which uniform feeds which quantity is fixed in one
+place, ``_layout``.
 """
 
 from __future__ import annotations
@@ -384,19 +395,46 @@ def _worker_count() -> int:
         return cpus
 
 
+class _ShareUniforms(NamedTuple):
+    """A block's share uniforms in ascending order, sorted once for all media.
+
+    ``rank`` restores draw order: ``values.take(rank)``.  A single draw
+    is not sorted and has no rank.
+    """
+
+    ascending: np.ndarray
+    rank: np.ndarray | None
+
+    @classmethod
+    def of(cls, u: np.ndarray) -> _ShareUniforms:
+        if u.shape == (1,):
+            return cls(u, None)
+        # Tied uniforms give equal shares, so the order among ties, and
+        # with it the sort's stability, cannot change a value.
+        order = np.argsort(u)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return cls(u.take(order), rank)
+
+    def shares(self, share: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``share`` of each uniform, in draw order."""
+        values = share(self.ascending)
+        return values if self.rank is None else values.take(self.rank)
+
+
 class _SharedDraws(NamedTuple):
     """What a block of draws gives every medium, whatever its coefficients.
 
     The channel splits spread each group total over its channels, each
     row summing to 1; mean mode has one row of 1/n.  Exponential mode
     adds the unit exponential draws that V scales and the Beta share's
-    uniforms (None in mean mode).
+    uniforms, sorted once (None in mean mode).
     """
 
     trans_split: np.ndarray
     refl_split: np.ndarray
     spont: np.ndarray | None  # -log1p(-u) = V / v_bar
-    share: np.ndarray | None
+    share: _ShareUniforms | None
 
 
 def _shared_draws(mode: SamplerMode, cols: _Columns, uniforms: np.ndarray) -> _SharedDraws:
@@ -409,8 +447,7 @@ def _shared_draws(mode: SamplerMode, cols: _Columns, uniforms: np.ndarray) -> _S
         trans_draws / trans_draws.sum(axis=1, keepdims=True),
         refl_draws / refl_draws.sum(axis=1, keepdims=True),
         -np.log1p(-uniforms[:, cols.spont]),
-        # The share's masks and gathers cost twice as much on a strided column.
-        np.ascontiguousarray(uniforms[:, cols.share]),
+        _ShareUniforms.of(uniforms[:, cols.share]),
     )
 
 
@@ -564,23 +601,22 @@ class _ShareTable(NamedTuple):
     upper: _ShareTail  # 1 - x = I^-1(b, a, 1 - u) in t = (1 - u)**(1/b)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Beta(a, b) quantiles of ``u``: ``betaincinv(a, b, u)`` to rounding.
+        """Beta(a, b) quantiles of ascending ``u``: ``betaincinv(a, b, u)`` to rounding.
 
         Each share depends on its own uniform and the shape only, so a
         batch of one equals its entry in any batch bit for bit.
         """
         if u.shape == (1,):
-            # On one value the masks and gathers below cost several times more.
+            # On one value the slices below cost several times more.
             v = u[0]
             if v > self.split:
                 return np.array([1.0 - self.upper(1.0 - v)])
             return np.array([self.lower(v) if v > 0.0 else 0.0])
         # u = 0 keeps its exact 0, and the root never takes ln 0.
+        zero, split = np.searchsorted(u, (0.0, self.split), side="right")
         share = np.zeros(u.shape)
-        upper = u > self.split
-        lower = (u > 0.0) ^ upper
-        share[lower] = self.lower(u[lower])
-        share[upper] = 1.0 - self.upper(1.0 - u[upper])
+        share[zero:split] = self.lower(u[zero:split])
+        share[split:] = 1.0 - self.upper(1.0 - u[split:])
         return share
 
 
@@ -640,7 +676,7 @@ def _magnitudes(
     else:
         spont = np.zeros(shared.spont.shape)
     total = 1.0 + spont
-    trans_share = share(shared.share)
+    trans_share = shared.share.shares(share)
     return total * trans_share, total * (1.0 - trans_share), spont
 
 
@@ -786,7 +822,7 @@ def _chunk_rows(channels: int) -> int:
 def _over_chunks(
     specs: list[MediumSpec], configs: Sequence[SamplerConfig], reduce
 ) -> list[list[list]]:
-    """``reduce`` of each medium's channel sums under each config, one chunk of draws at a time.
+    """``reduce(draws, sums)`` of each medium's channel sums under each config, chunk by chunk.
 
     The outer list runs over the chunks in draw-index order, the next
     over ``configs`` and the inner over ``specs``.  The media share one
@@ -794,10 +830,11 @@ def _over_chunks(
     draws its uniforms once, at the widest width its modes need (a
     mean-mode row is the first 2n + 1 doubles of the exponential row),
     forms cos 2phi and each mode's split sums once, and leaves each
-    medium O(draws) work.  Raises ``ParameterError`` before any draw
-    when ``specs`` is empty or mixes channel counts, when ``configs`` is
-    empty or mixes seeds or draw counts, or when one draw's uniforms
-    exceed ``_CHUNK_DOUBLES``.
+    medium O(draws) work.  Mean mode's sums T and R + V reach ``reduce``
+    as one-entry arrays, the same for every draw of the chunk.  Raises
+    ``ParameterError`` before any draw when ``specs`` is empty or mixes
+    channel counts, when ``configs`` is empty or mixes seeds or draw
+    counts, or when one draw's uniforms exceed ``_CHUNK_DOUBLES``.
     """
     counts = sorted({spec.channels for spec in specs})
     if len(counts) != 1:
@@ -824,17 +861,14 @@ def _over_chunks(
 
     def chunk(start: int) -> list[list]:
         uniforms = _philox_rows(seed, columns, start, min(start + rows, count))
+        drawn = len(uniforms)
         cos2 = _cos2(_TWO_PI * uniforms[:, cols.trans_phase])
         out = []
         for mode, shares in plans:
             shared = _shared_draws(mode, cols, uniforms)
             split = _split_sums(shared.trans_split, shared.refl_split, cos2)
             out.append([
-                # Read-only views repeat mean mode's one-entry sums over the draws.
-                reduce(_ChannelSums(*(
-                    np.broadcast_to(s, uniforms.shape[:1])
-                    for s in _batch_values(*_magnitudes(coef, mode, shared, share), split)
-                )))
+                reduce(drawn, _batch_values(*_magnitudes(coef, mode, shared, share), split))
                 for coef, share in zip(coefs, shares)
             ])
         return out
@@ -851,19 +885,33 @@ class _Moments(NamedTuple):
     comoment: np.ndarray
 
 
-def _moments(sums: _ChannelSums) -> _Moments:
-    """Moments of one chunk, two-pass about its first row.
+def _moments(count: int, sums: _ChannelSums) -> _Moments:
+    """Moments of one chunk's ``count`` draws, two-pass about its first row.
 
     The shift keeps a constant column exact: its mean is that row and its
     co-moments are exactly zero, where the mean of the raw column rounds.
+    A one-entry sum (mean mode's sum T and total) is such a column, so it
+    is never spread over the draws: its co-moments are +0.0, which is what
+    ``np.add.reduce`` makes of its shifted products, signed zeros all.
+    Each other column is centred on its own, and each of the 6 distinct
+    co-moments is one reduction, mirrored across the diagonal.
     """
-    basis = np.stack((sums.trans, sums.trans_cos2, sums.trans + sums.rest))
-    count = basis.shape[1]
-    centered = basis - basis[:, :1]
-    offset = np.add.reduce(centered, axis=1) / count
-    centered -= offset[:, None]
-    comoment = np.add.reduce(centered[:, None, :] * centered[None, :, :], axis=-1)
-    return _Moments(count, basis[:, 0] + offset, comoment)
+    mean = np.empty(3)
+    centered = [None, None, None]
+    for k, column in enumerate((sums.trans, sums.trans_cos2, sums.trans + sums.rest)):
+        offset = 0.0
+        if column.size > 1:
+            shifted = column - column[0]
+            offset = np.add.reduce(shifted) / count
+            shifted -= offset
+            centered[k] = shifted
+        mean[k] = column[0] + offset
+    comoment = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            if centered[i] is not None and centered[j] is not None:
+                comoment[i, j] = comoment[j, i] = np.add.reduce(centered[i] * centered[j])
+    return _Moments(count, mean, comoment)
 
 
 def _merge(a: _Moments, b: _Moments) -> _Moments:
@@ -946,7 +994,10 @@ def realization_values(
     chunk's moments.
     """
     _check_quantity(quantity)
-    chunks = _over_chunks([spec], [config], lambda sums: sums)
+    # Mean mode's one-entry sums are repeated over the chunk's draws.
+    chunks = _over_chunks(
+        [spec], [config], lambda count, sums: [np.broadcast_to(s, (count,)) for s in sums]
+    )
     sums = _ChannelSums(*(np.concatenate(column) for column in zip(*(c[0][0] for c in chunks))))
     return quadrature_values(sums, state, quantity)
 

@@ -1,6 +1,6 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Five tools, deliberately built on different machinery than the package:
+Six tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
@@ -11,7 +11,10 @@ Five tools, deliberately built on different machinery than the package:
 * a bisection of the fixed-point equation for the region boundary at
   fixed slab thickness;
 * a point-by-point Monte Carlo check, one ``mc_average`` per grid point
-  and quantity, against which ``validate``'s whole-array check is held.
+  and quantity, against which ``validate``'s whole-array check is held;
+* the chunk reduction's earlier forms, a stacked (3, 3, draws) two-pass
+  moment and a masked Beta share over unsorted uniforms, against which
+  the package's moments and sorted shares are held bit for bit.
 
 Frozen reference numbers were produced by 50-digit scalar evaluation of
 the closed forms (mpmath) and rounded to the nearest double; the
@@ -295,3 +298,31 @@ def scalar_mc_check(mode: SamplerMode, channels: int, seed: int, realizations: i
     if failures:
         detail["failures"] = failures[:10]
     return status, detail, len(failures)
+
+
+# -- earlier forms of the chunk reduction ------------------------------------
+
+def stacked_moments(count: int, sums):
+    """(count, mean, co-moments) of one chunk by the stacked two-pass form.
+
+    Every sum is spread over the ``count`` draws, one-entry sums too, and
+    the basis (sum T, sum T cos 2phi, total) is shifted by its first row,
+    centred and multiplied out to a (3, 3, draws) array.
+    """
+    columns = (sums.trans, sums.trans_cos2, sums.trans + sums.rest)
+    basis = np.stack([np.broadcast_to(c, (count,)) for c in columns])
+    centered = basis - basis[:, :1]
+    offset = np.add.reduce(centered, axis=1) / count
+    centered -= offset[:, None]
+    comoment = np.add.reduce(centered[:, None, :] * centered[None, :, :], axis=-1)
+    return count, basis[:, 0] + offset, comoment
+
+
+def masked_beta_share(table, u):
+    """A share table's quantiles of ``u`` in any order, by masks and scatters."""
+    share = np.zeros(u.shape)
+    upper = u > table.split
+    lower = (u > 0.0) ^ upper
+    share[lower] = table.lower(u[lower])
+    share[upper] = 1.0 - table.upper(1.0 - u[upper])
+    return share

@@ -36,7 +36,13 @@ from ramsq.ensemble import (
     variance_x_wfs_single,
 )
 
-from oracles import quadratic_form_mean, quadratic_form_variance, scalar_mc_check
+from oracles import (
+    masked_beta_share,
+    quadratic_form_mean,
+    quadratic_form_variance,
+    scalar_mc_check,
+    stacked_moments,
+)
 
 MODES = (SamplerMode.MEAN_MAGNITUDES, SamplerMode.EXPONENTIAL_MAGNITUDES)
 QUANTITIES = ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs")
@@ -292,6 +298,33 @@ def test_medium_reduction_allocates_o_draws(mode):
             tracemalloc.stop()
     assert peaks[8] <= 1.1 * peaks[1], peaks
     assert peaks[8] < draws * 8 * np.dtype(float).itemsize, peaks
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("draws", [1, 2, 6898])
+def test_moments_match_stacked_two_pass(mode, draws):
+    # every grid medium's chunk moments, mean mode's one-entry sums
+    # included, against the stacked (3, 3, draws) form, byte for byte
+    cols = ensemble._layout(4)
+    uniforms = ensemble._philox_rows(42, ensemble._uniform_columns(mode, cols), 0, draws)
+    shared = ensemble._shared_draws(mode, cols, uniforms)
+    cos2 = ensemble._cos2(ensemble._TWO_PI * uniforms[:, cols.trans_phase])
+    split = ensemble._split_sums(shared.trans_split, shared.refl_split, cos2)
+    cases = []
+    for t in validation.STANDARD_THICKNESS:
+        for g in validation.STANDARD_GAIN:
+            coef = mean_coefficients(MediumSpec(thickness_ratio=t, gain_ratio=g, channels=4))
+            share = ensemble._medium_share(coef, cols, mode)
+            magnitudes = ensemble._magnitudes(coef, mode, shared, share)
+            cases.append(ensemble._batch_values(*magnitudes, split))
+    # a one-entry -0.0 sum, which the shifted form reads as +0.0
+    cases.append(ensemble._ChannelSums(np.array([-0.0]), cases[0].trans_cos2, np.array([0.0])))
+    for sums in cases:
+        count, mean, comoment = stacked_moments(draws, sums)
+        moments = ensemble._moments(draws, sums)
+        assert moments.count == count
+        assert moments.mean.tobytes() == mean.tobytes()
+        assert moments.comoment.tobytes() == comoment.tobytes()
 
 
 def test_exponential_oracle_memory_does_not_grow(monkeypatch):
@@ -853,7 +886,8 @@ OUTSIDE_SHAPES = [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5), (0.85, 2.
 
 
 def beta_share(a, b, u):
-    return ensemble._share_table(a, b)(u)
+    # as a chunk runs it: sort the uniforms once, share, restore draw order
+    return ensemble._ShareUniforms.of(u).shares(ensemble._share_table(a, b))
 
 
 def ulps_off(x, reference):
@@ -897,6 +931,22 @@ def test_beta_share_single_rows_equal_bulk(shape):
         single = beta_share(a, b, block[k : k + 1, 1])
         assert single.shape == (1,)
         assert single[0].hex() == bulk[k].hex(), k
+
+
+@pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
+def test_sorted_shares_match_masked_form(shape):
+    # u = 0, the split, its two float neighbours and tied uniforms, in
+    # shuffled order, against the masks and scatters over unsorted u
+    a, b = shape
+    table = ensemble._share_table(a, b)
+    split = table.split
+    edges = [0.0, split, np.nextafter(split, 0.0), np.nextafter(split, 1.0), 1.0 - 2.0**-53]
+    rng = np.random.default_rng(1303)
+    u = np.concatenate((edges * 3, rng.random(3000)))
+    u = np.concatenate((u, u[rng.integers(0, u.size, 500)]))
+    rng.shuffle(u)
+    sorted_form = [x.hex() for x in beta_share(a, b, u)]
+    assert sorted_form == [x.hex() for x in masked_beta_share(table, u)]
 
 
 @pytest.mark.parametrize("shape", OUTSIDE_SHAPES)

@@ -7,7 +7,10 @@ every coordinate of the point (L/l, L/La, r) that a panel does not sweep
 is the flag of the same name (``--squeeze-r`` for r).  One handler resolves the flags, records them unchanged as the
 manifest's ``parameters`` and calls the builder; the CSV goes to stdout
 or to ``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
-validation suite.  Exit codes: 0 success, 1 failed validation, 2
+validation suite.  The parser is built once per process, on the first
+``main`` call, and never changed by a parse: each call resolves its
+defaults into a fresh namespace, and help reads ``COLUMNS`` when it is
+printed.  Exit codes: 0 success, 1 failed validation, 2
 parameter errors (among them a non-finite ``--curve-values`` entry and
 a grid too large to allocate) and output files that cannot be written.
 """
@@ -15,6 +18,7 @@ a grid too large to allocate) and output files that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -233,6 +237,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramsq",

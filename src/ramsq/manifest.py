@@ -5,14 +5,18 @@ Every dataset is reproducible from its manifest: the manifest core
 canonically, the CSV carries that hash as its first line, and rerunning
 the recorded command line yields byte-identical CSV.  Floats are
 rendered with ``repr``, the shortest string that round-trips to the
-same double.  Both the hashed payload and the manifest file are strict
-JSON (RFC 8259), so a non-finite parameter is a ``ParameterError``.
+same double.  Every CSV cell and every flag value of the recorded
+command line is formatted through one table keyed by the value's exact
+type (bool, float, int, str, None); a type outside it raises
+``KeyError`` rather than render bytes no test pins.  ``render_csv``
+looks each cell up in that table and joins all lines once.  Both the
+hashed payload and the manifest file are strict JSON (RFC 8259), so a
+non-finite parameter is a ``ParameterError``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -22,14 +26,17 @@ from . import __version__
 from .core import ParameterError
 
 
+_FORMATS = {
+    bool: "01".__getitem__,  # False -> "0", True -> "1"
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str.__str__,
+    type(None): lambda _: "",
+}
+
+
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    return _FORMATS[type(value)](value)
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,13 @@ class RunManifest:
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence], manifest: RunManifest) -> bytes:
     """CSV bytes: manifest-checksum comment, header row, data rows."""
-    buf = io.StringIO(newline="")
-    buf.write(f"# manifest-sha256: {manifest.checksum()}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(format_value(v) for v in row) + "\n")
-    return buf.getvalue().encode()
+    lines = [
+        f"# manifest-sha256: {manifest.checksum()}",
+        ",".join(header),
+        *[",".join([_FORMATS[type(v)](v) for v in row]) for row in rows],
+        "",
+    ]
+    return "\n".join(lines).encode()
 
 
 def manifest_json(manifest: RunManifest, csv_bytes: bytes) -> bytes:

@@ -1,6 +1,6 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Six tools, deliberately built on different machinery than the package:
+Seven tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
@@ -15,6 +15,9 @@ Six tools, deliberately built on different machinery than the package:
 * the chunk reduction's earlier forms, a stacked (3, 3, draws) two-pass
   moment and a masked Beta share over unsorted uniforms, against which
   the package's moments and sorted shares are held bit for bit.
+* the CSV render's earlier per-cell form, an ``isinstance`` chain per
+  value written row by row into a ``StringIO``, against which the
+  package's table-driven render is held byte for byte.
 
 Frozen reference numbers were produced by 50-digit scalar evaluation of
 the closed forms (mpmath) and rounded to the nearest double; the
@@ -22,6 +25,7 @@ comments state the defining expression for each.
 """
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -326,3 +330,26 @@ def masked_beta_share(table, u):
     share[lower] = table.lower(u[lower])
     share[upper] = 1.0 - table.upper(1.0 - u[upper])
     return share
+
+
+# -- per-cell CSV render -----------------------------------------------------
+
+def format_cell(value) -> str:
+    """One CSV cell or flag value by the per-cell ``isinstance`` chain."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    return str(value)
+
+
+def percell_render_csv(header, rows, manifest) -> bytes:
+    """CSV bytes written line by line: checksum comment, header, rows."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# manifest-sha256: {manifest.checksum()}\n")
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(format_cell(v) for v in row) + "\n")
+    return buf.getvalue().encode()

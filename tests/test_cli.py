@@ -1,4 +1,5 @@
 """CLI surface: exit codes, CSV shape, manifests, byte reproducibility."""
+import argparse
 import hashlib
 import itertools
 import json
@@ -7,14 +8,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ramsq import cli, ensemble, validation
 from ramsq.analytic import coherent_baseline, mean_coefficients
 from ramsq.cli import main
 from ramsq.core import MediumSpec
+from ramsq.manifest import RunManifest, format_value, render_csv
 
-from oracles import COEF_10_25, WFS_GAIN_10_25_R1
+from oracles import COEF_10_25, WFS_GAIN_10_25_R1, format_cell, percell_render_csv
+from test_acceptance import GOLDEN_SHA256
+from test_scripts import load_script
 
 HEX64 = 64
 
@@ -664,3 +669,127 @@ def test_unusable_grid_exits_2(capfd, bounds):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("parameter error: grid")
+
+
+# -- one parser per process --------------------------------------------------
+
+PRESETS = load_script("build_all_datasets").PRESETS
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# panel a's curves are L/l values, so "1,2" is refused (exit 2) and "2,3" written
+@pytest.mark.parametrize("values, code", [("1,2", 2), ("2,3", 0)], ids=["refused", "written"])
+def test_override_does_not_reach_the_next_call(tmp_path, capfd, values, code):
+    override = tmp_path / "override.csv"
+    assert main(["fig3", "--panel", "a", "--curve-values", values, "--out", str(override)]) == code
+    default = tmp_path / "fig3_a.csv"
+    assert main(["fig3", "--panel", "a", "--out", str(default)]) == 0
+    assert sha256(default) == GOLDEN_SHA256["fig3_a.csv"]
+    assert not override.exists() if code else sha256(override) != sha256(default)
+
+
+@pytest.mark.parametrize("bad", [["--x-steps", "0"], ["--curve-values", "inf"]],
+                         ids=["zero-steps", "infinite-curve"])
+def test_bad_flag_between_good_commands(tmp_path, capfd, bad):
+    good = ["fig3", "--panel", "a", "--out"]
+    assert main([*good, str(tmp_path / "before.csv")]) == 0
+    capfd.readouterr()
+    code, out, err = run(capfd, ["fig3", "--panel", "a", *bad])
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert main([*good, str(tmp_path / "after.csv")]) == 0
+    assert sha256(tmp_path / "after.csv") == sha256(tmp_path / "before.csv")
+
+
+@pytest.mark.parametrize("bad", [["--bogus"], ["--panel", "e"], ["--x-steps", "two"]],
+                         ids=["unknown-flag", "unknown-panel", "non-integer"])
+def test_parse_error_between_good_commands(tmp_path, capfd, bad):
+    good = ["fig3", "--panel", "a", "--out"]
+    assert main([*good, str(tmp_path / "before.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--panel", "b", *bad])
+    assert exc.value.code == 2
+    # an unknown flag is reported by the top-level parser
+    assert capfd.readouterr().err.splitlines()[-1].startswith(("ramsq: error: ", "ramsq fig3: error: "))
+    assert main([*good, str(tmp_path / "after.csv")]) == 0
+    assert sha256(tmp_path / "after.csv") == sha256(tmp_path / "before.csv")
+
+
+def test_help_width_is_read_when_printed(tmp_path, capsys, monkeypatch):
+    # the parser is built at 200 columns; its help is still formatted at 80
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["fig3", "--panel", "a", "--out", str(tmp_path / "a.csv")]) == 0
+    with pytest.raises(SystemExit):
+        main(["fig3", "--bogus"])
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    for command in sorted(HELP):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+
+def test_presets_build_one_parser_tree(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.__wrapped__()
+    tree = len(built)  # the top-level parser and one per subcommand, validate too
+    assert tree == 2 + len(cli.COMMANDS)
+
+    built.clear()
+    cli.build_parser.cache_clear()
+    for name, argv in PRESETS:
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert len(built) == tree
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(PRESETS) - 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(GOLDEN_SHA256)
+    for name in GOLDEN_SHA256:
+        assert sha256(tmp_path / name) == GOLDEN_SHA256[name], name
+
+
+# -- CSV rendering -----------------------------------------------------------
+
+def test_render_matches_percell_form_on_presets(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(header, rows, manifest):
+        calls.append((header, rows, manifest))
+        return render_csv(header, rows, manifest)
+
+    monkeypatch.setattr(cli, "render_csv", recorded)
+    for name, argv in PRESETS:
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert len(calls) == len(PRESETS)
+    for header, rows, manifest in calls:
+        assert render_csv(header, rows, manifest) == percell_render_csv(header, rows, manifest)
+
+
+SYNTHETIC_ROW = (True, False, None, "", "x_wfs", 0, 41, -3, 2**70,
+                 -0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 2.5, -1.5e-300)
+
+
+def test_render_matches_percell_form_on_every_cell_type():
+    parameters = {f"v{i:02d}": v for i, v in enumerate(SYNTHETIC_ROW)}
+    manifest = RunManifest("fig3", parameters, preset=None)
+    header = list(parameters)
+    rows = [SYNTHETIC_ROW, SYNTHETIC_ROW[::-1], ()]
+    assert render_csv(header, rows, manifest) == percell_render_csv(header, rows, manifest)
+    expected = " ".join(["ramsq fig3", *(f"--{k} {format_cell(v)}" for k, v in parameters.items())])
+    assert manifest.command_line() == expected
+
+
+def test_format_value_refuses_an_unlisted_type():
+    # a numpy scalar would otherwise render as np.float64(...)
+    with pytest.raises(KeyError):
+        format_value(np.float64(1.0))

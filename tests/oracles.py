@@ -1,6 +1,6 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Seven tools, deliberately built on different machinery than the package:
+Eight tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
@@ -15,6 +15,9 @@ Seven tools, deliberately built on different machinery than the package:
 * the chunk reduction's earlier forms, a stacked (3, 3, draws) two-pass
   moment and a masked Beta share over unsorted uniforms, against which
   the package's moments and sorted shares are held bit for bit.
+* the single-draw helpers' earlier ``np.sum`` forms, the flux residual
+  and the shaped quadrature means, against which the package's
+  ``np.add.reduce`` forms are held bit for bit.
 * the CSV render's earlier per-cell form, an ``isinstance`` chain per
   value written row by row into a ``StringIO``, against which the
   package's table-driven render is held byte for byte.
@@ -330,6 +333,19 @@ def masked_beta_share(table, u):
     share[lower] = table.lower(u[lower])
     share[upper] = 1.0 - table.upper(1.0 - u[upper])
     return share
+
+
+# -- single-draw helpers through np.sum ---------------------------------------
+
+def summed_flux_residual(real) -> float:
+    """``DisorderRealization.flux_residual`` with its channel sums taken by ``np.sum``."""
+    return float(np.sum(real.trans_mags) + np.sum(real.refl_mags) - real.spont_mag - 1.0)
+
+
+def summed_amplitude_check(real, state: InputState) -> tuple[float, float]:
+    """``mean_amplitude_check`` with its sum of sqrt(T) taken by ``np.sum``."""
+    amp_sum = float(np.sum(np.sqrt(real.trans_mags)))
+    return amp_sum * 2.0 * state.amplitude.real, amp_sum * 2.0 * state.amplitude.imag
 
 
 # -- per-cell CSV render -----------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import re
 import sys
 import threading
@@ -42,6 +43,8 @@ from oracles import (
     quadratic_form_variance,
     scalar_mc_check,
     stacked_moments,
+    summed_amplitude_check,
+    summed_flux_residual,
 )
 
 MODES = (SamplerMode.MEAN_MAGNITUDES, SamplerMode.EXPONENTIAL_MAGNITUDES)
@@ -173,6 +176,78 @@ def test_uniform_table_across_default_chunk():
     assert np.array_equal(second[rows], _reference_rows(7, 19, [chunk + k for k in rows]))
 
 
+def _realization_bytes(real):
+    return b"".join(
+        np.asarray(getattr(real, field.name)).tobytes() for field in dataclasses.fields(real)
+    )
+
+
+def test_single_draw_rows_are_stateless_and_per_thread(monkeypatch, reference_spec):
+    # each thread reuses one Philox for its single draws: every row must
+    # equal a fresh generator's whatever was drawn before it (narrower
+    # rows, other keys, a refused draw), serially and from four threads
+    # at once, interleaved as often as the switch interval allows
+    cases = list(itertools.product(
+        (0, 42, 2**64 + 5, 2**128 - 1, np.int64(3)),
+        MODES,
+        (1, 4, 8),
+        (0, 1, 2**62 - 1, 2**128 - 1),
+    ))
+    random.Random(7).shuffle(cases)
+    cases.insert(len(cases) // 2, (42, MODES[1], 4, -1))
+    expected = {}
+    for seed, mode, channels, k in cases:
+        if k >= 0:
+            columns = ensemble._uniform_columns(mode, ensemble._layout(channels))
+            expected[int(seed), columns, k] = _reference_rows(seed, columns, [k])[0].tobytes()
+    draw = ensemble._uniforms_for
+    rows = []
+
+    def recorded(seed, columns, draw_index):
+        row = draw(seed, columns, draw_index)
+        rows.append(((int(seed), columns, draw_index), row.tobytes()))
+        return row
+
+    monkeypatch.setattr(ensemble, "_uniforms_for", recorded)
+
+    def run():
+        out = []
+        for seed, mode, channels, k in cases:
+            spec = dataclasses.replace(reference_spec, channels=channels)
+            try:
+                out.append(_realization_bytes(sample_realization(spec, config(mode, seed=seed), k)))
+            except ParameterError:
+                out.append(None)
+        return out
+
+    serial = run()
+    assert serial.count(None) == 1
+    threads, barrier = 4, threading.Barrier(4)
+    results, generators = [None] * threads, [None] * threads
+
+    def worker(i):
+        barrier.wait(timeout=60)
+        results[i] = run()
+        generators[i] = ensemble._streams.generator
+
+    pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert len(rows) == (1 + threads) * (len(cases) - 1)
+    assert all(row == expected[key] for key, row in rows)
+    assert results == [serial] * threads
+    # one generator per thread, the calling thread's included
+    assert len({id(g) for g in generators + [ensemble._streams.generator]}) == threads + 1
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_config_rejects_seed_outside_philox_key(seed):
     with pytest.raises(ParameterError):
@@ -267,12 +342,16 @@ def test_draw_width_bound(monkeypatch, mode, reference_state):
     cfg = config(mode, realizations=2)
     spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=widest)
     assert mc_average(spec, reference_state, cfg, "x_wfs").realizations == 2
+    assert len(sample_realization(spec, cfg, 1).trans_phases) == widest
     monkeypatch.setattr(ensemble, "_philox_rows", None)
+    monkeypatch.setattr(ensemble, "_uniforms_for", None)
     wide = dataclasses.replace(spec, channels=widest + 1)
     with pytest.raises(ParameterError, match="one draw's"):
         mc_average(wide, reference_state, cfg, "x_wfs")
     with pytest.raises(ParameterError, match="one draw's"):
         realization_values(wide, reference_state, cfg, "x_wfs")
+    with pytest.raises(ParameterError, match="one draw's"):
+        sample_realization(wide, cfg, 1)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -647,6 +726,36 @@ def test_mean_amplitude_depends_only_on_transmission(reference_spec):
         real, refl_total=real.refl_total * 3.0, spont_mag=real.spont_mag + 5.0
     )
     assert mean_amplitude_check(tweaked, state) == mean_amplitude_check(real, state)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("channels", [1, 4, 8])
+def test_single_draw_helpers_match_np_sum(mode, channels):
+    # the flux residual and the shaped means reduce their channels with
+    # np.add.reduce: bit for bit np.sum's result, draw by draw
+    state = InputState(squeeze_r=0.6, amplitude=1.5 - 0.5j)
+    for thickness, gain in ((2.0, 3.0), (10.0, 2.5), (20.0, 0.0)):
+        spec = MediumSpec(thickness_ratio=thickness, gain_ratio=gain, channels=channels)
+        for k in range(200):
+            real = sample_realization(spec, config(mode, seed=42), k)
+            assert real.flux_residual().hex() == summed_flux_residual(real).hex()
+            assert _hex(mean_amplitude_check(real, state)) == _hex(summed_amplitude_check(real, state))
+
+
+def test_single_draw_helpers_match_np_sum_with_empty_group():
+    # a group of zero weight (total 0.0) sums to exactly 0.0 either way
+    state = InputState(squeeze_r=0.6, amplitude=1.5 - 0.5j)
+    split, phases = np.array([0.25, 0.75]), np.array([0.5, 2.0])
+    for trans_total, refl_total in ((1.0, 0.0), (0.0, 1.0)):
+        real = DisorderRealization(
+            trans_total, split, phases, refl_total, split, phases, spont_mag=0.0, spont_phase=0.0
+        )
+        assert real.flux_residual().hex() == summed_flux_residual(real).hex() == (0.0).hex()
+        assert _hex(mean_amplitude_check(real, state)) == _hex(summed_amplitude_check(real, state))
 
 
 # -- averaged estimates ------------------------------------------------------

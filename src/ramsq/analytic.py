@@ -19,8 +19,15 @@ of the focused speckle spot are
     with shaping      Var p = 2 v_bar + 1 + t_bar (e^(+2r) - 1)
 
 against the shot-noise level 1 and the coherent-input baseline 2 v_bar + 1.
-Shaping the wavefront (phase-conjugating the transmission channel phases)
-recovers part of the input squeezing; its benefit is t_bar * sinh 2r.
+Each is 2 v_bar + 1 + t_bar (V_in - 1) for the input variance V_in that
+the transmission carries: e^(-2r), cosh 2r or e^(+2r).  Shaping the
+wavefront (phase-conjugating the transmission channel phases) recovers
+part of the input squeezing; its benefit is t_bar * sinh 2r.
+
+Each formula is written once, in a private helper that takes numbers or
+broadcast numpy arrays: the public functions pass it one medium's
+coefficients and one state's factors, and the dataset builders whole
+grids of them.
 """
 
 from __future__ import annotations
@@ -31,27 +38,60 @@ from dataclasses import dataclass
 from .core import EnsembleCoefficients, InputState, MediumSpec
 
 
+def _weights(thickness, gain, sin):
+    """(t_bar, r_bar, v_bar) of the sine laws, for gain > 0.
+
+    Takes numbers with ``sin = math.sin`` or broadcast arrays with
+    ``sin = np.sin``, whose float64 sine returns the bits of
+    ``math.sin``.  v_bar is computed as t_bar + r_bar - 1 so the flux
+    identity holds to the last bit.
+    """
+    mfp_gain = gain / thickness
+    denom = sin(gain)
+    t_bar = sin(mfp_gain) / denom
+    r_bar = sin(gain - mfp_gain) / denom
+    return t_bar, r_bar, t_bar + r_bar - 1.0
+
+
+def _ohmic_weights(thickness):
+    """(t_bar, r_bar, v_bar) of a gain-free slab, over numbers or arrays."""
+    t_bar = 1.0 / thickness
+    return t_bar, 1.0 - t_bar, 0.0
+
+
+def _baseline(v_bar):
+    """2 v_bar + 1, over numbers or arrays."""
+    return 2.0 * v_bar + 1.0
+
+
+def _variance(t_bar, v_bar, input_variance):
+    """2 v_bar + 1 + t_bar (V_in - 1), over numbers or broadcast arrays.
+
+    The averaged output variance when the transmitted light carries the
+    input variance V_in and all other noise is at the vacuum level.
+    """
+    return _baseline(v_bar) + t_bar * (input_variance - 1.0)
+
+
+def _shaping_benefit(t_bar, sinh_2r):
+    """t_bar sinh 2r, over numbers or broadcast arrays."""
+    return t_bar * sinh_2r
+
+
 def linear_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
     """Gain-free (L/La = 0) weights: the Ohmic law t_bar = l/L."""
-    t_bar = 1.0 / spec.thickness_ratio
-    return EnsembleCoefficients(t_bar=t_bar, r_bar=1.0 - t_bar, v_bar=0.0)
+    return EnsembleCoefficients(*_ohmic_weights(spec.thickness_ratio))
 
 
 def mean_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
     """Disorder-averaged channel-summed weights of the slab.
 
     Dispatches to ``linear_coefficients`` at gain_ratio = 0; otherwise
-    evaluates the sine laws.  v_bar is computed as t_bar + r_bar - 1 so
-    the flux identity holds to the last bit.
+    evaluates the sine laws.
     """
     if spec.gain_ratio == 0.0:
         return linear_coefficients(spec)
-    gain = spec.gain_ratio
-    mfp_gain = gain / spec.thickness_ratio
-    denom = math.sin(gain)
-    t_bar = math.sin(mfp_gain) / denom
-    r_bar = math.sin(gain - mfp_gain) / denom
-    return EnsembleCoefficients(t_bar=t_bar, r_bar=r_bar, v_bar=t_bar + r_bar - 1.0)
+    return EnsembleCoefficients(*_weights(spec.thickness_ratio, spec.gain_ratio, math.sin))
 
 
 def coherent_baseline(coef: EnsembleCoefficients) -> float:
@@ -59,7 +99,7 @@ def coherent_baseline(coef: EnsembleCoefficients) -> float:
 
     Any excess over the shot-noise level 1 is spontaneous emission.
     """
-    return 2.0 * coef.v_bar + 1.0
+    return _baseline(coef.v_bar)
 
 
 def variance_x_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
@@ -68,7 +108,7 @@ def variance_x_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
     2 v_bar + 1 - t_bar (1 - e^(-2r)): the baseline minus the squeezing
     that survives transport through the slab.
     """
-    return coherent_baseline(coef) - coef.t_bar * (1.0 - state.x_variance)
+    return _variance(coef.t_bar, coef.v_bar, state.x_variance)
 
 
 def variance_x_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
@@ -77,8 +117,7 @@ def variance_x_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
     Random transmission phases mix the two input quadratures, so the
     anti-squeezed noise leaks in: 2 v_bar + 1 + t_bar (cosh 2r - 1).
     """
-    growth = math.cosh(state.anti_squeezing_exponent)
-    return coherent_baseline(coef) + coef.t_bar * (growth - 1.0)
+    return _variance(coef.t_bar, coef.v_bar, math.cosh(state.anti_squeezing_exponent))
 
 
 def variance_p_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
@@ -87,7 +126,7 @@ def variance_p_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
     Shaping aligns the full anti-squeezed noise into p:
     2 v_bar + 1 + t_bar (e^(+2r) - 1).
     """
-    return coherent_baseline(coef) + coef.t_bar * (state.p_variance - 1.0)
+    return _variance(coef.t_bar, coef.v_bar, state.p_variance)
 
 
 def variance_p_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
@@ -104,7 +143,7 @@ def wfs_gain(coef: EnsembleCoefficients, state: InputState) -> float:
 
     Equals t_bar * sinh 2r; grows with both transmission and squeezing.
     """
-    return coef.t_bar * math.sinh(state.anti_squeezing_exponent)
+    return _shaping_benefit(coef.t_bar, math.sinh(state.anti_squeezing_exponent))
 
 
 def rescaled_fluctuation(

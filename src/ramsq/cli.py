@@ -4,9 +4,11 @@ Each dataset subcommand is one ``COMMANDS`` entry: flags with their
 defaults (the figure presets), its panels and the builder.  Each figure
 panel is declared once, as a ``Panel`` naming the coordinates it sweeps;
 every coordinate of the point (L/l, L/La, r) that a panel does not sweep
-is the flag of the same name (``--squeeze-r`` for r).  One handler resolves the flags, records them unchanged as the
-manifest's ``parameters`` and calls the builder; the CSV goes to stdout
-or to ``--out PATH`` plus ``PATH.manifest.json``.  ``validate`` runs the
+is the flag of the same name (``--squeeze-r`` for r).  One handler
+resolves the flags, records them unchanged as the manifest's
+``parameters`` and calls the builder; the columns it returns are
+rendered as CSV to stdout or to ``--out PATH`` plus
+``PATH.manifest.json``.  ``validate`` runs the
 validation suite.  The parser is built once per process, on the first
 ``main`` call, and never changed by a parse: each call resolves its
 defaults into a fresh namespace, and help reads ``COLUMNS`` when it is
@@ -36,8 +38,8 @@ from .snl import LARGE_SQUEEZING_R
 from .validation import run_validation
 
 
-def _emit(header, rows, manifest: RunManifest, out: str | None) -> None:
-    csv_bytes = render_csv(header, rows, manifest)
+def _emit(header, columns, manifest: RunManifest, out: str | None) -> None:
+    csv_bytes = render_csv(header, columns, manifest)
     if out is None:
         sys.stdout.buffer.write(csv_bytes)
         return
@@ -191,8 +193,8 @@ def _run_dataset(args) -> int:
         params["curve_values"] = ",".join(repr(c) for c in curves)
     label, named = spec.preset or (None, {})
     preset = label if all(params[k] == v for k, v in named.items()) else None
-    header, rows = spec.build(argparse.Namespace(**params), panel)
-    _emit(header, rows, RunManifest(args.command, params, preset=preset), args.out)
+    header, columns = spec.build(argparse.Namespace(**params), panel)
+    _emit(header, columns, RunManifest(args.command, params, preset=preset), args.out)
     return 0
 
 

@@ -5,7 +5,9 @@ the optical thickness L/l (slab thickness over transport mean free path)
 and the gain strength L/La (thickness over amplification length).  All
 physics downstream depends only on these two numbers plus the channel
 count.  The bounds are checked where a value is built: a ``MediumSpec``
-that exists is in bounds, so no code downstream checks it again.
+that exists is in bounds, so no code downstream checks it again.  Each
+bound is also a ``check_*`` function of one value, which the dataset
+builders call once per axis value instead of building a spec per point.
 """
 
 from __future__ import annotations
@@ -62,6 +64,44 @@ def _real(name: str, value, error: type[ParameterError] = ParameterError) -> Non
         raise error(f"{name} must be a real number (got {value!r})")
 
 
+def check_thickness(value) -> None:
+    """Raise ``ThinMedium`` unless ``value`` is a real L/l > 1 (a diffusive slab)."""
+    _real("thickness_ratio", value, ThinMedium)
+    if not value > 1.0:
+        raise ThinMedium(
+            f"thickness_ratio must exceed 1 (got {value}); "
+            "the slab must be at least one mean free path thick"
+        )
+
+
+def check_gain(value) -> None:
+    """Raise ``GainAboveThreshold`` unless ``value`` is a real L/La in [0, pi)."""
+    _real("gain_ratio", value, GainAboveThreshold)
+    if not 0.0 <= value < LASER_THRESHOLD:
+        raise GainAboveThreshold(
+            f"gain_ratio must lie in [0, pi) (got {value}); "
+            "at L/La = pi the medium reaches its lasing threshold"
+        )
+
+
+def check_squeeze(value) -> None:
+    """Raise ``ParameterError`` unless ``value`` is a real squeezing r >= 0."""
+    _real("squeeze_r", value)
+    if not value >= 0.0:
+        raise ParameterError(f"squeeze_r must be >= 0 (got {value})")
+
+
+def squeeze_exponent(squeeze_r: float) -> float:
+    """2r, the exponent of e^(2r); ``ParameterError`` above ``MAX_SQUEEZE_R``."""
+    if squeeze_r > MAX_SQUEEZE_R:
+        raise ParameterError(
+            f"squeeze_r must be <= {MAX_SQUEEZE_R!r} wherever the anti-squeezed "
+            f"noise e^(2r) enters (got {squeeze_r}); beyond it e^(2r) "
+            "overflows a double"
+        )
+    return 2.0 * squeeze_r
+
+
 @dataclass(frozen=True)
 class MediumSpec:
     """Dimensionless description of one disordered amplifying slab.
@@ -79,18 +119,8 @@ class MediumSpec:
     channels: int = 4
 
     def __post_init__(self) -> None:
-        _real("thickness_ratio", self.thickness_ratio, ThinMedium)
-        if not self.thickness_ratio > 1.0:
-            raise ThinMedium(
-                f"thickness_ratio must exceed 1 (got {self.thickness_ratio}); "
-                "the slab must be at least one mean free path thick"
-            )
-        _real("gain_ratio", self.gain_ratio, GainAboveThreshold)
-        if not 0.0 <= self.gain_ratio < LASER_THRESHOLD:
-            raise GainAboveThreshold(
-                f"gain_ratio must lie in [0, pi) (got {self.gain_ratio}); "
-                "at L/La = pi the medium reaches its lasing threshold"
-            )
+        check_thickness(self.thickness_ratio)
+        check_gain(self.gain_ratio)
         if _integer("channels", self.channels, BadChannels) < 1:
             raise BadChannels(f"channels must be >= 1 (got {self.channels})")
 
@@ -114,9 +144,7 @@ class InputState:
     amplitude: complex = 0j
 
     def __post_init__(self) -> None:
-        _real("squeeze_r", self.squeeze_r)
-        if not self.squeeze_r >= 0.0:
-            raise ParameterError(f"squeeze_r must be >= 0 (got {self.squeeze_r})")
+        check_squeeze(self.squeeze_r)
         if isinstance(self.amplitude, bool) or not isinstance(self.amplitude, numbers.Complex):
             raise ParameterError(f"amplitude must be a complex number (got {self.amplitude!r})")
 
@@ -131,13 +159,7 @@ class InputState:
     @property
     def anti_squeezing_exponent(self) -> float:
         """2r, the exponent of e^(2r), cosh 2r and sinh 2r; checked against overflow."""
-        if self.squeeze_r > MAX_SQUEEZE_R:
-            raise ParameterError(
-                f"squeeze_r must be <= {MAX_SQUEEZE_R!r} wherever the anti-squeezed "
-                f"noise e^(2r) enters (got {self.squeeze_r}); beyond it e^(2r) "
-                "overflows a double"
-            )
-        return 2.0 * self.squeeze_r
+        return squeeze_exponent(self.squeeze_r)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ same double.  Every CSV cell and every flag value of the recorded
 command line is formatted through one table keyed by the value's exact
 type (bool, float, int, str, None); a type outside it raises
 ``KeyError`` rather than render bytes no test pins.  ``render_csv``
-looks each cell up in that table and joins all lines once.  Both the
-hashed payload and the manifest file are strict JSON (RFC 8259), so a
-non-finite parameter is a ``ParameterError``.
+takes the data a column at a time, formats each distinct value of a
+column once, and joins all lines once.  Both the hashed payload and the
+manifest file are strict JSON (RFC 8259), so a non-finite parameter is a
+``ParameterError``.
 """
 
 from __future__ import annotations
@@ -84,12 +85,50 @@ class RunManifest:
         return " ".join(parts)
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence], manifest: RunManifest) -> bytes:
-    """CSV bytes: manifest-checksum comment, header row, data rows."""
+# Number types equal under == across types: True == 1 == 1.0.
+_NUMBERS = {bool, int, float}
+
+
+def _cells(column: Sequence) -> list[str]:
+    """One column's cells as text, each distinct value formatted once.
+
+    Values are told apart by type and bits, not by ``==`` alone: a
+    column that mixes number types keys each value by its type too, and
+    as -0.0 == 0.0 every zero is formatted where it stands.
+    """
+    kinds = set(map(type, column))
+    keys = list(zip(map(type, column), column)) if len(kinds & _NUMBERS) > 1 else column
+    distinct = dict(zip(keys, column))
+    format_ = _FORMATS[next(iter(kinds))] if len(kinds) == 1 else format_value
+    text = dict(zip(distinct, map(format_, distinct.values())))
+    cells = list(map(text.__getitem__, keys))
+    if float in kinds:
+        for i in _zeros(column):
+            cells[i] = format_value(column[i])
+    return cells
+
+
+def _zeros(column: Sequence):
+    """The indices of the cells equal to 0.0, found by ``index`` scans."""
+    i = -1
+    while True:
+        try:
+            i = column.index(0.0, i + 1)
+        except ValueError:
+            return
+        yield i
+
+
+def render_csv(header: Sequence[str], columns: Sequence[Sequence], manifest: RunManifest) -> bytes:
+    """CSV bytes: manifest-checksum comment, header row, data rows.
+
+    ``columns`` holds one sequence of cell values per header entry, all
+    of one length.
+    """
     lines = [
         f"# manifest-sha256: {manifest.checksum()}",
         ",".join(header),
-        *[",".join([_FORMATS[type(v)](v) for v in row]) for row in rows],
+        *map(",".join, zip(*map(_cells, columns))),
         "",
     ]
     return "\n".join(lines).encode()

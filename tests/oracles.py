@@ -1,6 +1,6 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Eight tools, deliberately built on different machinery than the package:
+Nine tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
@@ -20,7 +20,11 @@ Eight tools, deliberately built on different machinery than the package:
   ``np.add.reduce`` forms are held bit for bit.
 * the CSV render's earlier per-cell form, an ``isinstance`` chain per
   value written row by row into a ``StringIO``, against which the
-  package's table-driven render is held byte for byte.
+  package's column-at-a-time render is held byte for byte;
+* the dataset builders' earlier per-point form, a ``MediumSpec``, an
+  ``InputState`` and the scalar closed forms at every point of a sweep,
+  row by row, against which the whole-array builders are held byte for
+  byte and error line for error line.
 
 Frozen reference numbers were produced by 50-digit scalar evaluation of
 the closed forms (mpmath) and rounded to the nearest double; the
@@ -29,13 +33,17 @@ comments state the defining expression for each.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from ramsq import validation
+from ramsq.analytic import full_report, mean_coefficients, rescaled_fluctuation, wfs_gain
 from ramsq.core import InputState, MediumSpec
 from ramsq.ensemble import SamplerConfig, SamplerMode, mc_average
+from ramsq.snl import region_scan
 
 # -- frozen high-precision references ---------------------------------------
 
@@ -369,3 +377,112 @@ def percell_render_csv(header, rows, manifest) -> bytes:
     for row in rows:
         buf.write(",".join(format_cell(v) for v in row) + "\n")
     return buf.getvalue().encode()
+
+
+# -- per-point dataset builders ----------------------------------------------
+
+_FLAGS = {"L_over_l": "L_over_l", "L_over_La": "L_over_La", "r": "squeeze_r"}
+
+
+def pointwise_sweep(flags, *axes):
+    """Points (L/l, L/La, r, x) over the product of ``axes``, the last fastest.
+
+    Takes the arguments of ``datasets.sweep``; every coordinate no axis
+    sweeps is the flag of the same name (``squeeze_r`` for r).
+    """
+    names = [name for name, _ in axes]
+    grids = [grid for _, grid in axes]
+    for column, flag in _FLAGS.items():
+        if column not in names:
+            names.append(column)
+            grids.append([getattr(flags, flag)])
+    point = operator.itemgetter(*(names.index(column) for column in _FLAGS), len(axes) - 1)
+    return map(point, itertools.product(*grids))
+
+
+def pointwise_fig2_rows(panel, points):
+    header = ["panel", "L_over_l", "L_over_La", "r", "wfs_gain"]
+    rows = []
+    for thickness, g, r, _ in points:
+        state = InputState(squeeze_r=r)
+        coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
+        rows.append([panel, thickness, g, r, wfs_gain(coef, state)])
+    return header, rows
+
+
+_FIG_HEADER = ["panel", "L_over_l", "L_over_La", "r", "x_name", "x_param", "quantity", "value"]
+
+
+def pointwise_fig3_rows(panel, x_name, points):
+    rows = []
+    for thickness, g, r, x in points:
+        coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
+        state = InputState(squeeze_r=r)
+        for quantity, value in (
+            ("ratio_wfs", rescaled_fluctuation(coef, state, shaped=True)),
+            ("ratio_nowfs", rescaled_fluctuation(coef, state, shaped=False)),
+            ("coherent", 1.0),
+        ):
+            rows.append([panel, thickness, g, r, x_name, x, quantity, value])
+    return _FIG_HEADER, rows
+
+
+def pointwise_fig4_rows(panel, x_name, points):
+    rows = []
+    for thickness, g, r, x in points:
+        state = InputState(squeeze_r=r)
+        rep = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=g), state)
+        for quantity, value in (
+            ("x_wfs", rep.x_wfs),
+            ("x_nowfs", rep.x_nowfs),
+            ("p_wfs", rep.p_wfs),
+            ("p_nowfs", rep.p_nowfs),
+            ("coherent", rep.coherent_baseline),
+        ):
+            rows.append([panel, thickness, g, r, x_name, x, quantity, value])
+    return _FIG_HEADER, rows
+
+
+def pointwise_figxr_rows(panel, x_name, points):
+    rows = []
+    for thickness, gain_amp, r, x in points:
+        state = InputState(squeeze_r=r)
+        amp = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=gain_amp), state)
+        lin = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=0.0), state)
+        for quantity, g, value in (
+            ("amp_wfs", gain_amp, amp.x_wfs),
+            ("amp_nowfs", gain_amp, amp.x_nowfs),
+            ("lin_wfs", 0.0, lin.x_wfs),
+            ("lin_nowfs", 0.0, lin.x_nowfs),
+            ("snl", gain_amp, 1.0),
+        ):
+            rows.append([panel, thickness, g, r, x_name, x, quantity, value])
+    return _FIG_HEADER, rows
+
+
+def pointwise_snl_region_rows(thickness_grid, gain_grid, squeeze_r):
+    scan = region_scan(
+        np.asarray(thickness_grid), np.asarray(gain_grid), InputState(squeeze_r=squeeze_r)
+    )
+    header = ["record", "L_over_l", "L_over_La", "below_snl", "gain_boundary"]
+    rows = []
+    for i, th in enumerate(scan.thickness):
+        for j, g in enumerate(scan.gain):
+            rows.append(["cell", float(th), float(g), bool(scan.below_snl[i, j]), ""])
+    for i, th in enumerate(scan.thickness):
+        b = scan.boundary[i]
+        rows.append(["boundary", float(th), "", "", "" if math.isnan(b) else float(b)])
+    return header, rows
+
+
+# The names in ``ramsq.cli`` that the per-point form replaces: the CLI's
+# command table looks each one up when a command runs.
+POINTWISE_CLI = {
+    "sweep": pointwise_sweep,
+    "fig2_rows": pointwise_fig2_rows,
+    "fig3_rows": pointwise_fig3_rows,
+    "fig4_rows": pointwise_fig4_rows,
+    "figxr_rows": pointwise_figxr_rows,
+    "snl_region_rows": pointwise_snl_region_rows,
+    "render_csv": percell_render_csv,
+}

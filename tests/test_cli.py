@@ -763,30 +763,51 @@ def test_presets_build_one_parser_tree(tmp_path, monkeypatch):
 def test_render_matches_percell_form_on_presets(tmp_path, monkeypatch):
     calls = []
 
-    def recorded(header, rows, manifest):
-        calls.append((header, rows, manifest))
-        return render_csv(header, rows, manifest)
+    def recorded(header, columns, manifest):
+        calls.append((header, columns, manifest))
+        return render_csv(header, columns, manifest)
 
     monkeypatch.setattr(cli, "render_csv", recorded)
     for name, argv in PRESETS:
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
     assert len(calls) == len(PRESETS)
-    for header, rows, manifest in calls:
-        assert render_csv(header, rows, manifest) == percell_render_csv(header, rows, manifest)
+    for header, columns, manifest in calls:
+        rows = list(zip(*columns))
+        assert render_csv(header, columns, manifest) == percell_render_csv(header, rows, manifest)
 
 
 SYNTHETIC_ROW = (True, False, None, "", "x_wfs", 0, 41, -3, 2**70,
                  -0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 2.5, -1.5e-300)
+
+# Values equal under == that render differently: True == 1 == 1.0,
+# False == 0 == 0.0 == -0.0; and NaNs, each unequal to itself.
+EQUAL_BUT_DISTINCT = (True, 1, 1.0, False, 0, 0.0, -0.0, None, "", -0.0, 0.0, 1, True,
+                      math.nan, float("nan"), 0.0)
 
 
 def test_render_matches_percell_form_on_every_cell_type():
     parameters = {f"v{i:02d}": v for i, v in enumerate(SYNTHETIC_ROW)}
     manifest = RunManifest("fig3", parameters, preset=None)
     header = list(parameters)
-    rows = [SYNTHETIC_ROW, SYNTHETIC_ROW[::-1], ()]
-    assert render_csv(header, rows, manifest) == percell_render_csv(header, rows, manifest)
+    rows = [SYNTHETIC_ROW, SYNTHETIC_ROW[::-1]]
+    columns = [list(column) for column in zip(*rows)]
+    assert render_csv(header, columns, manifest) == percell_render_csv(header, rows, manifest)
     expected = " ".join(["ramsq fig3", *(f"--{k} {format_cell(v)}" for k, v in parameters.items())])
     assert manifest.command_line() == expected
+
+
+@pytest.mark.parametrize("column", [
+    EQUAL_BUT_DISTINCT,
+    [v for v in EQUAL_BUT_DISTINCT if isinstance(v, float)],
+    [v for v in EQUAL_BUT_DISTINCT if not isinstance(v, float)],
+    [-0.0, 1.5, 0.0, 1.5, -0.0],
+], ids=["mixed", "floats", "no-floats", "signed-zeros"])
+def test_render_tells_equal_values_apart(column):
+    # a distinct value is formatted once, keyed by type and bits, not by ==
+    manifest = RunManifest("fig3", {}, preset=None)
+    columns = [list(column), list(column[::-1])]
+    rows = list(zip(*columns))
+    assert render_csv(["a", "b"], columns, manifest) == percell_render_csv(["a", "b"], rows, manifest)
 
 
 def test_format_value_refuses_an_unlisted_type():

@@ -263,6 +263,38 @@ def _chunk_draws(monkeypatch, rows):
     assert ensemble._chunk_rows(4) == rows
 
 
+@pytest.mark.parametrize("channels", [1, 4, 8])
+@pytest.mark.parametrize("mode", MODES)
+def test_mc_average_is_the_two_pass_estimate_of_its_draws(monkeypatch, mode, channels):
+    # 1000 draws in four chunks of 300, 300, 300 and 100, so that the
+    # chunks merge with unequal counts: mc_average's mean and standard
+    # error are np.mean and np.std(ddof=1) / sqrt(n) of the same draws to
+    # rounding.  Each side sums at most n = 1000 rounded terms, and the
+    # merges add a few roundings per chunk, so the two differ by at most
+    # about n * eps of the values' scale (2.2e-13; ~6e-16 is seen).  A
+    # merge that weighs a chunk by the other chunk's count moves the mean
+    # by a fraction of the spread between chunk means, ~1e-3 here.
+    width = ensemble._uniform_columns(SamplerMode.EXPONENTIAL_MAGNITUDES, ensemble._layout(channels))
+    monkeypatch.setattr(ensemble, "_CHUNK_DOUBLES", 300 * width)
+    assert ensemble._chunk_rows(channels) == 300
+    draws = 1000
+    tol = draws * np.finfo(float).eps
+    settings = config(mode, realizations=draws, seed=7)
+    for th, g in ((10.0, 2.5), (2.0, 0.0), (1.5, 3.0)):
+        spec = MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
+        for r in (0.0, 0.5, 1.5):
+            state = InputState(squeeze_r=r)
+            for quantity in ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs"):
+                values = realization_values(spec, state, settings, quantity)
+                est = mc_average(spec, state, settings, quantity)
+                scale = np.max(np.abs(values))
+                where = (th, g, r, quantity)
+                assert est.realizations == draws
+                assert abs(est.mean - np.mean(values)) <= tol * scale, where
+                std_error = np.std(values, ddof=1) / math.sqrt(draws)
+                assert abs(est.std_error - std_error) <= tol * scale, where
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_chunked_estimates_bit_identical(monkeypatch, mode):
     # 20 chunks of 200 draws: chunk edges and the merge order depend on

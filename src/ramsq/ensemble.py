@@ -122,27 +122,22 @@ share's uniform depend on the uniforms only (``_shared_draws``), so each
 chunk forms them once and each medium forms only V, the Beta share and
 the two group totals (``_magnitudes``).
 
-The Beta share is the Beta(a, b) quantile of its uniform u, which
-``betaincinv`` computes by an iterative search that cost nearly all of a
-bulk exponential run.  ``_share_table`` instead
-gives, per shape, 1024 quintic Hermite intervals for each tail: below
-u = b/(a+b) the quantile in t = u**(1/a), above it 1 - I^-1(b, a, 1 - u)
-in t = (1 - u)**(1/b), coordinates in which the quantile is smooth up
-to both ends.  The tails meet where the two are about equally well
-conditioned.  The table's value is the share, with no special function
-per draw: the nodes carry the quantile and its first two derivatives,
-each node refined once by a Newton step when the table is built.  The
-shares stay within 32 ulp of ``betaincinv`` on the standard grid's
-shapes; shapes outside the measured domain keep ``betaincinv``.  Each
-share depends only on its own uniform and the shape, so a single draw,
-which runs the same operations on one numpy scalar, still equals its
-bulk entry bit for bit.  A chunk sorts its share uniforms once, for all
-media (``_ShareUniforms``): a table then splits the ascending column at
-0 and at the tails' meeting point into three contiguous slices, with no
-mask, gather or scatter, and each medium restores draw order with one
-``take``.  ``betaincinv`` shapes read the same sorted column; a single
-draw is not sorted.  Which uniform feeds which quantity is fixed in one
-place, ``_layout``.
+The Beta share is the Beta(a, b) quantile of its uniform u.  The private
+module ``_beta`` serves it from per-shape quintic Hermite tables whose
+nodes it solves with its own incomplete beta, so a run whose shapes all
+lie in the tables' domain (every 4-channel run) never imports scipy;
+other shapes keep scipy's ``betaincinv``, imported when the first is
+met.  Each share depends only on its own uniform and the shape, so a
+single draw, which runs the same operations on one numpy scalar, still
+equals its bulk entry bit for bit.  A bulk run resolves every medium's
+share function on the calling thread before the pool starts, with the
+missing tables built in one batch (``_share_tables``).  A chunk sorts
+its share uniforms once, for all media (``_ShareUniforms``): a table
+then splits the ascending column at 0 and at the tails' meeting point
+into three contiguous slices, with no mask, gather or scatter, and each
+medium restores draw order with one ``take``.  ``betaincinv`` shapes
+read the same sorted column; a single draw is not sorted.  Which uniform
+feeds which quantity is fixed in one place, ``_layout``.
 """
 
 from __future__ import annotations
@@ -158,8 +153,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln
 
+from ._beta import _ShareTable, _share_table, _share_tables  # noqa: F401 (_ShareTable: tests)
 from .analytic import mean_coefficients
 from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, _integer
 
@@ -477,200 +472,11 @@ def _shared_draws(mode: SamplerMode, cols: _Columns, uniforms: np.ndarray) -> _S
     )
 
 
-# Quintic Hermite intervals per tail of a Beta share table.
-_SHARE_INTERVALS = 1024
-
-# The tables' domain, decided by the shape alone so that a single draw
-# and its bulk entry take the same path; other shapes keep betaincinv.
-# Over a sweep of 274 shapes inside it, the shares stay within 30 ulp of
-# 40-digit quantiles, where betaincinv reads up to 46.  The nodes are
-# only as good as betainc: with b near 2 and a near 1, or with an
-# integer a and a + b near 12, the shares read 30 to 41 ulp off.  A sum
-# of 2 * channels lands on 10 only up to rounding, hence 10.5.
-_SHARE_MIN_A = 0.3
-_SHARE_MIN_B = 2.5
-_SHARE_MAX_SUM = 10.5
-
-
 def _share_shape(coef: EnsembleCoefficients, channels: int) -> tuple[float, float]:
     """Beta shape (a, b) of the transmission share, mean t_bar / (t_bar + r_bar)."""
     trans_weight = coef.t_bar / (coef.t_bar + coef.r_bar)
     shape = _SPLIT_SHAPE_PER_CHANNEL * channels
     return shape * trans_weight, shape * (1.0 - trans_weight)
-
-
-class _Root(NamedTuple):
-    """p -> p**(1/a) to about an ulp for p >= 2**-53.
-
-    The exponent 1/a rounds to a double e, and p**e is p**(1/a) times
-    p**(e - 1/a), off by |ln p| |e - 1/a| relative: 5e-15, some 20 to 45
-    ulp, at p = 2**-53 and a = 0.4, which the share would inherit.  The
-    root adds back t ln(p) (1/a - e).
-    """
-
-    exponent: float  # e
-    residue: float  # 1/a - e
-
-    @classmethod
-    def of(cls, a: float) -> _Root:
-        exponent = 1.0 / a
-        # 1/a - e = (da de - na ne) / (na de) in integers, rounded once.
-        na, da = a.as_integer_ratio()
-        ne, de = exponent.as_integer_ratio()
-        return cls(exponent, (da * de - na * ne) / (na * de))
-
-    def __call__(self, p):
-        t = np.power(p, self.exponent)
-        return t + t * (self.residue * np.log(p))
-
-
-class _ShareTail(NamedTuple):
-    """Quintic Hermite table of one tail's quantile y(t), t = root(p).
-
-    Called on an array of p or on one numpy scalar, it runs the same
-    operations on each value, so the two agree bit for bit.
-    """
-
-    root: _Root
-    scale: float  # intervals per unit of t
-    # (6, intervals + 1): y = c0 + theta (c1 + ... + theta c5).  The last
-    # column continues the table linearly past t_max, where rounding can
-    # put t for the split, so that no index needs clamping.
-    coef: np.ndarray
-
-    def __call__(self, p):
-        return _interpolate(self, self.root(p))
-
-
-def _hermite_tail(root: _Root, t_max: float, y, slope, curve) -> _ShareTail:
-    h = t_max / (len(y) - 1)
-    m, k = h * slope, (h * h) * curve
-    y0, y1, m0, m1, k0, k1 = y[:-1], y[1:], m[:-1], m[1:], k[:-1], k[1:]
-    # The cubic, quartic and quintic terms match y, m and k at theta = 1.
-    rise = y1 - y0 - m0 - 0.5 * k0
-    bend = m1 - m0 - k0
-    turn = k1 - k0
-    coef = np.stack(
-        (
-            y0,
-            m0,
-            0.5 * k0,
-            10.0 * rise - 4.0 * bend + 0.5 * turn,
-            -15.0 * rise + 7.0 * bend - turn,
-            6.0 * rise - 3.0 * bend + 0.5 * turn,
-        )
-    )
-    last = np.array([[y[-1]], [m[-1]], [0.0], [0.0], [0.0], [0.0]])
-    return _ShareTail(root, 1.0 / h, np.hstack((coef, last)))
-
-
-def _refined_quantile(a: float, b: float, p: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
-    """Quantiles of Beta(a, b) at 0 < p < 1: one Newton step on ``betainc`` from ``x``.
-
-    Above p = 1/2 the step reads the upper tail, I(b, a, 1 - x) against
-    1 - p (exact there), which is better conditioned near 1.  ``x`` is
-    overwritten.
-    """
-    upper = p > 0.5
-    lower = ~upper
-    rest = 1.0 - x[upper]
-    x[upper] = 1.0 - rest
-    excess = np.empty_like(x)  # F(x) - p
-    excess[lower] = betainc(a, b, x[lower]) - p[lower]
-    excess[upper] = (1.0 - p[upper]) - betainc(b, a, rest)
-    return x - excess * (beta * x ** (1.0 - a) * (1.0 - x) ** (1.0 - b))
-
-
-# A table of this many intervals or fewer takes its nodes' first guesses
-# from betaincinv; a finer one from the table with an eighth of its
-# intervals, within 2e-10 relative and built in half the time that
-# betaincinv takes for every node.
-_SHARE_COARSE = _SHARE_INTERVALS // 8
-
-
-def _share_tail(a: float, b: float, p_max: float, intervals: int) -> _ShareTail:
-    """Table of Beta(a, b)'s lower-tail quantiles on a uniform grid in t = p**(1/a), p <= p_max.
-
-    Its nodes carry the quantiles x and their first two derivatives in t.
-    With c = lim x / t = (a B(a, b))**(1/a) the slope is
-    s = c (x / (c t))**(1-a) (1-x)**(1-b), and
-    x'' = s ((a-1) (1/t - s/x) + (b-1) s / (1-x)), 2 (b-1) c**2 / (a+1) at t = 0.
-    """
-    beta = math.exp(betaln(a, b))
-    root = _Root.of(a)
-    t_max = root(p_max)
-    t = t_max * np.arange(intervals + 1) / intervals
-    p = t**a
-    p[-1] = p_max
-    if intervals > _SHARE_COARSE:
-        guess = _interpolate(_share_tail(a, b, p_max, intervals // 8), t[1:])
-    else:
-        guess = betaincinv(a, b, p[1:])
-    x = np.zeros_like(t)
-    x[1:] = _refined_quantile(a, b, p[1:], guess, beta)
-    # Near t = 2**-64, x / t is c to rounding; a power of two keeps p exact.
-    tiny = np.array([2.0 ** -math.ceil(64.0 * a)])
-    c = float(_refined_quantile(a, b, tiny, betaincinv(a, b, tiny), beta)[0] / root(tiny[0]))
-    ratio = np.ones_like(t)
-    ratio[1:] = x[1:] / (c * t[1:])
-    slope = c * ratio ** (1.0 - a) * (1.0 - x) ** (1.0 - b)
-    curve = np.empty_like(t)
-    s, xs, ts = slope[1:], x[1:], t[1:]
-    curve[1:] = s * ((a - 1.0) * (1.0 / ts - s / xs) + (b - 1.0) * s / (1.0 - xs))
-    curve[0] = 2.0 * (b - 1.0) * c * c / (a + 1.0)
-    return _hermite_tail(root, t_max, x, slope, curve)
-
-
-class _ShareTable(NamedTuple):
-    split: float  # b / (a + b): u <= split reads the lower tail
-    lower: _ShareTail  # x(t), t = u**(1/a)
-    upper: _ShareTail  # 1 - x = I^-1(b, a, 1 - u) in t = (1 - u)**(1/b)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Beta(a, b) quantiles of ascending ``u``: ``betaincinv(a, b, u)`` to rounding.
-
-        Each share depends on its own uniform and the shape only, so a
-        batch of one equals its entry in any batch bit for bit.
-        """
-        if u.shape == (1,):
-            # On one value the slices below cost several times more.
-            v = u[0]
-            if v > self.split:
-                return np.array([1.0 - self.upper(1.0 - v)])
-            return np.array([self.lower(v) if v > 0.0 else 0.0])
-        # u = 0 keeps its exact 0, and the root never takes ln 0.
-        zero, split = np.searchsorted(u, (0.0, self.split), side="right")
-        share = np.zeros(u.shape)
-        share[zero:split] = self.lower(u[zero:split])
-        share[split:] = 1.0 - self.upper(1.0 - u[split:])
-        return share
-
-
-@functools.lru_cache(maxsize=64)
-def _share_table(a: float, b: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Beta(a, b)'s share function: its tables, or betaincinv outside their domain."""
-    if not (a >= _SHARE_MIN_A and b >= _SHARE_MIN_B and a + b <= _SHARE_MAX_SUM):
-        return functools.partial(betaincinv, a, b)
-    split = b / (a + b)
-    lower = _share_tail(a, b, split, _SHARE_INTERVALS)
-    upper = _share_tail(b, a, 1.0 - split, _SHARE_INTERVALS)
-    return _ShareTable(split, lower, upper)
-
-
-def _quintic(c, theta):
-    """c[0] + theta (c[1] + ... + theta c[5]), in place on arrays."""
-    y = c[5] * theta
-    for k in (4, 3, 2, 1):
-        y += c[k]
-        y *= theta
-    y += c[0]
-    return y
-
-
-def _interpolate(tail: _ShareTail, t: np.ndarray) -> np.ndarray:
-    pos = t * tail.scale
-    j = pos.astype(np.intp)
-    return _quintic(tail.coef.take(j, axis=1), pos - j)
 
 
 def _medium_share(
@@ -878,11 +684,14 @@ def _over_chunks(
     columns = max(_draw_width(config.mode, counts[0]) for config in configs)
     rows = _chunk_rows(counts[0])
     coefs = [mean_coefficients(spec) for spec in specs]
-    # Each medium's share is resolved here, once: the chunks never touch
-    # the cache, so pool threads neither race to fill it nor rebuild
-    # evicted tables.
+    # Each medium's share is resolved here, once, and all the missing
+    # tables are built together: the chunks never touch the cache, so
+    # pool threads neither race to fill it nor rebuild evicted tables.
+    shares = [None] * len(coefs)
+    if any(config.mode is SamplerMode.EXPONENTIAL_MAGNITUDES for config in configs):
+        shares = _share_tables([_share_shape(coef, cols.channels) for coef in coefs])
     plans = [
-        (config.mode, [_medium_share(coef, cols, config.mode) for coef in coefs])
+        (config.mode, [None] * len(coefs) if config.mode is SamplerMode.MEAN_MAGNITUDES else shares)
         for config in configs
     ]
 

@@ -83,6 +83,14 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the report of `ramsq validate --sampler mean --seed 42
+# --realizations 2000 --out PATH`.  Mean mode draws no Beta share and its
+# estimates read cos and sums only, whose float64 bits numpy returns the
+# same under every SIMD dispatch, so the report is pinned across versions
+# and dispatch, not only across reruns.
+MEAN_REPORT_SHA256 = "d90642e313632df50ba8a0dc9a671d2d0dcaa3960a719c8ffa07ee0b89d05563"
+
+
 def criterion(number, label, budget_s):
     def deco(fn):
         @functools.wraps(fn)
@@ -367,3 +375,10 @@ def test_criterion_9(tmp_path):
             assert row["below_snl"] == "0"
         else:
             assert row["gain_boundary"] == ""
+
+
+def test_mean_validate_report_pinned(tmp_path):
+    out = tmp_path / "mean.json"
+    argv = ["validate", "--sampler", "mean", "--seed", "42", "--realizations", "2000"]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MEAN_REPORT_SHA256

@@ -22,7 +22,7 @@ from ramsq.analytic import (
     variance_x_nowfs,
     variance_x_wfs,
 )
-from ramsq import ensemble, validation
+from ramsq import _beta, ensemble, validation
 from ramsq.core import MAX_SQUEEZE_R, InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
     DisorderRealization,
@@ -1099,37 +1099,46 @@ def test_beta_share_outside_domain_is_betaincinv(shape):
     assert np.array_equal(beta_share(a, b, u), betaincinv(a, b, u))
 
 
+def recorded_builds(monkeypatch):
+    # an empty cache, and the (thread, shapes) of every batch of tables built
+    builds = []
+    build_tables = _beta._build_tables
+
+    def recorded(shapes):
+        builds.append((threading.current_thread(), list(shapes)))
+        return build_tables(shapes)
+
+    monkeypatch.setattr(_beta, "_tables", {})
+    monkeypatch.setattr(_beta, "_build_tables", recorded)
+    return builds
+
+
 def test_share_tables_built_once_per_grid_shape(monkeypatch):
     # the tables are built on the calling thread before the pool starts,
-    # so concurrent chunks never race to fill the cache
+    # all 19 in one batch, so concurrent chunks never race to fill the cache
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 3)
+    builds = recorded_builds(monkeypatch)
     specs, shapes = _grid_shares()
-    ensemble._share_table.cache_clear()
     ensemble.medium_moments(specs, [config(MODES[1], realizations=3 * 2**13, seed=4)])
     assert len(shapes) == 19
-    assert ensemble._share_table.cache_info().misses == 19
+    [(thread, built)] = builds
+    assert thread is threading.current_thread() and sorted(built) == shapes
 
 
 def test_share_tables_resolved_once_past_the_cache(monkeypatch):
     # 70 shapes overflow the 64-entry cache: each table is still built
     # once, on the calling thread, and no chunk looks one up again
     monkeypatch.setattr(ensemble, "_worker_count", lambda: 2)
-    builders = []
-    share_tail = ensemble._share_tail
-
-    def recorded(*args):
-        builders.append(threading.current_thread())
-        return share_tail(*args)
-
-    monkeypatch.setattr(ensemble, "_share_tail", recorded)
+    builds = recorded_builds(monkeypatch)
     specs = [MediumSpec(thickness_ratio=1.5 + k / 4, gain_ratio=0.0, channels=4) for k in range(70)]
     shapes = {ensemble._share_shape(mean_coefficients(s), 4) for s in specs}
     assert len(shapes) == 70
-    ensemble._share_table.cache_clear()
     rows = ensemble._chunk_rows(4)
     ensemble.medium_moments(specs, [config(MODES[1], realizations=3 * rows + 1, seed=4)])
-    assert ensemble._share_table.cache_info().misses == 70
-    assert builders and set(builders) == {threading.current_thread()}
+    built = [shape for _, batch in builds for shape in batch]
+    assert sorted(built) == sorted(shapes)
+    assert {thread for thread, _ in builds} == {threading.current_thread()}
+    assert len(_beta._tables) == _beta._SHARE_CACHE_SIZE
 
 
 # Beta(a, b) quantiles to 40 digits, computed once with mpmath 1.3.0:

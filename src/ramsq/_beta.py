@@ -22,13 +22,13 @@ TOMS 18, 1992).  Per shape, and once for both tails:
 - B(a, b) is exact to rounding: 2**-(a+b) (F_a/a + F_b/b), with both
   series at x = 1/2 summed in integers and the power in ``decimal``;
 - c = lim x/t = (a B)**(1/a) is taken from that B in ``decimal``;
-- on every eighth node, Newton steps on ln I in ln x from x = c t, with
-  the series cut short while the steps are large, converge to about
-  1e-12.  ln I is concave in ln x where b > 1 and convex where b < 1,
-  and c t lies left of the root in the first case and right of it in the
-  second, so the steps close in on it from one side;
+- on every eighth node, Halley steps on ln I in ln x from x = c t, with
+  the series cut short while the steps are large and summed in few
+  numpy calls (``_guess_series``), converge to about 5e-11 in 4 or 5
+  passes;
 - the quintic through those nodes gives every node's guess to within
-  about 2e-10 relative, and one exact Newton step on I - p refines it.
+  about 2e-10 relative, and one exact Newton step on I - p, with the
+  series summed by Horner's rule (``_series``), refines it.
 
 Where a tail needs p > 1/2, 1 - I would cancel, so the step reads the
 complement Q = 1 - I instead, summed from the top of the tail down: Q
@@ -38,11 +38,10 @@ which it is smooth, over [x, x_top].
 
 All shapes given to ``_share_tables`` are built at once, one row per
 tail, so the Python-level steps of the series are paid once per batch:
-the 19 shapes of a 4-channel run build in about 20 ms, against about
-29 ms with scipy's betainc and betaincinv (medians of 10 processes, 2
-vCPUs, numpy 2.4.6), though one shape alone takes about 2.3 ms against
-1.5.  Each row
-takes its own term counts and Newton steps, and every operation is
+the 19 shapes of a 4-channel run build in about 16 ms, against about
+28 ms with scipy's betainc and betaincinv, and one shape alone in about
+1.4 ms, as with scipy (2 vCPUs, numpy 2.4.6; ``BENCH_28.json``).  Each
+row takes its own term counts and steps, and every operation is
 elementwise, so a shape's table does not depend on the batch it was
 built in.
 """
@@ -52,10 +51,12 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from decimal import Decimal, localcontext
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 # Quintic Hermite intervals per tail of a Beta share table.
 _SHARE_INTERVALS = 1024
@@ -66,11 +67,11 @@ _SHARE_COARSE = _SHARE_INTERVALS // 8
 # and its bulk entry take the same path; other shapes keep betaincinv.
 # Over a sweep of 37 shapes inside it, at 2**-53, 1e-10, 1/4, 1/2, the
 # split and its two neighbours, 1 - 2**-53 and the four uniforms of 1e5
-# farthest from betaincinv, the shares stay within 12 ulp of 40-digit
-# quantiles, where betaincinv reads up to 34.  The bounds date from
-# nodes built with scipy's betainc, which read 30 to 41 ulp off with b
-# near 2 and a near 1, or an integer a and a + b near 12.  A sum of
-# 2 * channels lands on 10 only up to rounding, hence 10.5.
+# farthest from betaincinv, the shares stay within 9 ulp of 40-digit
+# quantiles (median 3.5), where betaincinv reads up to 36.  The bounds
+# date from nodes built with scipy's betainc, which read 30 to 41 ulp
+# off with b near 2 and a near 1, or an integer a and a + b near 12.  A
+# sum of 2 * channels lands on 10 only up to rounding, hence 10.5.
 _SHARE_MIN_A = 0.3
 _SHARE_MIN_B = 2.5
 _SHARE_MAX_SUM = 10.5
@@ -86,20 +87,22 @@ _HALF_BITS = 72
 # Series terms kept: those above this floor (the series is at least 1).
 _TERM_FLOOR = 2.0**-60
 _MAX_TERMS = 512
-# The guesses' Newton steps keep fewer: a row keeps the terms above
+# The guesses' Halley steps keep fewer: a row keeps the terms above
 # _GUESS_FLOORS[i], i the number of _GUESS_STEPS that its last step
 # moved ln x by less than (0 on the first step).
-_GUESS_STEPS = (0.1, 1e-3, 1e-6)
-_GUESS_FLOORS = (2.0**-12, 2.0**-24, 2.0**-36, 2.0**-44)
-# Nodes share a term count in blocks of this many, and inputs of more
-# than _SERIES_SLICED values skip each term on the blocks past their count.
+_GUESS_STEPS = (0.1, 1e-3)
+_GUESS_FLOORS = (2.0**-12, 2.0**-24, 2.0**-36)
+# Nodes share a term count in blocks of this many.
 _SERIES_BLOCK = 64
-_SERIES_SLICED = 4096
 
 # A row's guesses are done on a step with the last floor that moves ln x
-# by less than this: they are then within about 1e-12 relative, far
-# inside the 2e-10 of the quintic through them.
-_GUESS_TOLERANCE = 1e-8
+# by less than this.  A Halley step leaves about 0.7 step**3, so the
+# guesses are then within about 5e-11 relative, the last floor's
+# truncation, inside the 2e-10 of the quintic through them.
+_GUESS_TOLERANCE = 1e-4
+# From x = c t the steps took 4 or 5 passes over 305 shapes spread over
+# the domain; a row that takes this many has failed.
+_GUESS_MAX_PASSES = 12
 
 # Gauss-Legendre points of the complement integrals.
 _GAUSS_POINTS = 24
@@ -214,6 +217,8 @@ def _half_series(top: int, bottom: int, unit: int) -> int:
 
 @functools.cache
 def _ln2() -> Decimal:
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = _DIGITS
         return Decimal(2).ln()
@@ -227,6 +232,9 @@ class _ShapeConstants(NamedTuple):
 
 def _shape_constants(a: float, b: float) -> _ShapeConstants:
     """B(a, b) = 2**-(a+b) (F(a+b, 1; a+1; 1/2)/a + F(a+b, 1; b+1; 1/2)/b), and both c."""
+    # Only a table build needs decimal, so importing the package does not.
+    from decimal import Decimal, localcontext
+
     (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
     unit = max(da, db)  # a = na' / unit and b = nb' / unit, both exact
     na, nb = na * (unit // da), nb * (unit // db)
@@ -274,6 +282,7 @@ class _Rows(NamedTuple):
         split = [b / (a + b) for a, b in shapes]
         p_max = column([v for s in split for v in (s, 1.0 - s)])
         coef = _coefficients(alpha.T, beta.T)
+        reach = _reach(coef, (_TERM_FLOOR,) + _GUESS_FLOORS)
         return cls(
             alpha=alpha,
             beta=beta,
@@ -282,8 +291,8 @@ class _Rows(NamedTuple):
             p_max=p_max,
             t_max=column([_Root.of(a)(p) for a, p in zip(alpha[:, 0].tolist(), p_max[:, 0])]),
             coef=coef,
-            reach=_reach(coef, _TERM_FLOOR),
-            guess_reach=np.stack([_reach(coef, floor) for floor in _GUESS_FLOORS]),
+            reach=reach[0],
+            guess_reach=reach[1:],
         )
 
 
@@ -295,58 +304,93 @@ def _coefficients(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _reach(coef: np.ndarray, floor: float) -> np.ndarray:
-    """(terms, rows): term n is kept at x > reach[n], where some term m >= n exceeds ``floor``.
+def _reach(coef: np.ndarray, floors: Sequence[float]) -> np.ndarray:
+    """(floors, terms, rows): term n is kept at x > reach[i, n], where some term m >= n exceeds floors[i].
 
     Term m exceeds it above (floor / coef[m])**(1/m), so reach is the
     suffix minimum of those, nondecreasing in n: the terms an x needs
-    are the first ``searchsorted(reach, x)``, and term 0 always.
+    are the first ``searchsorted(reach[i], x)``, and term 0 always.
     """
     n = np.arange(1, _MAX_TERMS, dtype=float)[:, None]
-    onset = np.exp((math.log(floor) - np.log(coef[1:])) / n)
-    reach = np.empty_like(coef)
-    reach[0] = -1.0
-    reach[1:] = np.minimum.accumulate(onset[::-1], axis=0)[::-1]
+    log_floor = np.array([math.log(floor) for floor in floors])[:, None, None]
+    onset = np.exp((log_floor - np.log(coef[1:])) / n)
+    reach = np.empty((len(floors),) + coef.shape)
+    reach[:, 0] = -1.0
+    reach[:, 1:] = np.minimum.accumulate(onset[:, ::-1], axis=1)[:, ::-1]
     return reach
 
 
-def _series(coef: np.ndarray, reach: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """F = sum_n coef[n] x**n of each row of x, by Horner's rule.
+def _term_counts(reach: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x in blocks of _SERIES_BLOCK nodes, (rows, blocks, nodes), and the terms each block sums.
 
-    x has fewer than _SERIES_BLOCK columns or a multiple of it.  Each
-    block of _SERIES_BLOCK nodes sums the terms that its own largest
-    x needs, and its coefficients past them are exact zeros, so a node's
-    value does not depend on the other rows.  On large inputs the blocks
-    run longest first on shrinking slices.
+    x has fewer than _SERIES_BLOCK columns or a multiple of it.  A block
+    sums the terms that its own largest x needs, so a node's value does
+    not depend on the other rows.
     """
     rows, cols = x.shape
-    block = min(cols, _SERIES_BLOCK)
-    cells = x.reshape(-1, block)
-    top_x = cells.max(axis=1).reshape(rows, -1)
-    counts = np.concatenate([np.searchsorted(reach[:, r], top_x[r]) for r in range(rows)])
-    order = np.argsort(-counts, kind="stable")
-    counts = counts[order]
-    if counts[0] >= _MAX_TERMS:
+    cells = x.reshape(rows, -1, min(cols, _SERIES_BLOCK))
+    top = cells.max(axis=2)
+    counts = np.stack([np.searchsorted(reach[:, r], top[r]) for r in range(rows)])
+    if counts.max() >= _MAX_TERMS:
         raise AssertionError("the share series needs more terms than it keeps")
-    cells = cells[order]
-    terms = counts[0]
-    n = np.arange(terms)
-    coef = np.where(n[:, None] < counts, coef[:terms, order // (cols // block)], 0.0)[:, :, None]
+    return cells, counts
+
+
+def _series(coef: np.ndarray, reach: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F = sum_n coef[n] x**n of each row of x, by Horner's rule, blocks as ``_term_counts``.
+
+    The blocks run longest first, so each term runs on a leading slice
+    of them, one that changes only where a block's terms begin.
+    """
+    rows, cols = x.shape
+    cells, counts = _term_counts(reach, x)
+    counts = counts.ravel()
+    order = np.argsort(-counts, kind="stable")
+    counts = counts[order].tolist()
+    cells = cells.reshape(len(counts), -1)[order]
+    coef = coef[: counts[0], order // (len(counts) // rows), None]
     s = np.zeros_like(cells)
-    if cells.size <= _SERIES_SLICED:
-        for c in coef[::-1]:
-            s *= cells
-            s += c
-    else:
-        # Term n runs on the first active[n] blocks, those that need it.
-        active = np.searchsorted(-counts, -n).tolist()
-        for term in range(terms - 1, -1, -1):
-            k = active[term]
-            s[:k] *= cells[:k]
-            s[:k] += coef[term, :k]
+    # The first k blocks sum terms counts[k] to counts[k - 1] - 1.
+    for k, (high, low) in enumerate(zip(counts, counts[1:] + [0]), start=1):
+        if low < high:
+            sk, xk, ck = s[:k], cells[:k], coef[:, :k]
+            for term in range(high - 1, low - 1, -1):
+                sk *= xk
+                sk += ck[term]
     out = np.empty_like(s)
     out[order] = s
     return out.reshape(rows, cols)
+
+
+def _guess_series(coef: np.ndarray, reach: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F as ``_series``, to about 2e-15 relative, in fewer numpy calls.
+
+    Horner's rule in x**8 over the polynomials of each eight terms in x,
+    all of which are formed at once: about 20 calls and 2 per eight
+    terms, where ``_series`` takes 2 per term.  The rounding of x**8
+    reaches every term past the eighth, so F reads up to some 8 ulp off
+    where ``_series`` reads 4: enough for the guesses, not for the
+    nodes.  Each block's coefficients past its terms are exact zeros,
+    which leave its sum as it is.
+    """
+    rows, cols = x.shape
+    cells, counts = _term_counts(reach, x)
+    groups = -(-int(counts.max()) // 8)
+    n = np.arange(8 * groups)[:, None, None]
+    coef = np.where(n < counts, coef[: 8 * groups, :, None], 0.0).reshape(groups, 8, rows, -1, 1)
+    parts = coef[:, 7] * cells
+    for j in range(6, 0, -1):
+        parts += coef[:, j]
+        parts *= cells
+    parts += coef[:, 0]
+    power = cells * cells
+    power *= power
+    power *= power
+    s = parts[-1]
+    for k in range(groups - 2, -1, -1):
+        s *= power
+        s += parts[k]
+    return s.reshape(rows, cols)
 
 
 def _lower_beta(rows: _Rows, x: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -356,32 +400,34 @@ def _lower_beta(rows: _Rows, x: np.ndarray, series: np.ndarray) -> np.ndarray:
 
 
 def _guesses(rows: _Rows, p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Newton steps on ln I in ln x from x = c t, to _GUESS_TOLERANCE.
+    """Halley steps on ln I in ln x from x = c t, to _GUESS_TOLERANCE.
 
-    ln I is concave in ln x where beta > 1 and convex where beta < 1,
-    and x = c t lies left of the root in the first case and right of it
-    in the second, so the steps close in on it from one side.  A row
-    stops on its own steps, so its guesses do not depend on the batch.
+    With g = d ln I / d ln x = alpha / ((1 - x) F), the derivative of g
+    is g (alpha - g + (1 - beta) x / (1 - x)), so a step costs no series
+    beyond F's.  Every pass steps every row, but a row that is done steps
+    by exactly 0, so its guesses do not depend on the batch.
     """
+    alpha, beta = rows.alpha, rows.beta
     x = rows.c * t
     log_p = np.log(p)
-    log_norm = np.log(rows.alpha * rows.scale)
-    active = np.arange(x.shape[0])
+    log_norm = np.log(alpha * rows.scale)
+    each = np.arange(x.shape[0])
     level = np.zeros(x.shape[0], dtype=np.intp)
-    last = len(_GUESS_FLOORS) - 1
-    while active.size:
-        xa, alpha, beta = x[active], rows.alpha[active], rows.beta[active]
-        reach = rows.guess_reach[level[active], :, active].T
-        s = _series(rows.coef[:, active], reach, xa)
-        log_i = alpha * np.log(xa) + beta * np.log1p(-xa) + np.log(s) - log_norm[active]
-        # d ln I / d ln x = alpha / ((1 - x) F)
-        step = (log_p[active] - log_i) * ((1.0 - xa) * s / alpha)
-        x[active] = xa * np.exp(step)
+    done = np.zeros(x.shape[0], dtype=bool)
+    for _ in range(_GUESS_MAX_PASSES):
+        s = _guess_series(rows.coef, rows.guess_reach[level, :, each].T, x)
+        log_i = alpha * np.log(x) + beta * np.log1p(-x) + np.log(s) - log_norm
+        g = alpha / ((1.0 - x) * s)
+        step = (log_p - log_i) / g
+        step /= 1.0 + 0.5 * step * (alpha - g + (1.0 - beta) * x / (1.0 - x))
+        step[done] = 0.0
+        x *= np.exp(step)
         moved = np.abs(step).max(axis=1)
-        done = (moved < _GUESS_TOLERANCE) & (level[active] == last)
-        level[active] = sum(moved < bound for bound in _GUESS_STEPS)
-        active = active[~done]
-    return x
+        done |= (moved < _GUESS_TOLERANCE) & (level == len(_GUESS_FLOORS) - 1)
+        if done.all():
+            return x
+        level = sum(moved < bound for bound in _GUESS_STEPS)
+    raise AssertionError("the share guesses did not converge")
 
 
 @functools.cache
@@ -412,15 +458,21 @@ def _density_integral(rows: _Rows, r: np.ndarray, x0: np.ndarray, x1: np.ndarray
     """int_{x0}^{x1} x**(alpha-1) (1-x)**(beta-1) dx / B over row r's shape, in s = x**alpha.
 
     In s the integrand is (1 - s**(1/alpha))**(beta-1) / (alpha B),
-    smooth over the whole interval.  All arguments are flat arrays.
+    smooth over the whole interval.  All arguments are flat arrays; the
+    points run down the first axis, so every operation runs along the
+    nodes, and the weighted terms are summed in pairs, in the same order
+    for every node.
     """
     nodes, weights = _gauss_legendre()
-    alpha = rows.alpha[r]
-    s0, s1 = np.power(x0[:, None], alpha), np.power(x1[:, None], alpha)
+    alpha, beta = rows.alpha[r, 0], rows.beta[r, 0]
+    s0, s1 = np.power(x0, alpha), np.power(x1, alpha)
     half = 0.5 * (s1 - s0)
-    s = 0.5 * (s1 + s0) + half * nodes
-    g = np.exp((rows.beta[r] - 1.0) * np.log1p(-np.power(s, 1.0 / alpha)))
-    return (half[:, 0] * (g @ weights)) / (alpha * rows.scale[r])[:, 0]
+    s = 0.5 * (s1 + s0) + half * nodes[:, None]
+    g = np.power(1.0 - np.power(s, 1.0 / alpha), beta - 1.0)
+    terms = weights[:, None] * g
+    while len(terms) % 2 == 0:
+        terms = terms[::2] + terms[1::2]
+    return half * sum(terms[1:], terms[0]) / (alpha * rows.scale[r, 0])
 
 
 def _complement(rows: _Rows, x: np.ndarray, upper: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -539,7 +591,11 @@ def _share_tables(shapes: Sequence[tuple[float, float]]) -> list[_ShareFunction]
     """Each Beta(a, b) shape's share function: its tables, or betaincinv outside their domain.
 
     The tables of all shapes not already kept are built in one batch.
-    The last _SHARE_CACHE_SIZE shapes added are kept.
+    The last _SHARE_CACHE_SIZE shapes added are kept, evicted in the order
+    they were added, not by use: a hit leaves a shape's place as it is,
+    so that ``_share_table`` can read it without the lock.  A caller that
+    cycles through more shapes than are kept rebuilds each, a hot one
+    too, at about 1.4 ms a shape.
     """
     with _tables_lock:
         missing = [shape for shape in dict.fromkeys(shapes) if shape not in _tables]

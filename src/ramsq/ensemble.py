@@ -154,7 +154,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._beta import _ShareTable, _share_table, _share_tables  # noqa: F401 (_ShareTable: tests)
+from ._beta import _share_table, _share_tables
 from .analytic import mean_coefficients
 from .core import EnsembleCoefficients, InputState, MediumSpec, ParameterError, _integer
 

@@ -220,8 +220,51 @@ def test_complement_step_near_the_split(a, b):
         assert ulps_off(value, reference) <= SPLIT_STEP_ULPS, (value, reference)
 
 
+# The domain's corners (a >= 0.3, b >= 2.5, a + b <= 10.5) and a grid
+# shape: (0.3, 10.2) has the longest series, 217 terms at its top node,
+# and its guesses take 5 passes where the others take 4.
+GUESS_SHAPES = [(0.3, 2.5), (0.3, 10.2), (8.0, 2.5), (0.4, 7.6)]
+
+
+@pytest.mark.parametrize("a, b", GUESS_SHAPES)
+def test_guess_series_close_to_series(a, b):
+    # the guesses' evaluation of F, with fewer numpy calls, against Horner's
+    rows = _beta._Rows.of([(a, b)])
+    x = np.sort(np.random.default_rng(1304).random((2, 256)), axis=1) * 0.8
+    exact = _beta._series(rows.coef, rows.reach, x)
+    rough = _beta._guess_series(rows.coef, rows.reach, x)
+    assert np.all(np.abs(rough / exact - 1.0) <= 1e-14)
+
+
+def coarse_guesses(shapes):
+    rows = _beta._Rows.of(shapes)
+    t, p = _beta._grid(rows, _beta._SHARE_COARSE)
+    return rows, p[:, 1:], _beta._guesses(rows, p[:, 1:], t[:, 1:])
+
+
+@pytest.mark.parametrize("a, b", GUESS_SHAPES)
+def test_guesses_converge_across_the_domain(a, b, monkeypatch):
+    # the coarse nodes' Halley steps from x = c t, in at most 5 passes and
+    # within the 2e-10 of the quintic through them, on both tails
+    from scipy.special import betaincinv
+
+    monkeypatch.setattr(_beta, "_GUESS_MAX_PASSES", 5)
+    rows, p, guesses = coarse_guesses([(a, b)])
+    for row in range(2):
+        exact = betaincinv(rows.alpha[row, 0], rows.beta[row, 0], p[row])
+        assert np.all(np.abs(guesses[row] / exact - 1.0) <= 2e-10), row
+
+
+def test_guesses_do_not_depend_on_the_batch():
+    # a row that is done stays put while the batch's other rows step on
+    _, _, batch = coarse_guesses(GUESS_SHAPES)
+    for i, shape in enumerate(GUESS_SHAPES):
+        _, _, alone = coarse_guesses([shape])
+        assert np.array_equal(alone, batch[2 * i : 2 * i + 2]), shape
+
+
 def test_tables_do_not_depend_on_the_batch():
-    # each row runs its own term counts and Newton steps, so a shape built
+    # each row runs its own term counts and steps, so a shape built
     # alone gets the same tables, bit for bit, as in a batch of shapes
     shapes = [(0.4, 7.6), (1.6, 6.4), (4.0, 4.0), (2.7362345703472872, 5.263765429652713)]
     batch = _beta._build_tables(shapes)

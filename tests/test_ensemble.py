@@ -1038,7 +1038,7 @@ def ulps_off(x, reference):
 @pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
 def test_beta_share_within_32_ulp_of_betaincinv(shape):
     a, b = shape
-    assert isinstance(ensemble._share_table(a, b), ensemble._ShareTable)
+    assert isinstance(ensemble._share_table(a, b), _beta._ShareTable)
     u = np.random.default_rng(1300).random(100_000)
     off = ulps_off(beta_share(a, b, u), betaincinv(a, b, u))
     assert off.max() <= 32, (off.max(), u[np.argmax(off)])

@@ -758,6 +758,14 @@ def test_presets_build_one_parser_tree(tmp_path, monkeypatch):
         assert sha256(tmp_path / name) == GOLDEN_SHA256[name], name
 
 
+def test_parser_is_built_at_import():
+    # so the first command of a process does not carry the ~2 ms build
+    code = "import ramsq.cli as c; i = c.build_parser.cache_info(); print(i.misses, i.hits)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0"]
+
+
 # -- CSV rendering -----------------------------------------------------------
 
 def test_render_matches_percell_form_on_presets(tmp_path, monkeypatch):

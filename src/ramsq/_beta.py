@@ -22,13 +22,13 @@ TOMS 18, 1992).  Per shape, and once for both tails:
 - B(a, b) is exact to rounding: 2**-(a+b) (F_a/a + F_b/b), with both
   series at x = 1/2 summed in integers and the power in ``decimal``;
 - c = lim x/t = (a B)**(1/a) is taken from that B in ``decimal``;
-- on every eighth node, Halley steps on ln I in ln x from x = c t, with
-  the series cut short while the steps are large and summed in few
-  numpy calls (``_guess_series``), converge to about 5e-11 in 4 or 5
-  passes;
+- on every eighth node, Halley steps on ln I in ln x from x = c t
+  converge to about 1e-12 in 3 or 4 passes;
 - the quintic through those nodes gives every node's guess to within
-  about 2e-10 relative, and one exact Newton step on I - p, with the
-  series summed by Horner's rule (``_series``), refines it.
+  about 2e-10 relative, and one exact Newton step on I - p refines it.
+
+The steps and the refinement sum the series alike, by Horner's rule on
+the terms above one floor (``_series``).
 
 Where a tail needs p > 1/2, 1 - I would cancel, so the step reads the
 complement Q = 1 - I instead, summed from the top of the tail down: Q
@@ -38,12 +38,12 @@ which it is smooth, over [x, x_top].
 
 All shapes given to ``_share_tables`` are built at once, one row per
 tail, so the Python-level steps of the series are paid once per batch:
-the 19 shapes of a 4-channel run build in about 16 ms, against about
-28 ms with scipy's betainc and betaincinv, and one shape alone in about
-1.4 ms, as with scipy (2 vCPUs, numpy 2.4.6; ``BENCH_28.json``).  Each
-row takes its own term counts and steps, and every operation is
-elementwise, so a shape's table does not depend on the batch it was
-built in.
+the 19 shapes of a 4-channel run build in about 17 ms, and one shape
+alone in about 1.7 ms, against about 28 and 1.4 ms with scipy's betainc
+and betaincinv (2 vCPUs, numpy 2.4.6; ``BENCH_28.json``,
+``BENCH_29.json``).  Each row takes its own term counts and steps, and
+every operation is elementwise, so a shape's table does not depend on
+the batch it was built in.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ _SHARE_COARSE = _SHARE_INTERVALS // 8
 # and its bulk entry take the same path; other shapes keep betaincinv.
 # Over a sweep of 37 shapes inside it, at 2**-53, 1e-10, 1/4, 1/2, the
 # split and its two neighbours, 1 - 2**-53 and the four uniforms of 1e5
-# farthest from betaincinv, the shares stay within 9 ulp of 40-digit
-# quantiles (median 3.5), where betaincinv reads up to 36.  The bounds
+# farthest from betaincinv, the shares stay within 14 ulp of 40-digit
+# quantiles (median 3.2), where betaincinv reads up to 36.  The bounds
 # date from nodes built with scipy's betainc, which read 30 to 41 ulp
 # off with b near 2 and a near 1, or an integer a and a + b near 12.  A
 # sum of 2 * channels lands on 10 only up to rounding, hence 10.5.
@@ -87,20 +87,14 @@ _HALF_BITS = 72
 # Series terms kept: those above this floor (the series is at least 1).
 _TERM_FLOOR = 2.0**-60
 _MAX_TERMS = 512
-# The guesses' Halley steps keep fewer: a row keeps the terms above
-# _GUESS_FLOORS[i], i the number of _GUESS_STEPS that its last step
-# moved ln x by less than (0 on the first step).
-_GUESS_STEPS = (0.1, 1e-3)
-_GUESS_FLOORS = (2.0**-12, 2.0**-24, 2.0**-36)
 # Nodes share a term count in blocks of this many.
 _SERIES_BLOCK = 64
 
-# A row's guesses are done on a step with the last floor that moves ln x
-# by less than this.  A Halley step leaves about 0.7 step**3, so the
-# guesses are then within about 5e-11 relative, the last floor's
-# truncation, inside the 2e-10 of the quintic through them.
+# A row's guesses are done on a step that moves ln x by less than this.
+# A Halley step leaves about 0.7 step**3, so the guesses are then within
+# about 1e-12 relative, inside the 2e-10 of the quintic through them.
 _GUESS_TOLERANCE = 1e-4
-# From x = c t the steps took 4 or 5 passes over 305 shapes spread over
+# From x = c t the steps took 3 or 4 passes over 305 shapes spread over
 # the domain; a row that takes this many has failed.
 _GUESS_MAX_PASSES = 12
 
@@ -257,9 +251,8 @@ class _Rows(NamedTuple):
 
     Each of the first six is an (rows, 1) column, so it broadcasts over
     a row's nodes.  ``coef`` is (_MAX_TERMS, rows), the coefficients
-    (alpha + beta)_n / (alpha + 1)_n of the series, ``reach`` the x above
-    which each term is kept (``_reach``), and ``guess_reach`` the same
-    for each of _GUESS_FLOORS.
+    (alpha + beta)_n / (alpha + 1)_n of the series, and ``reach`` the x
+    above which each term is kept (``_reach``).
     """
 
     alpha: np.ndarray
@@ -270,7 +263,6 @@ class _Rows(NamedTuple):
     t_max: np.ndarray
     coef: np.ndarray
     reach: np.ndarray
-    guess_reach: np.ndarray
 
     @classmethod
     def of(cls, shapes: Sequence[tuple[float, float]]) -> _Rows:
@@ -282,7 +274,6 @@ class _Rows(NamedTuple):
         split = [b / (a + b) for a, b in shapes]
         p_max = column([v for s in split for v in (s, 1.0 - s)])
         coef = _coefficients(alpha.T, beta.T)
-        reach = _reach(coef, (_TERM_FLOOR,) + _GUESS_FLOORS)
         return cls(
             alpha=alpha,
             beta=beta,
@@ -291,8 +282,7 @@ class _Rows(NamedTuple):
             p_max=p_max,
             t_max=column([_Root.of(a)(p) for a, p in zip(alpha[:, 0].tolist(), p_max[:, 0])]),
             coef=coef,
-            reach=reach[0],
-            guess_reach=reach[1:],
+            reach=_reach(coef),
         )
 
 
@@ -304,19 +294,19 @@ def _coefficients(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _reach(coef: np.ndarray, floors: Sequence[float]) -> np.ndarray:
-    """(floors, terms, rows): term n is kept at x > reach[i, n], where some term m >= n exceeds floors[i].
+def _reach(coef: np.ndarray) -> np.ndarray:
+    """(terms, rows): term n is kept at x > reach[n], where some term m >= n exceeds _TERM_FLOOR.
 
-    Term m exceeds it above (floor / coef[m])**(1/m), so reach is the
-    suffix minimum of those, nondecreasing in n: the terms an x needs
-    are the first ``searchsorted(reach[i], x)``, and term 0 always.
+    Term m exceeds it above (_TERM_FLOOR / coef[m])**(1/m), so reach is
+    the suffix minimum of those, nondecreasing in n: the terms an x
+    needs are the first ``searchsorted(reach[:, r], x)``, and term 0
+    always.
     """
     n = np.arange(1, _MAX_TERMS, dtype=float)[:, None]
-    log_floor = np.array([math.log(floor) for floor in floors])[:, None, None]
-    onset = np.exp((log_floor - np.log(coef[1:])) / n)
-    reach = np.empty((len(floors),) + coef.shape)
-    reach[:, 0] = -1.0
-    reach[:, 1:] = np.minimum.accumulate(onset[:, ::-1], axis=1)[:, ::-1]
+    onset = np.exp((math.log(_TERM_FLOOR) - np.log(coef[1:])) / n)
+    reach = np.empty_like(coef)
+    reach[0] = -1.0
+    reach[1:] = np.minimum.accumulate(onset[::-1], axis=0)[::-1]
     return reach
 
 
@@ -362,37 +352,6 @@ def _series(coef: np.ndarray, reach: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def _guess_series(coef: np.ndarray, reach: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """F as ``_series``, to about 2e-15 relative, in fewer numpy calls.
-
-    Horner's rule in x**8 over the polynomials of each eight terms in x,
-    all of which are formed at once: about 20 calls and 2 per eight
-    terms, where ``_series`` takes 2 per term.  The rounding of x**8
-    reaches every term past the eighth, so F reads up to some 8 ulp off
-    where ``_series`` reads 4: enough for the guesses, not for the
-    nodes.  Each block's coefficients past its terms are exact zeros,
-    which leave its sum as it is.
-    """
-    rows, cols = x.shape
-    cells, counts = _term_counts(reach, x)
-    groups = -(-int(counts.max()) // 8)
-    n = np.arange(8 * groups)[:, None, None]
-    coef = np.where(n < counts, coef[: 8 * groups, :, None], 0.0).reshape(groups, 8, rows, -1, 1)
-    parts = coef[:, 7] * cells
-    for j in range(6, 0, -1):
-        parts += coef[:, j]
-        parts *= cells
-    parts += coef[:, 0]
-    power = cells * cells
-    power *= power
-    power *= power
-    s = parts[-1]
-    for k in range(groups - 2, -1, -1):
-        s *= power
-        s += parts[k]
-    return s.reshape(rows, cols)
-
-
 def _lower_beta(rows: _Rows, x: np.ndarray, series: np.ndarray) -> np.ndarray:
     """I_x(alpha, beta), its prefactor as separate factors."""
     prefactor = np.power(x, rows.alpha) * np.exp(rows.beta * np.log1p(-x))
@@ -411,22 +370,18 @@ def _guesses(rows: _Rows, p: np.ndarray, t: np.ndarray) -> np.ndarray:
     x = rows.c * t
     log_p = np.log(p)
     log_norm = np.log(alpha * rows.scale)
-    each = np.arange(x.shape[0])
-    level = np.zeros(x.shape[0], dtype=np.intp)
     done = np.zeros(x.shape[0], dtype=bool)
     for _ in range(_GUESS_MAX_PASSES):
-        s = _guess_series(rows.coef, rows.guess_reach[level, :, each].T, x)
+        s = _series(rows.coef, rows.reach, x)
         log_i = alpha * np.log(x) + beta * np.log1p(-x) + np.log(s) - log_norm
         g = alpha / ((1.0 - x) * s)
         step = (log_p - log_i) / g
         step /= 1.0 + 0.5 * step * (alpha - g + (1.0 - beta) * x / (1.0 - x))
         step[done] = 0.0
         x *= np.exp(step)
-        moved = np.abs(step).max(axis=1)
-        done |= (moved < _GUESS_TOLERANCE) & (level == len(_GUESS_FLOORS) - 1)
+        done |= np.abs(step).max(axis=1) < _GUESS_TOLERANCE
         if done.all():
             return x
-        level = sum(moved < bound for bound in _GUESS_STEPS)
     raise AssertionError("the share guesses did not converge")
 
 
@@ -595,7 +550,7 @@ def _share_tables(shapes: Sequence[tuple[float, float]]) -> list[_ShareFunction]
     they were added, not by use: a hit leaves a shape's place as it is,
     so that ``_share_table`` can read it without the lock.  A caller that
     cycles through more shapes than are kept rebuilds each, a hot one
-    too, at about 1.4 ms a shape.
+    too, at about 1.7 ms a shape.
     """
     with _tables_lock:
         missing = [shape for shape in dict.fromkeys(shapes) if shape not in _tables]

@@ -221,19 +221,19 @@ def test_complement_step_near_the_split(a, b):
 
 
 # The domain's corners (a >= 0.3, b >= 2.5, a + b <= 10.5) and a grid
-# shape: (0.3, 10.2) has the longest series, 217 terms at its top node,
-# and its guesses take 5 passes where the others take 4.
+# shape: (0.3, 10.2) has the longest series, 217 terms at its top node.
 GUESS_SHAPES = [(0.3, 2.5), (0.3, 10.2), (8.0, 2.5), (0.4, 7.6)]
 
 
-@pytest.mark.parametrize("a, b", GUESS_SHAPES)
-def test_guess_series_close_to_series(a, b):
-    # the guesses' evaluation of F, with fewer numpy calls, against Horner's
-    rows = _beta._Rows.of([(a, b)])
-    x = np.sort(np.random.default_rng(1304).random((2, 256)), axis=1) * 0.8
-    exact = _beta._series(rows.coef, rows.reach, x)
-    rough = _beta._guess_series(rows.coef, rows.reach, x)
-    assert np.all(np.abs(rough / exact - 1.0) <= 1e-14)
+def domain_shapes(count, seed):
+    """``count`` shapes drawn uniformly over the tables' domain."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    while len(shapes) < count:
+        a, b = rng.uniform((0.3, 2.5), (8.0, 10.2)).tolist()
+        if a + b <= 10.5:
+            shapes.append((a, b))
+    return shapes
 
 
 def coarse_guesses(shapes):
@@ -242,15 +242,19 @@ def coarse_guesses(shapes):
     return rows, p[:, 1:], _beta._guesses(rows, p[:, 1:], t[:, 1:])
 
 
-@pytest.mark.parametrize("a, b", GUESS_SHAPES)
-def test_guesses_converge_across_the_domain(a, b, monkeypatch):
-    # the coarse nodes' Halley steps from x = c t, in at most 5 passes and
+@pytest.mark.parametrize(
+    "shapes",
+    [pytest.param([shape], id=f"{shape[0]}-{shape[1]}") for shape in GUESS_SHAPES]
+    + [pytest.param(domain_shapes(40, 2907), id="40-shape-batch")],
+)
+def test_guesses_converge_across_the_domain(shapes, monkeypatch):
+    # the coarse nodes' Halley steps from x = c t, in at most 4 passes and
     # within the 2e-10 of the quintic through them, on both tails
     from scipy.special import betaincinv
 
-    monkeypatch.setattr(_beta, "_GUESS_MAX_PASSES", 5)
-    rows, p, guesses = coarse_guesses([(a, b)])
-    for row in range(2):
+    monkeypatch.setattr(_beta, "_GUESS_MAX_PASSES", 4)
+    rows, p, guesses = coarse_guesses(shapes)
+    for row in range(len(guesses)):
         exact = betaincinv(rows.alpha[row, 0], rows.beta[row, 0], p[row])
         assert np.all(np.abs(guesses[row] / exact - 1.0) <= 2e-10), row
 

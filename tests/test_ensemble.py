@@ -1155,7 +1155,9 @@ def test_share_tables_resolved_once_past_the_cache(monkeypatch):
 #
 # For (0.4, 7.6) and (1.6, 6.4) they include u = b / (a + b), where the
 # two tails meet, its two float neighbours, and a u halfway into the
-# lower tail's first interval (0.045 and 4e-06).
+# lower tail's first interval (0.045 and 4e-06).  The tables' domain
+# corners (0.3, 10.2), (0.3, 2.5) and (8, 2.5) follow, at the split and
+# its neighbours too: (0.3, 10.2) has the longest series, 217 terms.
 FROZEN_BETA_QUANTILES = (
     (0.4, 7.6, 1.1102230246251565e-16, "1.3184093357066752772302288381023536721e-41"),
     (0.4, 7.6, 1e-10, "1.015137088227859562675097901548375787799e-26"),
@@ -1189,6 +1191,24 @@ FROZEN_BETA_QUANTILES = (
     (4.0, 4.0, 0.5000000000000001, "5.00000000000000050753052554292870419366e-1"),
     (4.0, 4.0, 0.99, "8.577296229931427007357558778079371328445e-1"),
     (4.0, 4.0, 0.9999999999999999, "9.99957796687106234770955122047300345558e-1"),
+    (0.3, 10.2, 1e-10, "3.284444512299043101404879741457687539894e-35"),
+    (0.3, 10.2, 0.5, "7.393951271336889627829107925359257512609e-3"),
+    (0.3, 10.2, 0.9714285714285712, "1.665455969016137693778445245506959328094e-1"),
+    (0.3, 10.2, 0.9714285714285713, "1.665455969016140241710168164848991845516e-1"),
+    (0.3, 10.2, 0.9714285714285714, "1.665455969016142789641891084200919044974e-1"),
+    (0.3, 10.2, 0.99, "2.348200899772972478386378944942427286905e-1"),
+    (0.3, 2.5, 1e-10, "1.493428214028731374749349864628401758431e-34"),
+    (0.3, 2.5, 0.5, "3.316823098334617196294788611782483401182e-2"),
+    (0.3, 2.5, 0.8928571428571428, "3.197589397753290885993929714748284333483e-1"),
+    (0.3, 2.5, 0.8928571428571429, "3.197589397753292999122407525017213636119e-1"),
+    (0.3, 2.5, 0.892857142857143, "3.197589397753295112250885335288105108357e-1"),
+    (0.3, 2.5, 0.99, "6.986365266613886249629006815942863738101e-1"),
+    (8.0, 2.5, 1e-10, "3.865443156812464377236322103109832184963e-2"),
+    (8.0, 2.5, 0.23809523809523805, "6.775930746203857445683325007208539145231e-1"),
+    (8.0, 2.5, 0.23809523809523808, "6.775930746203857582358964416508104850024e-1"),
+    (8.0, 2.5, 0.2380952380952381, "6.77593074620385771903460382580765994785e-1"),
+    (8.0, 2.5, 0.5, "7.789447958316912558047823447103981767186e-1"),
+    (8.0, 2.5, 0.99, "9.687270591350975720712084763835869005325e-1"),
 )
 
 

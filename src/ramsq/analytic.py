@@ -25,25 +25,38 @@ wavefront (phase-conjugating the transmission channel phases) recovers
 part of the input squeezing; its benefit is t_bar * sinh 2r.
 
 Each formula is written once, in a private helper that takes numbers or
-broadcast numpy arrays: the public functions pass it one medium's
-coefficients and one state's factors, and the dataset builders whole
-grids of them.
+broadcast numpy arrays, and ``_forms`` evaluates all of them from the
+weights and the factors of r alone (e^(-2r), cosh 2r, e^(2r), sinh 2r).
+Those reach it in one of two ways:
+
+* ``full_report`` and the other public functions: one medium and one
+  state, by ``math``.  ``mean_coefficients`` keeps its branch at zero
+  gain, since a single Monte Carlo draw calls it each time;
+* ``_evaluate`` and its parts ``_coefficients`` and ``_factors``: whole
+  broadcast arrays of (L/l, L/La, r), for the figure builders of
+  ``datasets`` and every check of ``validation``.  The sine laws run
+  on numpy ``sin``, whose float64 sine returns the bits of ``math.sin``,
+  and the factors of r on ``math``, once per value of r, since numpy's
+  ``exp``, ``cosh`` and ``sinh`` do not return the bits of ``math``'s.
+  The values are those of ``full_report`` and ``wfs_gain`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import EnsembleCoefficients, InputState, MediumSpec
+import numpy as np
+
+from .core import EnsembleCoefficients, InputState, MediumSpec, squeeze_exponent
 
 
 def _weights(thickness, gain, sin):
     """(t_bar, r_bar, v_bar) of the sine laws, for gain > 0.
 
     Takes numbers with ``sin = math.sin`` or broadcast arrays with
-    ``sin = np.sin``, whose float64 sine returns the bits of
-    ``math.sin``.  v_bar is computed as t_bar + r_bar - 1 so the flux
+    ``sin = np.sin``.  v_bar is computed as t_bar + r_bar - 1 so the flux
     identity holds to the last bit.
     """
     mfp_gain = gain / thickness
@@ -57,6 +70,61 @@ def _ohmic_weights(thickness):
     """(t_bar, r_bar, v_bar) of a gain-free slab, over numbers or arrays."""
     t_bar = 1.0 / thickness
     return t_bar, 1.0 - t_bar, 0.0
+
+
+def _coefficients(thickness, gain):
+    """``mean_coefficients``' (t_bar, r_bar, v_bar) over broadcast arrays of in-bounds media.
+
+    The sine laws run at gain 1 where the gain is 0, so that no 0/0 is
+    evaluated, and the Ohmic weights are taken there instead.
+    """
+    ohmic = np.asarray(gain) == 0.0
+    sine = _weights(thickness, np.where(ohmic, 1.0, gain), np.sin)
+    return tuple(np.where(ohmic, o, s) for o, s in zip(_ohmic_weights(thickness), sine))
+
+
+class _Factors(NamedTuple):
+    """The factors of r alone that the closed forms carry, as numbers or arrays.
+
+    The first three are the input variances V_in of ``_variance``.
+    """
+
+    x_variance: float  # e^(-2r), the input variance that x_wfs carries
+    cosh: float  # cosh 2r, the one that the unshaped variances carry
+    p_variance: float  # e^(2r), the one that p_wfs carries
+    sinh: float  # sinh 2r, the shaping benefit per unit t_bar
+
+
+# Each factor, in ``_Factors`` order, as a ``math`` function of the
+# anti-squeezing exponent 2r; exp(-2r) is ``InputState.x_variance`` to the bit.
+_OF_2R = (lambda two_r: math.exp(-two_r), math.cosh, math.exp, math.sinh)
+
+
+def _state_factors(state: InputState) -> _Factors:
+    """The factors of one input state."""
+    two_r = state.anti_squeezing_exponent
+    return _Factors(*(factor(two_r) for factor in _OF_2R))
+
+
+def _factors(squeeze) -> _Factors:
+    """The factors at each r of the array ``squeeze``, once per r, in its shape.
+
+    Each r is checked against overflow as ``InputState`` checks it.
+    """
+    r = np.asarray(squeeze, dtype=float)
+    two_r = [squeeze_exponent(x) for x in r.ravel().tolist()]
+    return _Factors(*(np.array([factor(t) for t in two_r]).reshape(r.shape) for factor in _OF_2R))
+
+
+class _Forms(NamedTuple):
+    """Every closed form: ``full_report``'s variances and ``wfs_gain``, as numbers or arrays."""
+
+    x_wfs: float
+    x_nowfs: float
+    p_wfs: float
+    p_nowfs: float
+    coherent_baseline: float
+    wfs_gain: float
 
 
 def _baseline(v_bar):
@@ -73,9 +141,20 @@ def _variance(t_bar, v_bar, input_variance):
     return _baseline(v_bar) + t_bar * (input_variance - 1.0)
 
 
-def _shaping_benefit(t_bar, sinh_2r):
-    """t_bar sinh 2r, over numbers or broadcast arrays."""
-    return t_bar * sinh_2r
+def _forms(t_bar, v_bar, factors: _Factors) -> _Forms:
+    """Every closed form of the weights and the factors of r, over numbers or broadcast arrays."""
+    x_wfs, unshaped, p_wfs = (_variance(t_bar, v_bar, v_in) for v_in in factors[:3])
+    return _Forms(x_wfs, unshaped, p_wfs, unshaped, _baseline(v_bar), t_bar * factors.sinh)
+
+
+def _evaluate(thickness, gain, squeeze) -> _Forms:
+    """Every closed form over broadcast arrays of in-bounds L/l, L/La and r.
+
+    A value too large for a double is inf, as it is in ``full_report``.
+    """
+    t_bar, _, v_bar = _coefficients(thickness, gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forms(t_bar, v_bar, _factors(squeeze))
 
 
 def linear_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
@@ -117,7 +196,7 @@ def variance_x_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
     Random transmission phases mix the two input quadratures, so the
     anti-squeezed noise leaks in: 2 v_bar + 1 + t_bar (cosh 2r - 1).
     """
-    return _variance(coef.t_bar, coef.v_bar, math.cosh(state.anti_squeezing_exponent))
+    return _variance(coef.t_bar, coef.v_bar, _state_factors(state).cosh)
 
 
 def variance_p_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
@@ -143,7 +222,7 @@ def wfs_gain(coef: EnsembleCoefficients, state: InputState) -> float:
 
     Equals t_bar * sinh 2r; grows with both transmission and squeezing.
     """
-    return _shaping_benefit(coef.t_bar, math.sinh(state.anti_squeezing_exponent))
+    return coef.t_bar * _state_factors(state).sinh
 
 
 def rescaled_fluctuation(
@@ -173,10 +252,4 @@ class VarianceReport:
 def full_report(spec: MediumSpec, state: InputState) -> VarianceReport:
     """Evaluate every averaged variance for one slab and input state."""
     coef = mean_coefficients(spec)
-    return VarianceReport(
-        x_wfs=variance_x_wfs(coef, state),
-        x_nowfs=variance_x_nowfs(coef, state),
-        p_wfs=variance_p_wfs(coef, state),
-        p_nowfs=variance_p_nowfs(coef, state),
-        coherent_baseline=coherent_baseline(coef),
-    )
+    return VarianceReport(*_forms(coef.t_bar, coef.v_bar, _state_factors(state))[:5])

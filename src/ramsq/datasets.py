@@ -5,14 +5,12 @@ values per header entry, all of one length, which the CLI, holding the
 figure presets, renders as CSV a column at a time.  A figure builder
 takes a ``Sweep``, the points (L/l, L/La, r, x) over a panel's axes with
 every coordinate no axis sweeps read from its same-named flag, and
-evaluates each series on the whole grid at once: the sine laws with
-numpy ``sin`` over the broadcast (L/l, L/La) grid, and the factors of r
-alone (e^(-2r), e^(2r), cosh 2r, sinh 2r) with ``math``, once per value
-of r, since numpy's ``exp``, ``cosh`` and ``sinh`` do not return the
-bits of ``math``'s.  The values are those of the scalar closed forms in
-``analytic`` bit for bit.  Each axis value is checked once, and a bad
-one raises the error that a loop over the points, checking each point
-as the scalar closed forms do, would raise first.  Grids are built with
+evaluates each series on the whole grid at once with
+``analytic._evaluate``, which holds the array forms of the coefficients
+and of the factors of r, and returns the values of the scalar closed
+forms bit for bit.  Each axis value is checked once, and a bad one raises the
+error that a loop over the points, checking each point as the scalar
+closed forms do, would raise first.  Grids are built with
 ``grid`` below, which rounds linspace output to 12 decimals so the
 emitted files show 0.15 rather than 0.15000000000000002 while staying
 fully deterministic.
@@ -25,14 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytic import (
-    _baseline,
-    _ohmic_weights,
-    _shaping_benefit,
-    _variance,
-    _weights,
-    mean_coefficients,
-)
+from .analytic import _Forms, _evaluate, mean_coefficients
 from .core import (
     InputState,
     MediumSpec,
@@ -97,18 +88,16 @@ class Sweep(NamedTuple):
     axis: tuple[int | None, ...]
     shape: tuple[int, ...]
 
-    def array(self, c: int, values: Sequence[float] | None = None) -> np.ndarray:
-        """``values`` (one per value of coordinate c, by default its own)
-        as an array that broadcasts over ``shape``."""
+    def array(self, c: int) -> np.ndarray:
+        """The values of coordinate c as an array that broadcasts over ``shape``."""
         shape = [1] * len(self.shape)
         if self.axis[c] is not None:
             shape[self.axis[c]] = -1
-        return np.array(self.values[c] if values is None else values, dtype=float).reshape(shape)
+        return np.array(self.values[c], dtype=float).reshape(shape)
 
-    def per_r(self, *factors: Callable[[InputState], float]) -> list[np.ndarray]:
-        """Each of ``factors`` of the input state at each r, by ``math``, as broadcast arrays."""
-        states = [InputState(squeeze_r=r) for r in self.values[_R]]
-        return [self.array(_R, [factor(state) for state in states]) for factor in factors]
+    def evaluate(self, gain: float | None = None) -> _Forms:
+        """``analytic._evaluate`` at every point, or at every point moved to L/La ``gain``."""
+        return _evaluate(self.array(_L), self.array(_G) if gain is None else gain, self.array(_R))
 
     def check(self, *checks: tuple[int, Callable]) -> None:
         """Raise the error a loop over the points would raise first.
@@ -157,17 +146,6 @@ def sweep(flags, *axes: tuple[str, Sequence[float]]) -> Sweep:
     return Sweep(tuple(values), tuple(axis), tuple(len(grid) for _, grid in axes))
 
 
-def _coefficients(thickness: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``mean_coefficients`` (t_bar, r_bar, v_bar) over broadcast arrays of in-bounds media.
-
-    The sine laws run at gain 1 where the gain is 0, so that no 0/0 is
-    evaluated, and the Ohmic weights are taken there instead.
-    """
-    ohmic = gain == 0.0
-    sine = _weights(thickness, np.where(ohmic, 1.0, gain), np.sin)
-    return tuple(np.where(ohmic, o, s) for o, s in zip(_ohmic_weights(thickness), sine))
-
-
 def _interleave(sweep: Sweep, arrays: Sequence) -> list[float]:
     """One row per point and array, the arrays fastest, as Python floats."""
     out = np.empty(sweep.shape + (len(arrays),))
@@ -210,29 +188,10 @@ _MEDIUM = ((_L, check_thickness), (_G, check_gain))
 _GROWTH = (_R, squeeze_exponent)
 
 
-def _cosh(state: InputState) -> float:
-    """cosh 2r, the input variance an unshaped wavefront carries."""
-    return math.cosh(state.anti_squeezing_exponent)
-
-
-# The input variances V_in that ``full_report``'s x_wfs, x_nowfs and p_wfs
-# carry through the transmission.
-_INPUT_VARIANCES = (InputState.x_variance.fget, _cosh, InputState.p_variance.fget)
-
-
-def _variances(t_bar, v_bar, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """``full_report``'s x_wfs, x_nowfs and p_wfs over a sweep."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [_variance(t_bar, v_bar, v_in) for v_in in inputs]
-
-
 def fig2_rows(panel: str, sweep: Sweep) -> tuple[list[str], list[list]]:
     """Shaping benefit at each point of a surface over (r, L/La) or (L/l, L/La)."""
     sweep.check(_STATE, *_MEDIUM, _GROWTH)
-    t_bar = _coefficients(sweep.array(_L), sweep.array(_G))[0]
-    [sinh] = sweep.per_r(lambda state: math.sinh(state.anti_squeezing_exponent))
-    with np.errstate(over="ignore", invalid="ignore"):
-        benefit = _shaping_benefit(t_bar, sinh)
+    benefit = sweep.evaluate().wfs_gain
     header = ["panel", "L_over_l", "L_over_La", "r", "wfs_gain"]
     columns = [_interleave(sweep, [sweep.array(c)]) for c in (_L, _G, _R)]
     return header, [[panel] * math.prod(sweep.shape), *columns, _interleave(sweep, [benefit])]
@@ -245,12 +204,10 @@ def fig3_rows(panel: str, x_name: str, sweep: Sweep) -> tuple[list[str], list[li
     shaped and unshaped ratio and the coherent level 1.
     """
     sweep.check(*_MEDIUM, _STATE, _GROWTH)
-    g = sweep.array(_G)
-    t_bar, _, v_bar = _coefficients(sweep.array(_L), g)
-    x_wfs, x_nowfs, _ = _variances(t_bar, v_bar, sweep.per_r(*_INPUT_VARIANCES))
-    baseline = _baseline(v_bar)
+    g, forms = sweep.array(_G), sweep.evaluate()
+    baseline = forms.coherent_baseline
     return _long(panel, x_name, sweep, [
-        ("ratio_wfs", g, x_wfs / baseline), ("ratio_nowfs", g, x_nowfs / baseline),
+        ("ratio_wfs", g, forms.x_wfs / baseline), ("ratio_nowfs", g, forms.x_nowfs / baseline),
         ("coherent", g, 1.0),
     ])
 
@@ -258,12 +215,10 @@ def fig3_rows(panel: str, x_name: str, sweep: Sweep) -> tuple[list[str], list[li
 def fig4_rows(panel: str, x_name: str, sweep: Sweep) -> tuple[list[str], list[list]]:
     """Absolute averaged variances at each point, against x in column ``x_name``."""
     sweep.check(_STATE, *_MEDIUM, _GROWTH)
-    g = sweep.array(_G)
-    t_bar, _, v_bar = _coefficients(sweep.array(_L), g)
-    x_wfs, x_nowfs, p_wfs = _variances(t_bar, v_bar, sweep.per_r(*_INPUT_VARIANCES))
+    g, forms = sweep.array(_G), sweep.evaluate()
     return _long(panel, x_name, sweep, [
-        ("x_wfs", g, x_wfs), ("x_nowfs", g, x_nowfs), ("p_wfs", g, p_wfs),
-        ("p_nowfs", g, x_nowfs), ("coherent", g, _baseline(v_bar)),
+        ("x_wfs", g, forms.x_wfs), ("x_nowfs", g, forms.x_nowfs), ("p_wfs", g, forms.p_wfs),
+        ("p_nowfs", g, forms.p_nowfs), ("coherent", g, forms.coherent_baseline),
     ])
 
 
@@ -273,14 +228,10 @@ def figxr_rows(panel: str, x_name: str, sweep: Sweep) -> tuple[list[str], list[l
     gain-free twin, plus the shot-noise level, against x in column
     ``x_name``."""
     sweep.check(_STATE, *_MEDIUM, _GROWTH)
-    th, g = sweep.array(_L), sweep.array(_G)
-    t_amp, _, v_amp = _coefficients(th, g)
-    t_lin, _, v_lin = _ohmic_weights(th)
-    inputs = sweep.per_r(*_INPUT_VARIANCES)
-    amp, lin = _variances(t_amp, v_amp, inputs), _variances(t_lin, v_lin, inputs)
+    g, amp, lin = sweep.array(_G), sweep.evaluate(), sweep.evaluate(0.0)
     return _long(panel, x_name, sweep, [
-        ("amp_wfs", g, amp[0]), ("amp_nowfs", g, amp[1]),
-        ("lin_wfs", 0.0, lin[0]), ("lin_nowfs", 0.0, lin[1]), ("snl", g, 1.0),
+        ("amp_wfs", g, amp.x_wfs), ("amp_nowfs", g, amp.x_nowfs),
+        ("lin_wfs", 0.0, lin.x_wfs), ("lin_nowfs", 0.0, lin.x_nowfs), ("snl", g, 1.0),
     ])
 
 

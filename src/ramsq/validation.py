@@ -7,6 +7,11 @@ the gain -> 0 limit); Monte Carlo means must sit within 3 standard
 errors of the closed forms, with 1e-12 taking over as the bound when a
 phase-independent integrand makes the spread exactly zero.
 
+Every closed form comes from ``analytic``'s array evaluator, and the
+sub-shot-noise margin from ``snl._margin``.  Each identity check
+evaluates its thickness x gain (x squeezing) grid once, as whole
+broadcast arrays, and reduces the residuals to the worst one.
+
 Each Monte Carlo check streams its sampler's draws in chunks shared by
 every grid medium and reduces each medium's chunk to the moments of its
 three channel sums.  One ``moment_estimate`` per medium turns the merged
@@ -22,15 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (
-    coherent_baseline,
-    full_report,
-    linear_coefficients,
-    mean_coefficients,
-    variance_x_nowfs,
-    variance_x_wfs,
-    wfs_gain,
-)
+from .analytic import _coefficients, _evaluate, _factors, _forms
 from .core import InputState, MediumSpec, ParameterError
 from .ensemble import (
     _QUANTITIES,
@@ -40,7 +37,7 @@ from .ensemble import (
     medium_moments,
     moment_estimate,
 )
-from .snl import snl_condition
+from .snl import _margin
 
 STANDARD_THICKNESS = (2.0, 5.0, 10.0, 20.0)
 STANDARD_GAIN = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0)
@@ -62,13 +59,9 @@ MIN_TRUSTED_REALIZATIONS = 100
 _SHAPED = ("x_wfs", "p_wfs")
 
 
-def standard_grid() -> list[tuple[float, float, float]]:
-    return [
-        (th, g, r)
-        for th in STANDARD_THICKNESS
-        for g in STANDARD_GAIN
-        for r in STANDARD_SQUEEZE
-    ]
+def _worst(residual: np.ndarray) -> float:
+    """The largest |residual|, 0 for none."""
+    return float(np.max(np.abs(residual), initial=0.0))
 
 
 @dataclass
@@ -95,12 +88,9 @@ class ValidationReport:
 
 
 def _check_flux(corrupt: bool) -> CheckResult:
-    worst = 0.0
-    for th in STANDARD_THICKNESS:
-        for g in STANDARD_GAIN:
-            coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-            v_bar = coef.v_bar + (1e-6 if corrupt else 0.0)
-            worst = max(worst, abs(coef.t_bar + coef.r_bar - v_bar - 1.0))
+    t_bar, r_bar, v_bar = _coefficients(*np.ix_(STANDARD_THICKNESS, STANDARD_GAIN))
+    v_bar = v_bar + (1e-6 if corrupt else 0.0)
+    worst = _worst(t_bar + r_bar - v_bar - 1.0)
     status = "pass" if worst <= IDENTITY_TOL else "fail"
     return CheckResult(
         "flux-conservation",
@@ -114,16 +104,9 @@ def _check_flux(corrupt: bool) -> CheckResult:
 
 
 def _check_linear_limit() -> CheckResult:
-    worst = 0.0
-    for th in STANDARD_THICKNESS:
-        near = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=1e-8))
-        exact = linear_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=0.0))
-        worst = max(
-            worst,
-            abs(near.t_bar - exact.t_bar),
-            abs(near.r_bar - exact.r_bar),
-            abs(near.v_bar),
-        )
+    thickness = np.array(STANDARD_THICKNESS, dtype=float)
+    near, exact = (_coefficients(thickness, g) for g in (1e-8, 0.0))
+    worst = max(_worst(n - e) for n, e in zip(near, exact))
     status = "pass" if worst <= LIMIT_TOL else "fail"
     return CheckResult(
         "linear-limit",
@@ -133,33 +116,24 @@ def _check_linear_limit() -> CheckResult:
 
 
 def _check_analytic_identities() -> CheckResult:
-    worst_gain = 0.0
-    worst_sum = 0.0
-    ordering_ok = True
-    symmetry_ok = True
-    worst_product = math.inf
-    for th, g, r in standard_grid():
-        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
-        coef = mean_coefficients(spec)
-        state = InputState(squeeze_r=r)
-        rep = full_report(spec, state)
-        worst_gain = max(
-            worst_gain, abs((rep.x_nowfs - rep.x_wfs) - wfs_gain(coef, state))
-        )
-        expected_sum = (
-            2.0 * coherent_baseline(coef)
-            + coef.t_bar * (state.p_variance + state.x_variance - 2.0)
-        )
-        worst_sum = max(worst_sum, abs((rep.x_wfs + rep.p_wfs) - expected_sum))
-        symmetry_ok = symmetry_ok and rep.x_nowfs == rep.p_nowfs
-        if r > 0:
-            ordering_ok = ordering_ok and (
-                rep.x_wfs < rep.coherent_baseline < rep.p_wfs
-                and rep.x_wfs < rep.x_nowfs
-            )
-        else:
-            ordering_ok = ordering_ok and rep.x_wfs == rep.x_nowfs == rep.p_wfs
-        worst_product = min(worst_product, rep.x_wfs * rep.p_wfs)
+    th, g, r = np.ix_(STANDARD_THICKNESS, STANDARD_GAIN, STANDARD_SQUEEZE)
+    t_bar, _, v_bar = _coefficients(th, g)
+    factors = _factors(r)
+    rep = _forms(t_bar, v_bar, factors)
+    worst_gain = _worst((rep.x_nowfs - rep.x_wfs) - rep.wfs_gain)
+    expected_sum = 2.0 * rep.coherent_baseline + t_bar * (
+        factors.p_variance + factors.x_variance - 2.0
+    )
+    worst_sum = _worst((rep.x_wfs + rep.p_wfs) - expected_sum)
+    symmetry_ok = bool(np.all(rep.x_nowfs == rep.p_nowfs))
+    ordering_ok = bool(np.all(np.where(
+        r > 0,
+        (rep.x_wfs < rep.coherent_baseline)
+        & (rep.coherent_baseline < rep.p_wfs)
+        & (rep.x_wfs < rep.x_nowfs),
+        (rep.x_wfs == rep.x_nowfs) & (rep.x_nowfs == rep.p_wfs),
+    )))
+    worst_product = float(np.min(rep.x_wfs * rep.p_wfs, initial=math.inf))
     ok = (
         worst_gain <= IDENTITY_TOL
         and worst_sum <= IDENTITY_TOL
@@ -183,19 +157,15 @@ def _check_analytic_identities() -> CheckResult:
 
 
 def _check_snl_sign() -> CheckResult:
-    agree = True
-    worst = 0.0
-    for th, g, r in standard_grid():
-        if g <= 0.0:
-            continue
-        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
-        state = InputState(squeeze_r=r)
-        margin = snl_condition(spec, state)
-        excess = variance_x_wfs(mean_coefficients(spec), state) - 1.0
-        rebuilt = excess * math.sin(g)
-        worst = max(worst, abs(margin - rebuilt))
-        if margin != 0.0 and excess != 0.0:
-            agree = agree and (margin < 0.0) == (excess < 0.0)
+    gains = [g for g in STANDARD_GAIN if g > 0.0]
+    th, g, r = np.ix_(STANDARD_THICKNESS, gains, STANDARD_SQUEEZE)
+    t_bar, _, v_bar = _coefficients(th, g)
+    factors = _factors(r)
+    margin = _margin(th, g, 1.0 + factors.x_variance)
+    excess = _forms(t_bar, v_bar, factors).x_wfs - 1.0
+    worst = _worst(margin - excess * np.sin(g))
+    signed = (margin != 0.0) & (excess != 0.0)
+    agree = bool(np.all(~signed | ((margin < 0.0) == (excess < 0.0))))
     ok = agree and worst <= IDENTITY_TOL
     return CheckResult(
         "snl-sign-equivalence",
@@ -212,10 +182,9 @@ def _check_mc(config: SamplerConfig, specs: list[MediumSpec], moments: list) -> 
     mean, std = map(np.stack, zip(*(
         moment_estimate(medium, states, _QUANTITIES) for medium in moments
     )))
-    analytic = np.array([
-        [[getattr(full_report(spec, state), q) for q in _QUANTITIES] for state in states]
-        for spec in specs
-    ])
+    media = np.array([(spec.thickness_ratio, spec.gain_ratio) for spec in specs])
+    forms = _evaluate(media[:, :1], media[:, 1:], STANDARD_SQUEEZE)
+    analytic = np.stack([getattr(forms, q) for q in _QUANTITIES], axis=-1)
     err = np.abs(mean - analytic)
     ok = err <= np.maximum(3.0 * std, IDENTITY_TOL)
     # Below the draw-count floor the sample spread is too noisy an

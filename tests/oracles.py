@@ -1,6 +1,6 @@
 """Independent evaluators the tests trust instead of the library's algebra.
 
-Nine tools, deliberately built on different machinery than the package:
+Ten tools, deliberately built on different machinery than the package:
 
 * a covariance-matrix quadratic form for per-realization variances,
   carrying every mode (including the vacuum ancillas whose phases the
@@ -12,6 +12,9 @@ Nine tools, deliberately built on different machinery than the package:
   fixed slab thickness;
 * a point-by-point Monte Carlo check, one ``mc_average`` per grid point
   and quantity, against which ``validate``'s whole-array check is held;
+* the identity checks' earlier point-by-point loops, one scalar closed
+  form per grid point, against which ``validate``'s whole-array
+  identity checks are held byte for byte;
 * the chunk reduction's earlier forms, a stacked (3, 3, draws) two-pass
   moment and a masked Beta share over unsorted uniforms, against which
   the package's moments and sorted shares are held bit for bit.
@@ -40,10 +43,18 @@ import operator
 import numpy as np
 
 from ramsq import validation
-from ramsq.analytic import full_report, mean_coefficients, rescaled_fluctuation, wfs_gain
+from ramsq.analytic import (
+    coherent_baseline,
+    full_report,
+    linear_coefficients,
+    mean_coefficients,
+    rescaled_fluctuation,
+    variance_x_wfs,
+    wfs_gain,
+)
 from ramsq.core import InputState, MediumSpec
 from ramsq.ensemble import SamplerConfig, SamplerMode, mc_average
-from ramsq.snl import region_scan
+from ramsq.snl import region_scan, snl_condition
 
 # -- frozen high-precision references ---------------------------------------
 
@@ -254,10 +265,12 @@ def scalar_mc_check(mode: SamplerMode, channels: int, seed: int, realizations: i
 
     The loop ``validation`` ran before it worked on whole arrays: one
     ``mc_average`` per (medium, squeezing, quantity) in grid order, each
-    compared with ``validation.full_report`` through running maxima and
-    counts.  ``failures`` counts every failing estimate, where ``detail``
-    lists the first ten.  The grid, the closed forms and the tolerances
-    are read from ``validation`` at call time, so a test may patch them.
+    compared with ``full_report`` through running maxima and counts.
+    ``failures`` counts every failing estimate, where ``detail`` lists
+    the first ten.  The grid and the tolerances are read from
+    ``validation`` at call time, so a test may patch them; so may the
+    closed forms be, through ``analytic._forms``, which ``full_report``
+    shares with the whole-array check.
     """
     config = SamplerConfig(mode=mode, realizations=realizations, seed=seed)
     trusted = realizations >= validation.MIN_TRUSTED_REALIZATIONS
@@ -269,7 +282,7 @@ def scalar_mc_check(mode: SamplerMode, channels: int, seed: int, realizations: i
             spec = MediumSpec(thickness_ratio=th, gain_ratio=g, channels=channels)
             for r in validation.STANDARD_SQUEEZE:
                 state = InputState(squeeze_r=r)
-                rep = validation.full_report(spec, state)
+                rep = full_report(spec, state)
                 points += 1
                 for quantity in ("x_wfs", "x_nowfs", "p_wfs", "p_nowfs"):
                     est = mc_average(spec, state, config, quantity)
@@ -313,6 +326,117 @@ def scalar_mc_check(mode: SamplerMode, channels: int, seed: int, realizations: i
     if failures:
         detail["failures"] = failures[:10]
     return status, detail, len(failures)
+
+
+# -- point-by-point identity checks -------------------------------------------
+
+# Each returns ``(status, detail)`` of the ``validation`` check it is named
+# after, one scalar closed form per grid point.  The grid and the
+# tolerances are read from ``validation`` at call time, so a test may
+# patch them.
+
+def _standard_grid():
+    return itertools.product(
+        validation.STANDARD_THICKNESS, validation.STANDARD_GAIN, validation.STANDARD_SQUEEZE
+    )
+
+
+def scalar_flux_check(corrupt: bool):
+    worst = 0.0
+    for th in validation.STANDARD_THICKNESS:
+        for g in validation.STANDARD_GAIN:
+            coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
+            v_bar = coef.v_bar + (1e-6 if corrupt else 0.0)
+            worst = max(worst, abs(coef.t_bar + coef.r_bar - v_bar - 1.0))
+    status = "pass" if worst <= validation.IDENTITY_TOL else "fail"
+    return status, {
+        "identity": "T_bar + R_bar - V_bar = 1",
+        "worst_residual": worst,
+        "tolerance": validation.IDENTITY_TOL,
+    }
+
+
+def scalar_linear_limit_check():
+    worst = 0.0
+    for th in validation.STANDARD_THICKNESS:
+        near = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=1e-8))
+        exact = linear_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=0.0))
+        worst = max(
+            worst,
+            abs(near.t_bar - exact.t_bar),
+            abs(near.r_bar - exact.r_bar),
+            abs(near.v_bar),
+        )
+    status = "pass" if worst <= validation.LIMIT_TOL else "fail"
+    return status, {"worst_deviation": worst, "tolerance": validation.LIMIT_TOL, "gain_ratio": 1e-8}
+
+
+def scalar_identity_check():
+    tol = validation.IDENTITY_TOL
+    worst_gain = 0.0
+    worst_sum = 0.0
+    ordering_ok = True
+    symmetry_ok = True
+    worst_product = math.inf
+    for th, g, r in _standard_grid():
+        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
+        coef = mean_coefficients(spec)
+        state = InputState(squeeze_r=r)
+        rep = full_report(spec, state)
+        worst_gain = max(
+            worst_gain, abs((rep.x_nowfs - rep.x_wfs) - wfs_gain(coef, state))
+        )
+        expected_sum = (
+            2.0 * coherent_baseline(coef)
+            + coef.t_bar * (state.p_variance + state.x_variance - 2.0)
+        )
+        worst_sum = max(worst_sum, abs((rep.x_wfs + rep.p_wfs) - expected_sum))
+        symmetry_ok = symmetry_ok and rep.x_nowfs == rep.p_nowfs
+        if r > 0:
+            ordering_ok = ordering_ok and (
+                rep.x_wfs < rep.coherent_baseline < rep.p_wfs
+                and rep.x_wfs < rep.x_nowfs
+            )
+        else:
+            ordering_ok = ordering_ok and rep.x_wfs == rep.x_nowfs == rep.p_wfs
+        worst_product = min(worst_product, rep.x_wfs * rep.p_wfs)
+    floor = 1.0 - validation.PRODUCT_TOL
+    ok = (
+        worst_gain <= tol
+        and worst_sum <= tol
+        and symmetry_ok
+        and ordering_ok
+        and worst_product >= floor
+    )
+    return "pass" if ok else "fail", {
+        "worst_gain_identity": worst_gain,
+        "worst_sum_identity": worst_sum,
+        "tolerance": tol,
+        "quadrature_symmetry": symmetry_ok,
+        "ordering": ordering_ok,
+        "min_uncertainty_product": worst_product,
+        "product_floor": floor,
+    }
+
+
+def scalar_snl_sign_check():
+    agree = True
+    worst = 0.0
+    for th, g, r in _standard_grid():
+        if g <= 0.0:
+            continue
+        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
+        state = InputState(squeeze_r=r)
+        margin = snl_condition(spec, state)
+        excess = variance_x_wfs(mean_coefficients(spec), state) - 1.0
+        rebuilt = excess * math.sin(g)
+        worst = max(worst, abs(margin - rebuilt))
+        if margin != 0.0 and excess != 0.0:
+            agree = agree and (margin < 0.0) == (excess < 0.0)
+    ok = agree and worst <= validation.IDENTITY_TOL
+    return "pass" if ok else "fail", {
+        "signs_agree": agree, "worst_residual": worst, "tolerance": validation.IDENTITY_TOL,
+    }
 
 
 # -- earlier forms of the chunk reduction ------------------------------------

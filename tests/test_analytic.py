@@ -1,10 +1,13 @@
 """Closed-form coefficients, variances and their identity suite."""
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramsq.analytic import (
+    _evaluate,
     coherent_baseline,
     full_report,
     linear_coefficients,
@@ -266,6 +269,12 @@ valid_specs = st.builds(
     gain_ratio=st.floats(min_value=0.0, max_value=3.1),
 )
 states = st.builds(InputState, squeeze_r=st.floats(min_value=0.0, max_value=5.0))
+# Values along the L/l, L/La and r axes of a broadcast grid.
+axes = st.tuples(
+    st.lists(st.floats(min_value=1.01, max_value=50.0), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=0.0, max_value=3.1), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=4),
+)
 
 
 @settings(max_examples=300)
@@ -275,8 +284,8 @@ def test_flux_identity_property(spec):
 
 
 @settings(max_examples=300)
-@given(valid_specs, states)
-def test_variance_relations_property(spec, state):
+@given(valid_specs, states, axes)
+def test_variance_relations_property(spec, state, grid):
     rep = full_report(spec, state)
     coef = mean_coefficients(spec)
     scale = max(1.0, abs(rep.x_nowfs), abs(rep.p_wfs))
@@ -286,3 +295,16 @@ def test_variance_relations_property(spec, state):
     diff = rep.x_nowfs - rep.x_wfs
     assert abs(diff - coef.t_bar * math.sinh(2.0 * state.squeeze_r)) <= 1e-9 * scale
     assert rep.x_wfs * rep.p_wfs >= 1.0 - 1e-9 * scale
+    # the array evaluator over a broadcast grid holding this point gives
+    # full_report's variances and wfs_gain at every point, bit for bit
+    here = (spec.thickness_ratio, spec.gain_ratio, state.squeeze_r)
+    values = [[*axis, x] for axis, x in zip(grid, here)]
+    forms = np.broadcast_arrays(*_evaluate(*np.ix_(*values)))
+    for (i, th), (j, g), (k, r) in itertools.product(*map(enumerate, values)):
+        medium, point_state = MediumSpec(thickness_ratio=th, gain_ratio=g), InputState(squeeze_r=r)
+        point = full_report(medium, point_state)
+        expected = [
+            point.x_wfs, point.x_nowfs, point.p_wfs, point.p_nowfs, point.coherent_baseline,
+            wfs_gain(mean_coefficients(medium), point_state),
+        ]
+        assert [float(a[i, j, k]).hex() for a in forms] == [x.hex() for x in expected], (th, g, r)

@@ -22,7 +22,7 @@ from ramsq.analytic import (
     variance_x_nowfs,
     variance_x_wfs,
 )
-from ramsq import _beta, ensemble, validation
+from ramsq import _beta, analytic, ensemble, validation
 from ramsq.core import MAX_SQUEEZE_R, InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
     DisorderRealization,
@@ -41,7 +41,11 @@ from oracles import (
     masked_beta_share,
     quadratic_form_mean,
     quadratic_form_variance,
+    scalar_flux_check,
+    scalar_identity_check,
+    scalar_linear_limit_check,
     scalar_mc_check,
+    scalar_snl_sign_check,
     stacked_moments,
     summed_amplitude_check,
     summed_flux_residual,
@@ -964,6 +968,29 @@ def test_validation_reduces_like_mc_average(monkeypatch, mode):
     assert json.dumps(both[name].detail) == json.dumps(single[name].detail)
 
 
+@pytest.mark.parametrize("grid", ["standard", "small"])
+def test_identity_checks_match_scalar_reference(monkeypatch, grid):
+    # each identity check evaluates its grid once on whole arrays; its
+    # status and detail must be those of the point-by-point loop it
+    # replaced, byte for byte, with the flux constraint intact and
+    # corrupted, on the standard grid and on a patched one
+    if grid == "small":
+        monkeypatch.setattr(validation, "STANDARD_THICKNESS", (2.0, 10.0))
+        monkeypatch.setattr(validation, "STANDARD_GAIN", (0.0, 2.5))
+        monkeypatch.setattr(validation, "STANDARD_SQUEEZE", (0.0, 1.0))
+    pairs = [
+        (validation._check_flux(False), scalar_flux_check(False)),
+        (validation._check_flux(True), scalar_flux_check(True)),
+        (validation._check_linear_limit(), scalar_linear_limit_check()),
+        (validation._check_analytic_identities(), scalar_identity_check()),
+        (validation._check_snl_sign(), scalar_snl_sign_check()),
+    ]
+    for check, (status, detail) in pairs:
+        assert check.status == status, check.name
+        assert json.dumps(check.detail, sort_keys=True) == json.dumps(detail, sort_keys=True)
+    assert [check.status for check, _ in pairs] == ["pass", "fail", "pass", "pass", "pass"]
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case, channels", [
     pytest.param("pass", 4, id="pass"),
@@ -984,13 +1011,15 @@ def test_mc_check_matches_scalar_reference(monkeypatch, mode, case, channels):
     if case == "warning":
         seed, draws = (13, 10) if mode is MODES[0] else (5, 10)
     if case == "fail":
-        report = validation.full_report
+        # shift the closed forms that the check's array evaluator and the
+        # reference's full_report both take from analytic._forms
+        forms = analytic._forms
 
-        def moved(spec, state):
-            rep = report(spec, state)
-            return dataclasses.replace(rep, x_nowfs=rep.x_nowfs + 1.0, p_wfs=rep.p_wfs + 1.0)
+        def moved(t_bar, v_bar, factors):
+            rep = forms(t_bar, v_bar, factors)
+            return rep._replace(x_nowfs=rep.x_nowfs + 1.0, p_wfs=rep.p_wfs + 1.0)
 
-        monkeypatch.setattr(validation, "full_report", moved)
+        monkeypatch.setattr(analytic, "_forms", moved)
     check = validation.run_validation(
         channels=channels, seed=seed, realizations=draws, sampler=mode.value
     ).checks[-1]

@@ -9,19 +9,7 @@ the shot-noise level.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    VarianceReport,
-    coherent_baseline,
-    full_report,
-    linear_coefficients,
-    mean_coefficients,
-    rescaled_fluctuation,
-    variance_p_nowfs,
-    variance_p_wfs,
-    variance_x_nowfs,
-    variance_x_wfs,
-    wfs_gain,
-)
+from .analytic import VarianceReport, full_report, mean_coefficients
 from .core import (
     LASER_THRESHOLD,
     BadChannels,
@@ -72,24 +60,16 @@ __all__ = [
     "SamplerMode",
     "ThinMedium",
     "VarianceReport",
-    "coherent_baseline",
     "full_report",
-    "linear_coefficients",
     "mc_average",
     "mean_amplitude_check",
     "mean_coefficients",
     "realization_values",
     "region_scan",
-    "rescaled_fluctuation",
     "sample_realization",
     "snl_condition",
     "threshold_closed_form",
-    "variance_p_nowfs",
     "variance_p_single",
-    "variance_p_wfs",
-    "variance_x_nowfs",
     "variance_x_nowfs_single",
-    "variance_x_wfs",
     "variance_x_wfs_single",
-    "wfs_gain",
 ]

@@ -24,21 +24,21 @@ the transmission carries: e^(-2r), cosh 2r or e^(+2r).  Shaping the
 wavefront (phase-conjugating the transmission channel phases) recovers
 part of the input squeezing; its benefit is t_bar * sinh 2r.
 
-Each formula is written once, in a private helper that takes numbers or
-broadcast numpy arrays, and ``_forms`` evaluates all of them from the
-weights and the factors of r alone (e^(-2r), cosh 2r, e^(2r), sinh 2r).
-Those reach it in one of two ways:
+Every closed form comes from ``_forms``, which takes the weights and
+the factors of r alone (e^(-2r), cosh 2r, e^(2r), sinh 2r), as numbers
+or broadcast numpy arrays, and returns one record, ``VarianceReport``:
+the four variances, the baseline and the shaping benefit.  It is filled
 
-* ``full_report`` and the other public functions: one medium and one
-  state, by ``math``.  ``mean_coefficients`` keeps its branch at zero
-  gain, since a single Monte Carlo draw calls it each time;
-* ``_evaluate`` and its parts ``_coefficients`` and ``_factors``: whole
-  broadcast arrays of (L/l, L/La, r), for the figure builders of
+* by ``full_report``: one medium and one state, by ``math``.  With
+  ``mean_coefficients``, which keeps its branch at zero gain since a
+  single Monte Carlo draw calls it each time, it is the scalar surface;
+* by ``_evaluate`` and its parts ``_coefficients`` and ``_factors``:
+  whole broadcast arrays of (L/l, L/La, r), for the figure builders of
   ``datasets`` and every check of ``validation``.  The sine laws run
   on numpy ``sin``, whose float64 sine returns the bits of ``math.sin``,
   and the factors of r on ``math``, once per value of r, since numpy's
   ``exp``, ``cosh`` and ``sinh`` do not return the bits of ``math``'s.
-  The values are those of ``full_report`` and ``wfs_gain`` bit for bit.
+  The values are those of ``full_report`` bit for bit.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _coefficients(thickness, gain):
 class _Factors(NamedTuple):
     """The factors of r alone that the closed forms carry, as numbers or arrays.
 
-    The first three are the input variances V_in of ``_variance``.
+    The first three are the input variances V_in of ``_forms``.
     """
 
     x_variance: float  # e^(-2r), the input variance that x_wfs carries
@@ -100,12 +100,6 @@ class _Factors(NamedTuple):
 _OF_2R = (lambda two_r: math.exp(-two_r), math.cosh, math.exp, math.sinh)
 
 
-def _state_factors(state: InputState) -> _Factors:
-    """The factors of one input state."""
-    two_r = state.anti_squeezing_exponent
-    return _Factors(*(factor(two_r) for factor in _OF_2R))
-
-
 def _factors(squeeze) -> _Factors:
     """The factors at each r of the array ``squeeze``, once per r, in its shape.
 
@@ -116,8 +110,15 @@ def _factors(squeeze) -> _Factors:
     return _Factors(*(np.array([factor(t) for t in two_r]).reshape(r.shape) for factor in _OF_2R))
 
 
-class _Forms(NamedTuple):
-    """Every closed form: ``full_report``'s variances and ``wfs_gain``, as numbers or arrays."""
+@dataclass(frozen=True)
+class VarianceReport:
+    """Every closed form of one (slab, input) point, or of a broadcast grid of them.
+
+    The four averaged output variances, the coherent-input baseline
+    2 v_bar + 1 and the shaping benefit ``wfs_gain`` = x_nowfs - x_wfs =
+    t_bar sinh 2r, against the shot-noise level 1.  ``full_report``
+    fills it with numbers, ``_evaluate`` with broadcast arrays.
+    """
 
     x_wfs: float
     x_nowfs: float
@@ -127,27 +128,18 @@ class _Forms(NamedTuple):
     wfs_gain: float
 
 
-def _baseline(v_bar):
-    """2 v_bar + 1, over numbers or arrays."""
-    return 2.0 * v_bar + 1.0
+def _forms(t_bar, v_bar, factors: _Factors) -> VarianceReport:
+    """Every closed form of the weights and the factors of r, over numbers or broadcast arrays.
 
-
-def _variance(t_bar, v_bar, input_variance):
-    """2 v_bar + 1 + t_bar (V_in - 1), over numbers or broadcast arrays.
-
-    The averaged output variance when the transmitted light carries the
-    input variance V_in and all other noise is at the vacuum level.
+    Each variance is 2 v_bar + 1 + t_bar (V_in - 1) for the input
+    variance V_in that the transmission carries.
     """
-    return _baseline(v_bar) + t_bar * (input_variance - 1.0)
+    baseline = 2.0 * v_bar + 1.0
+    x_wfs, unshaped, p_wfs = (baseline + t_bar * (v_in - 1.0) for v_in in factors[:3])
+    return VarianceReport(x_wfs, unshaped, p_wfs, unshaped, baseline, t_bar * factors.sinh)
 
 
-def _forms(t_bar, v_bar, factors: _Factors) -> _Forms:
-    """Every closed form of the weights and the factors of r, over numbers or broadcast arrays."""
-    x_wfs, unshaped, p_wfs = (_variance(t_bar, v_bar, v_in) for v_in in factors[:3])
-    return _Forms(x_wfs, unshaped, p_wfs, unshaped, _baseline(v_bar), t_bar * factors.sinh)
-
-
-def _evaluate(thickness, gain, squeeze) -> _Forms:
+def _evaluate(thickness, gain, squeeze) -> VarianceReport:
     """Every closed form over broadcast arrays of in-bounds L/l, L/La and r.
 
     A value too large for a double is inf, as it is in ``full_report``.
@@ -157,99 +149,22 @@ def _evaluate(thickness, gain, squeeze) -> _Forms:
         return _forms(t_bar, v_bar, _factors(squeeze))
 
 
-def linear_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
-    """Gain-free (L/La = 0) weights: the Ohmic law t_bar = l/L."""
-    return EnsembleCoefficients(*_ohmic_weights(spec.thickness_ratio))
-
-
 def mean_coefficients(spec: MediumSpec) -> EnsembleCoefficients:
     """Disorder-averaged channel-summed weights of the slab.
 
-    Dispatches to ``linear_coefficients`` at gain_ratio = 0; otherwise
-    evaluates the sine laws.
+    The Ohmic law t_bar = l/L at gain_ratio = 0; otherwise the sine laws.
     """
     if spec.gain_ratio == 0.0:
-        return linear_coefficients(spec)
+        return EnsembleCoefficients(*_ohmic_weights(spec.thickness_ratio))
     return EnsembleCoefficients(*_weights(spec.thickness_ratio, spec.gain_ratio, math.sin))
 
 
-def coherent_baseline(coef: EnsembleCoefficients) -> float:
-    """Averaged output variance for a coherent-state input: 2 v_bar + 1.
-
-    Any excess over the shot-noise level 1 is spontaneous emission.
-    """
-    return _baseline(coef.v_bar)
-
-
-def variance_x_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
-    """Averaged squeezed-quadrature variance with wavefront shaping.
-
-    2 v_bar + 1 - t_bar (1 - e^(-2r)): the baseline minus the squeezing
-    that survives transport through the slab.
-    """
-    return _variance(coef.t_bar, coef.v_bar, state.x_variance)
-
-
-def variance_x_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
-    """Averaged squeezed-quadrature variance for an unshaped wavefront.
-
-    Random transmission phases mix the two input quadratures, so the
-    anti-squeezed noise leaks in: 2 v_bar + 1 + t_bar (cosh 2r - 1).
-    """
-    return _variance(coef.t_bar, coef.v_bar, _state_factors(state).cosh)
-
-
-def variance_p_wfs(coef: EnsembleCoefficients, state: InputState) -> float:
-    """Averaged anti-squeezed-quadrature variance with wavefront shaping.
-
-    Shaping aligns the full anti-squeezed noise into p:
-    2 v_bar + 1 + t_bar (e^(+2r) - 1).
-    """
-    return _variance(coef.t_bar, coef.v_bar, state.p_variance)
-
-
-def variance_p_nowfs(coef: EnsembleCoefficients, state: InputState) -> float:
-    """Averaged anti-squeezed-quadrature variance, unshaped wavefront.
-
-    Identical to the unshaped x variance: random phases treat the two
-    quadratures symmetrically.
-    """
-    return variance_x_nowfs(coef, state)
-
-
-def wfs_gain(coef: EnsembleCoefficients, state: InputState) -> float:
-    """Noise reduction bought by shaping: Var x (unshaped) - Var x (shaped).
-
-    Equals t_bar * sinh 2r; grows with both transmission and squeezing.
-    """
-    return coef.t_bar * _state_factors(state).sinh
-
-
-def rescaled_fluctuation(
-    coef: EnsembleCoefficients, state: InputState, shaped: bool
-) -> float:
-    """Squeezed-quadrature variance over the coherent baseline.
-
-    Values below 1 mean the squeezed input still beats a coherent one
-    through the same slab; 1 exactly at r = 0.
-    """
-    var = variance_x_wfs(coef, state) if shaped else variance_x_nowfs(coef, state)
-    return var / coherent_baseline(coef)
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """All averaged output variances of one (slab, input) combination."""
-
-    x_wfs: float
-    x_nowfs: float
-    p_wfs: float
-    p_nowfs: float
-    coherent_baseline: float
-    snl: float = 1.0
-
-
 def full_report(spec: MediumSpec, state: InputState) -> VarianceReport:
-    """Evaluate every averaged variance for one slab and input state."""
+    """Every closed form for one slab and input state.
+
+    Raises ``ParameterError`` once r exceeds ``MAX_SQUEEZE_R``, where e^(2r)
+    overflows a double.
+    """
     coef = mean_coefficients(spec)
-    return VarianceReport(*_forms(coef.t_bar, coef.v_bar, _state_factors(state))[:5])
+    two_r = state.anti_squeezing_exponent
+    return _forms(coef.t_bar, coef.v_bar, _Factors(*(factor(two_r) for factor in _OF_2R)))

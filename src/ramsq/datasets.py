@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analytic import _Forms, _evaluate, mean_coefficients
+from .analytic import VarianceReport, _evaluate, mean_coefficients
 from .core import (
     InputState,
     MediumSpec,
@@ -95,7 +95,7 @@ class Sweep(NamedTuple):
             shape[self.axis[c]] = -1
         return np.array(self.values[c], dtype=float).reshape(shape)
 
-    def evaluate(self, gain: float | None = None) -> _Forms:
+    def evaluate(self, gain: float | None = None) -> VarianceReport:
         """``analytic._evaluate`` at every point, or at every point moved to L/La ``gain``."""
         return _evaluate(self.array(_L), self.array(_G) if gain is None else gain, self.array(_R))
 

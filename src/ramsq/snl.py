@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InputState, MediumSpec, ParameterError
+from .core import DomainError, InputState, MediumSpec, ParameterError, _real, check_thickness
 
 # Gain ratios inside (pi - GAIN_EXCLUSION, pi) are dropped from scans:
 # sin(L/La) -> 0 there and every coefficient diverges on approach to
@@ -69,14 +69,16 @@ def threshold_closed_form(mfp_gain: float, state: InputState) -> float:
     """Largest sub-SNL gain ratio at fixed l/La = ``mfp_gain``, for 0 < l/La < pi.
 
     Returns G_max = l/La / 2 + arccos((n/2) cos(l/La / 2)) with
-    n = 1 + e^(-2r); the margin is negative exactly below it.  Outside
-    0 < l/La < pi, ``DomainError`` is raised.
+    n = 1 + e^(-2r); the margin is negative exactly below it.
+    ``DomainError`` is raised outside 0 < l/La < pi and for an argument
+    that is not a real number, a bool included.
 
     The arccos of x = (n/2) cos(mu/2) near 1 (n -> 2, mu -> 0) would
     cancel, so it is evaluated as 2 arcsin sqrt((1 - x)/2), where
     (1 - x)/2 = sin^2(mu/4) - expm1(-2r) cos(mu/2)/4 is a sum of two
     nonnegative terms.
     """
+    _real("mfp_gain", mfp_gain, DomainError)
     if not 0.0 < mfp_gain < math.pi:
         raise DomainError(f"closed form needs 0 < l/La < pi (got {mfp_gain})")
     half = 0.5 * mfp_gain
@@ -120,9 +122,8 @@ def region_scan(
             "scanned gain ratios must lie in (0, pi - 1e-6); the lasing "
             "threshold band is excluded"
         )
-    # Building a spec refuses any row thinner than the diffusive bound.
     for th in thickness:
-        MediumSpec(thickness_ratio=float(th), gain_ratio=0.0)
+        check_thickness(float(th))
     n = 1.0 + state.x_variance
     below = _margin(thickness[:, None], gain, n) < 0.0
     lo = np.full(thickness.size, 1e-8)

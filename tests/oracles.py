@@ -43,15 +43,7 @@ import operator
 import numpy as np
 
 from ramsq import validation
-from ramsq.analytic import (
-    coherent_baseline,
-    full_report,
-    linear_coefficients,
-    mean_coefficients,
-    rescaled_fluctuation,
-    variance_x_wfs,
-    wfs_gain,
-)
+from ramsq.analytic import full_report, mean_coefficients
 from ramsq.core import InputState, MediumSpec
 from ramsq.ensemble import SamplerConfig, SamplerMode, mc_average
 from ramsq.snl import region_scan, snl_condition
@@ -360,7 +352,7 @@ def scalar_linear_limit_check():
     worst = 0.0
     for th in validation.STANDARD_THICKNESS:
         near = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=1e-8))
-        exact = linear_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=0.0))
+        exact = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=0.0))
         worst = max(
             worst,
             abs(near.t_bar - exact.t_bar),
@@ -383,11 +375,9 @@ def scalar_identity_check():
         coef = mean_coefficients(spec)
         state = InputState(squeeze_r=r)
         rep = full_report(spec, state)
-        worst_gain = max(
-            worst_gain, abs((rep.x_nowfs - rep.x_wfs) - wfs_gain(coef, state))
-        )
+        worst_gain = max(worst_gain, abs((rep.x_nowfs - rep.x_wfs) - rep.wfs_gain))
         expected_sum = (
-            2.0 * coherent_baseline(coef)
+            2.0 * rep.coherent_baseline
             + coef.t_bar * (state.p_variance + state.x_variance - 2.0)
         )
         worst_sum = max(worst_sum, abs((rep.x_wfs + rep.p_wfs) - expected_sum))
@@ -428,7 +418,7 @@ def scalar_snl_sign_check():
         spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
         state = InputState(squeeze_r=r)
         margin = snl_condition(spec, state)
-        excess = variance_x_wfs(mean_coefficients(spec), state) - 1.0
+        excess = full_report(spec, state).x_wfs - 1.0
         rebuilt = excess * math.sin(g)
         worst = max(worst, abs(margin - rebuilt))
         if margin != 0.0 and excess != 0.0:
@@ -529,8 +519,8 @@ def pointwise_fig2_rows(panel, points):
     rows = []
     for thickness, g, r, _ in points:
         state = InputState(squeeze_r=r)
-        coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
-        rows.append([panel, thickness, g, r, wfs_gain(coef, state)])
+        rep = full_report(MediumSpec(thickness_ratio=thickness, gain_ratio=g), state)
+        rows.append([panel, thickness, g, r, rep.wfs_gain])
     return header, rows
 
 
@@ -540,11 +530,11 @@ _FIG_HEADER = ["panel", "L_over_l", "L_over_La", "r", "x_name", "x_param", "quan
 def pointwise_fig3_rows(panel, x_name, points):
     rows = []
     for thickness, g, r, x in points:
-        coef = mean_coefficients(MediumSpec(thickness_ratio=thickness, gain_ratio=g))
-        state = InputState(squeeze_r=r)
+        spec = MediumSpec(thickness_ratio=thickness, gain_ratio=g)
+        rep = full_report(spec, InputState(squeeze_r=r))
         for quantity, value in (
-            ("ratio_wfs", rescaled_fluctuation(coef, state, shaped=True)),
-            ("ratio_nowfs", rescaled_fluctuation(coef, state, shaped=False)),
+            ("ratio_wfs", rep.x_wfs / rep.coherent_baseline),
+            ("ratio_nowfs", rep.x_nowfs / rep.coherent_baseline),
             ("coherent", 1.0),
         ):
             rows.append([panel, thickness, g, r, x_name, x, quantity, value])

@@ -1,25 +1,14 @@
 """Closed-form coefficients, variances and their identity suite."""
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsq.analytic import (
-    _evaluate,
-    coherent_baseline,
-    full_report,
-    linear_coefficients,
-    mean_coefficients,
-    rescaled_fluctuation,
-    variance_p_nowfs,
-    variance_p_wfs,
-    variance_x_nowfs,
-    variance_x_wfs,
-    wfs_gain,
-)
-from ramsq.core import InputState, MediumSpec
+from ramsq.analytic import _evaluate, full_report, mean_coefficients
+from ramsq.core import EnsembleCoefficients, InputState, MediumSpec
 
 from conftest import GAIN_GRID, SQUEEZE_GRID, THICKNESS_GRID
 from oracles import (
@@ -80,15 +69,16 @@ def test_flux_identity_full_grid(grid_points):
 
 
 def test_linear_coefficients():
-    coef = linear_coefficients(MediumSpec(thickness_ratio=10.0, gain_ratio=0.0))
+    coef = mean_coefficients(MediumSpec(thickness_ratio=10.0, gain_ratio=0.0))
     assert coef.t_bar == 0.1
     assert coef.r_bar == 0.9
     assert coef.v_bar == 0.0
 
 
 def test_zero_gain_dispatches_to_linear():
+    # the Ohmic law t_bar = l/L, r_bar = 1 - l/L, v_bar = 0 to the bit
     spec = MediumSpec(thickness_ratio=5.0, gain_ratio=0.0)
-    assert mean_coefficients(spec) == linear_coefficients(spec)
+    assert mean_coefficients(spec) == EnsembleCoefficients(1.0 / 5.0, 1.0 - 1.0 / 5.0, 0.0)
 
 
 @pytest.mark.parametrize("thickness", THICKNESS_GRID)
@@ -109,50 +99,52 @@ def test_symmetric_slab_splits_evenly(gain):
 
 # -- variances ---------------------------------------------------------------
 
-def test_baseline_frozen(reference_spec):
-    coef = mean_coefficients(reference_spec)
-    assert close(coherent_baseline(coef), BASELINE_10_25)
+def test_baseline_frozen(reference_spec, reference_state):
+    rep = full_report(reference_spec, reference_state)
+    assert close(rep.coherent_baseline, BASELINE_10_25)
 
 
 def test_variances_frozen(reference_spec, reference_state):
-    coef = mean_coefficients(reference_spec)
-    assert close(variance_x_wfs(coef, reference_state), VAR_10_25_R1["x_wfs"])
-    assert close(variance_x_nowfs(coef, reference_state), VAR_10_25_R1["x_nowfs"])
-    assert close(variance_p_wfs(coef, reference_state), VAR_10_25_R1["p_wfs"])
-    assert close(variance_p_nowfs(coef, reference_state), VAR_10_25_R1["p_nowfs"])
-    assert close(wfs_gain(coef, reference_state), WFS_GAIN_10_25_R1)
+    rep = full_report(reference_spec, reference_state)
+    assert close(rep.x_wfs, VAR_10_25_R1["x_wfs"])
+    assert close(rep.x_nowfs, VAR_10_25_R1["x_nowfs"])
+    assert close(rep.p_wfs, VAR_10_25_R1["p_wfs"])
+    assert close(rep.p_nowfs, VAR_10_25_R1["p_nowfs"])
+    assert close(rep.wfs_gain, WFS_GAIN_10_25_R1)
 
 
 def test_rescaled_fluctuation_frozen(reference_spec, reference_state):
-    coef = mean_coefficients(reference_spec)
-    assert close(rescaled_fluctuation(coef, reference_state, shaped=True), RATIO_WFS_10_25_R1)
-    assert close(rescaled_fluctuation(coef, reference_state, shaped=False), RATIO_NOWFS_10_25_R1)
+    rep = full_report(reference_spec, reference_state)
+    assert close(rep.x_wfs / rep.coherent_baseline, RATIO_WFS_10_25_R1)
+    assert close(rep.x_nowfs / rep.coherent_baseline, RATIO_NOWFS_10_25_R1)
 
 
 def test_rescaled_fluctuation_at_zero_squeezing(reference_spec):
-    coef = mean_coefficients(reference_spec)
-    vac = InputState(squeeze_r=0.0)
-    assert rescaled_fluctuation(coef, vac, shaped=True) == 1.0
-    assert rescaled_fluctuation(coef, vac, shaped=False) == 1.0
+    rep = full_report(reference_spec, InputState(squeeze_r=0.0))
+    assert rep.x_wfs / rep.coherent_baseline == 1.0
+    assert rep.x_nowfs / rep.coherent_baseline == 1.0
 
 
 def test_shaped_ratio_below_one_for_squeezed_input(grid_points):
     for th, g, r in grid_points:
         if r == 0.0:
             continue
-        coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-        assert rescaled_fluctuation(coef, InputState(squeeze_r=r), shaped=True) < 1.0
+        rep = full_report(MediumSpec(thickness_ratio=th, gain_ratio=g), InputState(squeeze_r=r))
+        assert rep.x_wfs / rep.coherent_baseline < 1.0
 
 
 def test_full_report_matches_pieces(reference_spec, reference_state):
+    # each field is its closed form of the weights and the factors of r
     coef = mean_coefficients(reference_spec)
+    two_r = 2.0 * reference_state.squeeze_r
+    baseline = 2.0 * coef.v_bar + 1.0
     rep = full_report(reference_spec, reference_state)
-    assert rep.x_wfs == variance_x_wfs(coef, reference_state)
-    assert rep.x_nowfs == variance_x_nowfs(coef, reference_state)
-    assert rep.p_wfs == variance_p_wfs(coef, reference_state)
-    assert rep.p_nowfs == variance_p_nowfs(coef, reference_state)
-    assert rep.coherent_baseline == coherent_baseline(coef)
-    assert rep.snl == 1.0
+    assert rep.x_wfs == baseline + coef.t_bar * (math.exp(-two_r) - 1.0)
+    assert rep.x_nowfs == baseline + coef.t_bar * (math.cosh(two_r) - 1.0)
+    assert rep.p_wfs == baseline + coef.t_bar * (math.exp(two_r) - 1.0)
+    assert rep.p_nowfs == rep.x_nowfs
+    assert rep.coherent_baseline == baseline
+    assert rep.wfs_gain == coef.t_bar * math.sinh(two_r)
 
 
 def test_linear_coherent_is_shot_noise():
@@ -178,9 +170,10 @@ def test_identity_shaping_benefit(grid_points):
         spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
         state = InputState(squeeze_r=r)
         coef = mean_coefficients(spec)
-        diff = variance_x_nowfs(coef, state) - variance_x_wfs(coef, state)
+        rep = full_report(spec, state)
+        diff = rep.x_nowfs - rep.x_wfs
         assert abs(diff - coef.t_bar * math.sinh(2.0 * r)) <= 1e-12
-        assert wfs_gain(coef, state) == coef.t_bar * math.sinh(2.0 * r)
+        assert rep.wfs_gain == coef.t_bar * math.sinh(2.0 * r)
         if r > 0.0:
             assert diff > 0.0
 
@@ -188,39 +181,39 @@ def test_identity_shaping_benefit(grid_points):
 def test_identity_unshaped_symmetry(grid_points):
     # (b): without shaping the two quadratures are statistically identical
     for th, g, r in grid_points:
-        coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-        state = InputState(squeeze_r=r)
-        assert variance_x_nowfs(coef, state) == variance_p_nowfs(coef, state)
+        rep = full_report(MediumSpec(thickness_ratio=th, gain_ratio=g), InputState(squeeze_r=r))
+        assert rep.x_nowfs == rep.p_nowfs
 
 
 def test_identity_shaped_sum(grid_points):
     # (c): x_wfs + p_wfs = 2 baseline + t_bar (e^2r + e^-2r - 2) >= 2 baseline
     for th, g, r in grid_points:
-        coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-        state = InputState(squeeze_r=r)
-        total = variance_x_wfs(coef, state) + variance_p_wfs(coef, state)
-        expected = 2.0 * coherent_baseline(coef) + coef.t_bar * (
+        spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
+        coef = mean_coefficients(spec)
+        rep = full_report(spec, InputState(squeeze_r=r))
+        total = rep.x_wfs + rep.p_wfs
+        expected = 2.0 * rep.coherent_baseline + coef.t_bar * (
             math.exp(2.0 * r) + math.exp(-2.0 * r) - 2.0
         )
         assert abs(total - expected) <= 1e-12
-        assert total >= 2.0 * coherent_baseline(coef) - 1e-12
+        assert total >= 2.0 * rep.coherent_baseline - 1e-12
 
 
 def test_identity_uncertainty_product(grid_points):
     # (d): shaping never squeezes past the minimum-uncertainty bound
     for th, g, r in grid_points:
-        coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-        state = InputState(squeeze_r=r)
-        assert variance_x_wfs(coef, state) * variance_p_wfs(coef, state) >= 1.0 - 1e-9
+        rep = full_report(MediumSpec(thickness_ratio=th, gain_ratio=g), InputState(squeeze_r=r))
+        assert rep.x_wfs * rep.p_wfs >= 1.0 - 1e-9
 
 
 def test_identity_monotone_in_squeezing():
     # (e): along r the shaped variance falls, the unshaped rises
     for th in THICKNESS_GRID:
         for g in GAIN_GRID:
-            coef = mean_coefficients(MediumSpec(thickness_ratio=th, gain_ratio=g))
-            shaped = [variance_x_wfs(coef, InputState(squeeze_r=r)) for r in SQUEEZE_GRID]
-            unshaped = [variance_x_nowfs(coef, InputState(squeeze_r=r)) for r in SQUEEZE_GRID]
+            spec = MediumSpec(thickness_ratio=th, gain_ratio=g)
+            reports = [full_report(spec, InputState(squeeze_r=r)) for r in SQUEEZE_GRID]
+            shaped = [rep.x_wfs for rep in reports]
+            unshaped = [rep.x_nowfs for rep in reports]
             assert all(a > b for a, b in zip(shaped, shaped[1:]))
             assert all(a < b for a, b in zip(unshaped, unshaped[1:]))
 
@@ -296,15 +289,11 @@ def test_variance_relations_property(spec, state, grid):
     assert abs(diff - coef.t_bar * math.sinh(2.0 * state.squeeze_r)) <= 1e-9 * scale
     assert rep.x_wfs * rep.p_wfs >= 1.0 - 1e-9 * scale
     # the array evaluator over a broadcast grid holding this point gives
-    # full_report's variances and wfs_gain at every point, bit for bit
+    # every field of full_report's record at every point, bit for bit
     here = (spec.thickness_ratio, spec.gain_ratio, state.squeeze_r)
     values = [[*axis, x] for axis, x in zip(grid, here)]
-    forms = np.broadcast_arrays(*_evaluate(*np.ix_(*values)))
+    forms = np.broadcast_arrays(*astuple(_evaluate(*np.ix_(*values))))
     for (i, th), (j, g), (k, r) in itertools.product(*map(enumerate, values)):
-        medium, point_state = MediumSpec(thickness_ratio=th, gain_ratio=g), InputState(squeeze_r=r)
-        point = full_report(medium, point_state)
-        expected = [
-            point.x_wfs, point.x_nowfs, point.p_wfs, point.p_nowfs, point.coherent_baseline,
-            wfs_gain(mean_coefficients(medium), point_state),
-        ]
-        assert [float(a[i, j, k]).hex() for a in forms] == [x.hex() for x in expected], (th, g, r)
+        point = full_report(MediumSpec(thickness_ratio=th, gain_ratio=g), InputState(squeeze_r=r))
+        expected = [x.hex() for x in astuple(point)]
+        assert [float(a[i, j, k]).hex() for a in forms] == expected, (th, g, r)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from ramsq import cli, ensemble, validation
-from ramsq.analytic import coherent_baseline, mean_coefficients
+from ramsq.analytic import full_report, mean_coefficients
 from ramsq.cli import main
-from ramsq.core import MediumSpec
+from ramsq.core import InputState, MediumSpec
 from ramsq.manifest import RunManifest, format_value, render_csv
 
 from oracles import COEF_10_25, WFS_GAIN_10_25_R1, format_cell, percell_render_csv
@@ -454,7 +454,8 @@ def test_fig4_structure(capfd):
         by_quantity.setdefault(r[header.index("quantity")], []).append(r)
     assert set(by_quantity) == {"x_wfs", "x_nowfs", "p_wfs", "p_nowfs", "coherent"}
     spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5)
-    baseline = coherent_baseline(mean_coefficients(spec))
+    # the coherent baseline 2 v_bar + 1 does not depend on r
+    baseline = full_report(spec, InputState(squeeze_r=0.0)).coherent_baseline
     value_idx = header.index("value")
     for r in by_quantity["coherent"]:
         assert float(r[value_idx]) == baseline

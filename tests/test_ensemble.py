@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import betaincinv
 
-from ramsq.analytic import (
-    full_report,
-    mean_coefficients,
-    variance_x_nowfs,
-    variance_x_wfs,
-)
+from ramsq.analytic import full_report, mean_coefficients
 from ramsq import _beta, analytic, ensemble, validation
 from ramsq.core import MAX_SQUEEZE_R, InputState, MediumSpec, ParameterError
 from ramsq.ensemble import (
@@ -822,7 +817,7 @@ def test_shaped_mean_mode_has_zero_spread(reference_spec, reference_state):
     # gives the same number, so the spread must be exactly zero
     cfg = config(MODES[0], realizations=1000, seed=42)
     for quantity, target in (
-        ("x_wfs", variance_x_wfs(mean_coefficients(reference_spec), reference_state)),
+        ("x_wfs", full_report(reference_spec, reference_state).x_wfs),
         ("p_wfs", None),
     ):
         est = mc_average(reference_spec, reference_state, cfg, quantity)
@@ -923,7 +918,7 @@ def test_linear_limit_sampling():
     state = InputState(squeeze_r=1.0)
     est = mc_average(spec, state, config(MODES[0], realizations=500, seed=4), "x_wfs")
     assert est.std_error == 0.0
-    assert abs(est.mean - variance_x_wfs(mean_coefficients(spec), state)) <= 1e-12
+    assert abs(est.mean - full_report(spec, state).x_wfs) <= 1e-12
     assert est.mean < 1.0
 
 
@@ -1017,7 +1012,7 @@ def test_mc_check_matches_scalar_reference(monkeypatch, mode, case, channels):
 
         def moved(t_bar, v_bar, factors):
             rep = forms(t_bar, v_bar, factors)
-            return rep._replace(x_nowfs=rep.x_nowfs + 1.0, p_wfs=rep.p_wfs + 1.0)
+            return dataclasses.replace(rep, x_nowfs=rep.x_nowfs + 1.0, p_wfs=rep.p_wfs + 1.0)
 
         monkeypatch.setattr(analytic, "_forms", moved)
     check = validation.run_validation(

@@ -5,9 +5,9 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from ramsq.analytic import full_report, mean_coefficients, variance_x_wfs
+from ramsq.analytic import full_report
 from ramsq import snl
-from ramsq.core import DomainError, InputState, MediumSpec, ParameterError
+from ramsq.core import MAX_SQUEEZE_R, DomainError, InputState, MediumSpec, ParameterError
 from ramsq.datasets import grid
 from ramsq.snl import (
     LARGE_SQUEEZING_R,
@@ -46,7 +46,7 @@ def test_margin_tracks_variance_excess(grid_points):
         spec = MediumSpec(thickness_ratio=thickness, gain_ratio=gain)
         state = InputState(squeeze_r=squeeze)
         margin = snl_condition(spec, state)
-        excess = variance_x_wfs(mean_coefficients(spec), state) - 1.0
+        excess = full_report(spec, state).x_wfs - 1.0
         assert abs(margin - excess * math.sin(gain)) <= 1e-12
         if abs(excess) > 1e-9:
             assert (margin < 0.0) == (excess < 0.0)
@@ -175,6 +175,17 @@ def test_threshold_domain(mfp_gain):
         threshold_closed_form(mfp_gain, InputState(squeeze_r=1.0))
 
 
+def test_threshold_argument_must_be_real():
+    # a bool is not an l/La, and a string or None is refused as the value
+    # types refuse it, not by a bare TypeError; numpy reals are taken
+    state = InputState(squeeze_r=1.0)
+    for bad in (True, "x", None):
+        with pytest.raises(DomainError, match="mfp_gain must be a real number"):
+            threshold_closed_form(bad, state)
+    got = threshold_closed_form(np.float64(1.0), state)
+    assert float(got).hex() == threshold_closed_form(1.0, state).hex()
+
+
 # -- region scan -------------------------------------------------------------
 
 def scan_grids():
@@ -294,6 +305,21 @@ def test_region_scan_thin_slab_rejected():
             region_scan(np.array([5.0, thickness]), np.array([1.0]), InputState(squeeze_r=1.0))
 
 
+def test_snl_answers_past_max_squeeze_r():
+    # the sub-shot-noise answers read only e^(-2r), so they hold past
+    # MAX_SQUEEZE_R, where full_report's e^(2r) overflows and is refused
+    assert SATURATED_R > MAX_SQUEEZE_R
+    state = InputState(squeeze_r=SATURATED_R)
+    spec = MediumSpec(thickness_ratio=10.0, gain_ratio=0.5)
+    margin = snl_condition(spec, state)
+    assert math.isfinite(margin) and margin < 0.0
+    assert math.isfinite(threshold_closed_form(0.1, state))
+    scan = region_scan(np.array([2.0, 5.0, 10.0]), np.array([0.5, 1.0, 2.0]), state)
+    assert np.all(np.isfinite(scan.boundary))
+    with pytest.raises(ParameterError, match="squeeze_r must be <="):
+        full_report(spec, state)
+
+
 def test_region_consistent_with_variance_report(grid_points):
     # cross-module: cell membership equals the shaped variance dipping
     # below the vacuum level
@@ -304,4 +330,4 @@ def test_region_consistent_with_variance_report(grid_points):
     for i, th in enumerate(thickness):
         for j, g in enumerate(gain):
             rep = full_report(MediumSpec(thickness_ratio=th, gain_ratio=g), state)
-            assert scan.below_snl[i, j] == (rep.x_wfs < rep.snl)
+            assert scan.below_snl[i, j] == (rep.x_wfs < 1.0)

@@ -6,8 +6,13 @@ uniform u.  ``_share_table`` serves it from per-shape quintic Hermite
 tables: below u = b/(a+b) the quantile in t = u**(1/a), above it
 1 - I^-1(b, a, 1 - u) in t = (1 - u)**(1/b), coordinates in which the
 quantile is smooth up to both ends.  The table's value is the share,
-with no special function per draw.  Shapes outside the tables' domain
-keep scipy's ``betaincinv``, imported when the first such shape is met.
+with no special function per draw.  The tables serve every shape with
+min(a, b) >= 0.09 and a + b <= 12.5 (``_in_domain``).  A medium of N
+channels has a + b = 2N, so a run of 1 to 6 channels reads every share
+from a table unless a medium's a or b falls below 0.09: at zero gain
+a = 2N l/L does past L/l = 22N, and b = 2N (1 - l/L) within 5% of
+L/l = 1.  Other shapes keep scipy's ``betaincinv``, imported when the
+first such shape is met.
 
 Each tail's nodes carry the quantile and its first two derivatives in t,
 solved from the regularized incomplete beta (DLMF 8.17.8)
@@ -22,8 +27,9 @@ TOMS 18, 1992).  Per shape, and once for both tails:
 - B(a, b) is exact to rounding: 2**-(a+b) (F_a/a + F_b/b), with both
   series at x = 1/2 summed in integers and the power in ``decimal``;
 - c = lim x/t = (a B)**(1/a) is taken from that B in ``decimal``;
-- on every eighth node, Halley steps on ln I in ln x from x = c t
-  converge to about 1e-12 in 3 or 4 passes;
+- on every eighth node, Halley steps on ln I in ln x from x = c t,
+  capped where the series would need more terms than it keeps,
+  converge to about 1e-12 in 2 to 4 passes;
 - the quintic through those nodes gives every node's guess to within
   about 2e-10 relative, and one exact Newton step on I - p refines it.
 
@@ -65,16 +71,22 @@ _SHARE_COARSE = _SHARE_INTERVALS // 8
 
 # The tables' domain, decided by the shape alone so that a single draw
 # and its bulk entry take the same path; other shapes keep betaincinv.
-# Over a sweep of 37 shapes inside it, at 2**-53, 1e-10, 1/4, 1/2, the
-# split and its two neighbours, 1 - 2**-53 and the four uniforms of 1e5
-# farthest from betaincinv, the shares stay within 14 ulp of 40-digit
-# quantiles (median 3.2), where betaincinv reads up to 36.  The bounds
-# date from nodes built with scipy's betainc, which read 30 to 41 ulp
-# off with b near 2 and a near 1, or an integer a and a + b near 12.  A
-# sum of 2 * channels lands on 10 only up to rounding, hence 10.5.
-_SHARE_MIN_A = 0.3
-_SHARE_MIN_B = 2.5
-_SHARE_MAX_SUM = 10.5
+# Over a sweep of 129 shapes on its edges, at old trouble spots and on
+# the 1-, 2-, 4- and 6-channel grids, at 2**-53, 1e-10, 1/4, 1/2, the
+# split and its two neighbours, 1 - 2**-53, eight random uniforms and
+# the 48 of 2e5 farthest from betaincinv, the shares stay within 35 ulp
+# of 40-digit quantiles (a shape's worst has median 5.8), where
+# betaincinv reads up to 86 (median 20; ``BENCH_34.json``).  The floor
+# is on both shapes, as b mirrors a.  Below it one Newton step on I
+# reads I's few ulp of rounding times about 1/a, the quantile's
+# condition: up to 31 ulp at a = 0.09 and 34 at 0.1, 20 from a = 0.15
+# up; and at a = 0.08 the guesses take a fifth pass.  The ceiling is the
+# build's own measure: the coarse table misses the refined nodes by a
+# gap that, over 8**6, predicts the interpolation error, at most 9.5 ulp
+# where a + b = 12.5 and 32 at 16, 8 channels, measured 48 there.  A sum
+# of 2 * channels lands on 12 only up to rounding, hence 12.5.
+_SHARE_MIN = 0.09
+_SHARE_MAX_SUM = 12.5
 
 # Shapes whose share functions are kept.
 _SHARE_CACHE_SIZE = 64
@@ -94,8 +106,9 @@ _SERIES_BLOCK = 64
 # A Halley step leaves about 0.7 step**3, so the guesses are then within
 # about 1e-12 relative, inside the 2e-10 of the quintic through them.
 _GUESS_TOLERANCE = 1e-4
-# From x = c t the steps took 3 or 4 passes over 305 shapes spread over
-# the domain; a row that takes this many has failed.
+# From the capped x = c t the steps took 2 to 4 passes over 405 shapes
+# spread over the domain, 100 of them toward its floor; a row that takes
+# this many has failed.
 _GUESS_MAX_PASSES = 12
 
 # Gauss-Legendre points of the complement integrals.
@@ -187,7 +200,7 @@ def _interpolate(tail: _ShareTail, t: np.ndarray) -> np.ndarray:
 
 
 def _in_domain(a: float, b: float) -> bool:
-    return a >= _SHARE_MIN_A and b >= _SHARE_MIN_B and a + b <= _SHARE_MAX_SUM
+    return min(a, b) >= _SHARE_MIN and a + b <= _SHARE_MAX_SUM
 
 
 # -- per-shape constants, exact to rounding ------------------------------------
@@ -361,13 +374,19 @@ def _lower_beta(rows: _Rows, x: np.ndarray, series: np.ndarray) -> np.ndarray:
 def _guesses(rows: _Rows, p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Halley steps on ln I in ln x from x = c t, to _GUESS_TOLERANCE.
 
+    Where a or b is small, c t overshoots the quantile as t nears the
+    tail's top, past the x up to which the series keeps its terms, where
+    the first pass would fail, so the start is capped there.  Elsewhere
+    the start is c t unchanged: every table that built from c t alone is
+    the same, bit for bit.
+
     With g = d ln I / d ln x = alpha / ((1 - x) F), the derivative of g
     is g (alpha - g + (1 - beta) x / (1 - x)), so a step costs no series
     beyond F's.  Every pass steps every row, but a row that is done steps
     by exactly 0, so its guesses do not depend on the batch.
     """
     alpha, beta = rows.alpha, rows.beta
-    x = rows.c * t
+    x = np.minimum(rows.c * t, rows.reach[-1][:, None])
     log_p = np.log(p)
     log_norm = np.log(alpha * rows.scale)
     done = np.zeros(x.shape[0], dtype=bool)

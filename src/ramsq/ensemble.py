@@ -125,19 +125,23 @@ the two group totals (``_magnitudes``).
 The Beta share is the Beta(a, b) quantile of its uniform u.  The private
 module ``_beta`` serves it from per-shape quintic Hermite tables whose
 nodes it solves with its own incomplete beta, so a run whose shapes all
-lie in the tables' domain (every 4-channel run) never imports scipy;
-other shapes keep scipy's ``betaincinv``, imported when the first is
-met.  Each share depends only on its own uniform and the shape, so a
-single draw, which runs the same operations on one numpy scalar, still
-equals its bulk entry bit for bit.  A bulk run resolves every medium's
-share function on the calling thread before the pool starts, with the
-missing tables built in one batch (``_share_tables``).  A chunk sorts
-its share uniforms once, for all media (``_ShareUniforms``): a table
-then splits the ascending column at 0 and at the tails' meeting point
-into three contiguous slices, with no mask, gather or scatter, and each
-medium restores draw order with one ``take``.  ``betaincinv`` shapes
-read the same sorted column; a single draw is not sorted.  Which uniform
-feeds which quantity is fixed in one place, ``_layout``.
+lie in the tables' domain, min(a, b) >= 0.09 and a + b <= 12.5, never
+imports scipy.  With a + b = 2 * channels that is every run of 1 to 6
+channels whose media keep a and b at 0.09 or more; at zero gain
+a = 2 channels l/L falls below it past L/l = 22 * channels.  Other
+shapes, such as every one at 8 channels, keep scipy's ``betaincinv``,
+imported when the first is met.  Each share depends only on its own
+uniform and the shape, so a single draw, which runs the same operations
+on one numpy scalar, still equals its bulk entry bit for bit.  A bulk
+run resolves every medium's share function on the calling thread before
+the pool starts, with the missing tables built in one batch
+(``_share_tables``).  A chunk sorts its share uniforms once, for all
+media (``_ShareUniforms``): a table then splits the ascending column at
+0 and at the tails' meeting point into three contiguous slices, with no
+mask, gather or scatter, and each medium restores draw order with one
+``take``.  ``betaincinv`` shapes read the same sorted column; a single
+draw is not sorted.  Which uniform feeds which quantity is fixed in one
+place, ``_layout``.
 """
 
 from __future__ import annotations

@@ -220,18 +220,25 @@ def test_complement_step_near_the_split(a, b):
         assert ulps_off(value, reference) <= SPLIT_STEP_ULPS, (value, reference)
 
 
-# The domain's corners (a >= 0.3, b >= 2.5, a + b <= 10.5) and a grid
-# shape: (0.3, 10.2) has the longest series, 217 terms at its top node.
-GUESS_SHAPES = [(0.3, 2.5), (0.3, 10.2), (8.0, 2.5), (0.4, 7.6)]
+# Shapes of the first domain's corners (a >= 0.3, b >= 2.5, a + b <=
+# 10.5), the present domain's (min(a, b) >= 0.09, a + b <= 12.5), and
+# grid shapes at 1, 2 and 4 channels: (0.09, 12.41) has the longest
+# series, 267 terms at its top node, and (0.09, 0.09) sits on the floor
+# in both a and b.
+GUESS_SHAPES = [
+    (0.3, 2.5), (0.3, 10.2), (8.0, 2.5), (0.4, 7.6),
+    (0.09, 12.41), (12.41, 0.09), (0.09, 0.09), (6.25, 6.25), (0.1, 1.9), (0.2, 3.8),
+]
 
 
 def domain_shapes(count, seed):
     """``count`` shapes drawn uniformly over the tables' domain."""
     rng = np.random.default_rng(seed)
+    low, high = _beta._SHARE_MIN, _beta._SHARE_MAX_SUM
     shapes = []
     while len(shapes) < count:
-        a, b = rng.uniform((0.3, 2.5), (8.0, 10.2)).tolist()
-        if a + b <= 10.5:
+        a, b = rng.uniform(low, high - low, 2).tolist()
+        if _beta._in_domain(a, b):
             shapes.append((a, b))
     return shapes
 
@@ -248,8 +255,8 @@ def coarse_guesses(shapes):
     + [pytest.param(domain_shapes(40, 2907), id="40-shape-batch")],
 )
 def test_guesses_converge_across_the_domain(shapes, monkeypatch):
-    # the coarse nodes' Halley steps from x = c t, in at most 4 passes and
-    # within the 2e-10 of the quintic through them, on both tails
+    # the coarse nodes' Halley steps from the capped x = c t, in at most 4
+    # passes and within the 2e-10 of the quintic through them, on both tails
     from scipy.special import betaincinv
 
     monkeypatch.setattr(_beta, "_GUESS_MAX_PASSES", 4)
@@ -278,6 +285,35 @@ def test_tables_do_not_depend_on_the_batch():
         for mine, theirs in ((alone.lower, table.lower), (alone.upper, table.upper)):
             assert mine.root == theirs.root and mine.scale == theirs.scale
             assert np.array_equal(mine.coef, theirs.coef), shape
+
+
+def coarse_to_fine_gap(shape):
+    """The build's own error measure, in ulp of the share.
+
+    The coarse table's quintic gives every node's guess and misses the
+    refined node by a gap; interpolation error falls as h**6, so the gap
+    over 8**6 predicts the full table's.
+    """
+    [table] = _beta._build_tables([shape])
+    rows, _, guesses = coarse_guesses([shape])
+    t, _ = _beta._grid(rows, _beta._SHARE_COARSE)
+    coarse = _beta._hermite(rows, t, np.hstack([np.zeros((2, 1)), guesses]))
+    ratio = _beta._SHARE_INTERVALS // _beta._SHARE_COARSE
+    k = np.arange(1, _beta._SHARE_INTERVALS + 1)
+    guess = _beta._quintic(coarse[:, :, k // ratio].swapaxes(0, 1), (k % ratio) / ratio)
+    nodes = np.stack([table.lower.coef[0, 1:], table.upper.coef[0, 1:]])
+    share = np.stack([nodes[0], 1.0 - nodes[1]])
+    return (np.abs(guess - nodes) / np.spacing(share)).max() / ratio**6
+
+
+def test_share_ceiling_is_where_the_predicted_error_stays_in_bound():
+    # along a + b = 12.5 the prediction is at most 9.5 ulp, at the floor;
+    # at 8 channels it is 32.2 at (0.8, 15.2), where the shares were
+    # measured 48 ulp off 40-digit quantiles (32 is the shares' bound)
+    low, ceiling = _beta._SHARE_MIN, _beta._SHARE_MAX_SUM
+    for a in (low, 0.6, 2.0, ceiling / 2, ceiling - low):
+        assert coarse_to_fine_gap((a, ceiling - a)) < 32, a
+    assert coarse_to_fine_gap((0.8, 15.2)) > 32
 
 
 def test_threads_share_one_build_per_shape(monkeypatch):
@@ -315,6 +351,23 @@ def test_threads_share_one_build_per_shape(monkeypatch):
         assert len({id(tables[shape]) for tables in found.values()}) == 1
 
 
+def test_share_cache_keeps_the_last_shapes_added(monkeypatch):
+    # 65 new shapes keep the last 64, in the order they were added; a hit
+    # leaves the order as it is, so the next new shape evicts the oldest
+    # even when it was just found
+    monkeypatch.setattr(_beta, "_tables", {})
+    monkeypatch.setattr(_beta, "_build_tables", lambda shapes: [object() for _ in shapes])
+    shapes = [(1.0 + k / 64, 2.0) for k in range(_beta._SHARE_CACHE_SIZE + 1)]
+    found = _beta._share_tables(shapes)
+    assert len(set(map(id, found))) == len(shapes)
+    assert list(_beta._tables) == shapes[1:]
+    assert list(map(id, _beta._tables.values())) == list(map(id, found[1:]))
+    assert _beta._share_table(*shapes[1]) is found[1]
+    assert list(_beta._tables) == shapes[1:]
+    _beta._share_table(1.0, 3.0)
+    assert list(_beta._tables) == shapes[2:] + [(1.0, 3.0)]
+
+
 def run_python(code: str) -> str:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -348,30 +401,60 @@ def test_four_channel_runs_load_no_scipy():
     assert loaded == [[], []]
 
 
-# One 6-channel exponential draw, whose Beta shape lies outside the
-# tables' domain, against betaincinv of its share uniform.
-SIX_CHANNELS = """
+# A validation with the exponential sampler at another channel count (at
+# 3000 draws 1 channel reads a low-precision warning) and one draw at
+# L/l = 20, the grid's smallest a, then the scipy modules loaded: up to
+# 6 channels every Beta shape lies in the tables' domain, and at 8
+# channels (a + b = 16) none does.
+OTHER_CHANNELS = """
+import json, sys
+import ramsq.validation
+from ramsq.core import MediumSpec
+from ramsq.ensemble import SamplerConfig, SamplerMode, sample_realization
+channels = %d
+report = ramsq.validation.run_validation(
+    channels=channels, seed=42, realizations=10_000, sampler="exponential"
+)
+config = SamplerConfig(mode=SamplerMode.EXPONENTIAL_MAGNITUDES, seed=42)
+sample_realization(MediumSpec(thickness_ratio=20.0, gain_ratio=0.0, channels=channels), config, 7)
+print(json.dumps([report.status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("channels", [1, 2, 6, 8])
+def test_other_channel_counts_load_scipy_only_past_the_ceiling(channels):
+    status, loaded = json.loads(run_python(OTHER_CHANNELS % channels))
+    assert status == "pass"
+    if channels == 8:
+        assert "scipy.special" in loaded
+    else:
+        assert loaded == []
+
+
+# One 8-channel exponential draw, whose Beta shape lies past the tables'
+# ceiling, against betaincinv of its share uniform.
+EIGHT_CHANNELS = """
 import json, sys
 import numpy as np
 from ramsq import ensemble
 from ramsq.analytic import mean_coefficients
 from ramsq.core import MediumSpec
 before = "scipy.special" in sys.modules
-spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=6)
+spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=8)
 config = ensemble.SamplerConfig(mode=ensemble.SamplerMode.EXPONENTIAL_MAGNITUDES, seed=42)
 real = ensemble.sample_realization(spec, config, 7)
 after = "scipy.special" in sys.modules
 from scipy.special import betaincinv
 coef = mean_coefficients(spec)
-cols = ensemble._layout(6)
+cols = ensemble._layout(8)
 row = ensemble._uniforms_for(42, cols.refl_split.stop, 7)
-share = betaincinv(*ensemble._share_shape(coef, 6), row[cols.share : cols.share + 1])
+share = betaincinv(*ensemble._share_shape(coef, 8), row[cols.share : cols.share + 1])
 total = 1.0 + coef.v_bar * -np.log1p(-row[cols.spont : cols.spont + 1])
 print(json.dumps([before, after, float((total * share)[0]).hex(), real.trans_total.hex()]))
 """
 
 
-def test_six_channel_share_loads_scipy_and_is_betaincinv():
-    before, after, expected, drawn = json.loads(run_python(SIX_CHANNELS))
+def test_eight_channel_share_loads_scipy_and_is_betaincinv():
+    before, after, expected, drawn = json.loads(run_python(EIGHT_CHANNELS))
     assert (before, after) == (False, True)
     assert drawn == expected

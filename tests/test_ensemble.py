@@ -389,8 +389,9 @@ def test_draw_width_bound(monkeypatch, mode, reference_state):
 def test_medium_reduction_allocates_o_draws(mode):
     # a medium's part of a chunk reads the chunk's split sums and makes a
     # few draw-length arrays: at 8 channels it peaks where it does at 1,
-    # below one (draws, channels) array (the medium's shape is outside
-    # the share tables' domain at both counts, so both read betaincinv)
+    # below one (draws, channels) array (1 channel reads the medium's
+    # share table and 8 channels betaincinv, both resolved before the
+    # trace starts)
     draws, peaks = 20_000, {}
     for channels in (1, 8):
         spec = MediumSpec(thickness_ratio=10.0, gain_ratio=2.5, channels=channels)
@@ -1046,8 +1047,20 @@ SHARE_IDS = [f"a={a:.4g}" for a, _ in SHARE_SHAPES[:-1]] + ["a=2,b=6"]
 EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
 
 
-# Shapes outside the tables' domain: a < 0.3, b < 2.5 or a + b > 10.5.
-OUTSIDE_SHAPES = [(0.08, 7.92), (12.8, 115.2), (0.2, 3.8), (6.0, 1.5), (0.85, 2.15), (2.4, 9.6)]
+# Shapes outside the tables' domain, min(a, b) < 0.09 or a + b > 12.5:
+# a below the floor (4 and 1 channels at L/l = 100), b below it (1
+# channel at L/l = 1.026), 8 and 64 channels, and a sum just past the
+# ceiling.
+OUTSIDE_SHAPES = [(0.08, 7.92), (12.8, 115.2), (0.8, 15.2), (1.95, 0.05), (0.02, 1.98), (6.2, 6.4)]
+
+# Shapes inside the domain but outside its first bounds (a >= 0.3,
+# b >= 2.5, a + b <= 10.5): the four that those left to betaincinv, the
+# present domain's corners and the 1-channel grid's smallest a.
+CORNER_SHAPES = [
+    (0.2, 3.8), (6.0, 1.5), (0.85, 2.15), (2.4, 9.6),
+    (0.09, 12.41), (12.41, 0.09), (0.09, 0.09), (0.1, 1.9),
+]
+CORNER_IDS = [f"a={a:.4g},b={b:.4g}" for a, b in CORNER_SHAPES]
 
 
 def beta_share(a, b, u):
@@ -1082,8 +1095,8 @@ def test_beta_share_edge_uniforms(shape):
 
 @pytest.mark.parametrize(
     "shape",
-    SHARE_SHAPES + OUTSIDE_SHAPES,
-    ids=SHARE_IDS + [f"outside-a={a:.4g},b={b:.4g}" for a, b in OUTSIDE_SHAPES],
+    SHARE_SHAPES + CORNER_SHAPES + OUTSIDE_SHAPES,
+    ids=SHARE_IDS + CORNER_IDS + [f"outside-a={a:.4g},b={b:.4g}" for a, b in OUTSIDE_SHAPES],
 )
 def test_beta_share_single_rows_equal_bulk(shape):
     # strided columns of a uniform block, as _magnitudes reads them, on
@@ -1098,7 +1111,7 @@ def test_beta_share_single_rows_equal_bulk(shape):
         assert single[0].hex() == bulk[k].hex(), k
 
 
-@pytest.mark.parametrize("shape", SHARE_SHAPES, ids=SHARE_IDS)
+@pytest.mark.parametrize("shape", SHARE_SHAPES + CORNER_SHAPES, ids=SHARE_IDS + CORNER_IDS)
 def test_sorted_shares_match_masked_form(shape):
     # u = 0, the split, its two float neighbours and tied uniforms, in
     # shuffled order, against the masks and scatters over unsorted u
@@ -1236,10 +1249,72 @@ FROZEN_BETA_QUANTILES = (
 )
 
 
-@pytest.mark.parametrize("a, b, u, quantile", FROZEN_BETA_QUANTILES)
+# Quantiles at the present domain's corners, (0.09, 12.41), (12.41,
+# 0.09), (0.09, 0.09) and (6.25, 6.25), and at grid shapes of 1 and 2
+# channels, (0.1, 1.9), (1, 1), (0.2, 3.8) and (2, 2): at 1e-10, 1/2 or
+# 1/4, 0.99, the split and its neighbours, and for five of them the
+# uniform where a domain sweep found the share farthest off (29.5, 4.0,
+# 29.3, 27.0 and 11.9 ulp), to 40 digits
+# with mpmath 1.3.0: Newton steps as above, to a step below 1e-45
+# relative, on the lower tail for u <= b / (a + b) and as 1 minus
+# Beta(b, a)'s quantile at 1 - u above it.  betaincinv reads up to 57 ulp
+# off here, so only the share is held to the bound.
+FROZEN_CORNER_QUANTILES = (
+    (0.09, 12.41, 1e-10, "3.902566318946103363604647578219652162958e-113"),
+    (0.09, 12.41, 0.5, "2.279225447807882190313738493364041699434e-5"),
+    (0.09, 12.41, 0.9927999999999999, "1.352453723730809866554183865634637987326e-1"),
+    (0.09, 12.41, 0.9928, "1.352453723730817878955877948991227250836e-1"),
+    (0.09, 12.41, 0.9928000000000001, "1.352453723730825891357572032475719382229e-1"),
+    (0.09, 12.41, 0.99, "1.182924092873166617249948088217252008336e-1"),
+    (0.09, 12.41, 0.7446787391543124, "1.943987457895856635788488972631861588185e-3"),
+    (12.41, 0.09, 1e-10, "2.237645798301459162845603885589895814112e-1"),
+    (12.41, 0.09, 0.5, "9.99977207745521921178096862615066359583e-1"),
+    (12.41, 0.09, 0.007199999999999999, "8.647546276269183185191222046461935260959e-1"),
+    (12.41, 0.09, 0.0072, "8.647546276269183247788110281488521620156e-1"),
+    (12.41, 0.09, 0.007200000000000001, "8.647546276269182121044122051008772749164e-1"),
+    (12.41, 0.09, 0.99, "9.999999999999999999999969783846299854086e-1"),
+    (12.41, 0.09, 0.008696852675993294, "8.7453320584597138231478361835268456883e-1"),
+    (0.09, 0.09, 1e-10, "1.502393395325546957402174184460384383238e-108"),
+    (0.09, 0.09, 0.49999999999999994, "4.999999999999996547182195034034052871276e-1"),
+    (0.09, 0.09, 0.5, "5.0e-1"),
+    (0.09, 0.09, 0.5000000000000001, "5.000000000000006905635609931931894257447e-1"),
+    (0.09, 0.09, 0.99, "9.999999999999999998836751356899419808503e-1"),
+    (0.09, 0.09, 0.39608160581301033, "6.244757225972696006644280672337820137555e-2"),
+    (6.25, 6.25, 1e-10, "8.990273584363480582069970232164627803387e-3"),
+    (6.25, 6.25, 0.49999999999999994, "4.99999999999999979924708473824513164682e-1"),
+    (6.25, 6.25, 0.5, "5.0e-1"),
+    (6.25, 6.25, 0.5000000000000001, "5.000000000000000401505830523509736706361e-1"),
+    (6.25, 6.25, 0.99, "8.009612513749203939246328081459898641912e-1"),
+    (0.1, 1.9, 1e-10, "4.112445736222106885906543949730106501945e-101"),
+    (0.1, 1.9, 0.5, "4.017380599887919207789980321273909900857e-4"),
+    (0.1, 1.9, 0.9499999999999998, "3.22526851712340686189349092452882342828e-1"),
+    (0.1, 1.9, 0.95, "3.225268517123412070561288060097268422182e-1"),
+    (0.1, 1.9, 0.9500000000000001, "3.225268517123417279229085195676888167335e-1"),
+    (0.1, 1.9, 0.99, "6.498703251679976220497732917531791731808e-1"),
+    (0.1, 1.9, 0.5460569074547363, "9.701166713673068312825079225894815155374e-4"),
+    (1.0, 1.0, 1e-10, "1.000000000000000036432197315497741579166e-10"),
+    (1.0, 1.0, 0.25, "2.5e-1"),
+    (1.0, 1.0, 0.99, "9.899999999999999911182158029987476766109e-1"),
+    (0.2, 3.8, 1e-10, "1.91272388263270485863215710146939076837e-51"),
+    (0.2, 3.8, 0.5, "6.062279117946807950750673023855648868307e-3"),
+    (0.2, 3.8, 0.9499999999999998, "2.600614784604566487440783063667908867578e-1"),
+    (0.2, 3.8, 0.95, "2.600614784604569642617780454544959430423e-1"),
+    (0.2, 3.8, 0.9500000000000001, "2.600614784604572797794777845428839513138e-1"),
+    (0.2, 3.8, 0.99, "4.735390493966160899884732543342028799052e-1"),
+    (0.2, 3.8, 0.5107488279417172, "6.753374072433446878257391982913720781185e-3"),
+    (2.0, 2.0, 1e-10, "5.773513803060827548852390882229831958868e-6"),
+    (2.0, 2.0, 0.25, "3.263518223330696511482833732306852039996e-1"),
+    (2.0, 2.0, 0.99, "9.410968642218047191558301309255291151089e-1"),
+)
+
+
+@pytest.mark.parametrize("a, b, u, quantile", FROZEN_BETA_QUANTILES + FROZEN_CORNER_QUANTILES)
 def test_beta_share_against_40_digit_quantiles(a, b, u, quantile):
     ulp = Decimal(float(np.spacing(float(quantile))))
-    for share in (beta_share(a, b, np.array([u]))[0], betaincinv(a, b, u)):
+    shares = [beta_share(a, b, np.array([u]))[0]]
+    if (a, b, u, quantile) in FROZEN_BETA_QUANTILES:
+        shares.append(betaincinv(a, b, u))
+    for share in shares:
         assert abs(Decimal(float(share)) - Decimal(quantile)) <= 32 * ulp, (share, quantile)
 
 
@@ -1247,6 +1322,8 @@ def test_beta_share_against_40_digit_quantiles(a, b, u, quantile):
 # from 1/a, against 40-digit quantiles from the same snippet: the share
 # reads p**(1/a) to within an ulp there, and within 4 ulp of the quantile,
 # where p**e with the rounded exponent e alone reads 9 to 15 ulp off.
+# Then the same uniforms at the corners above, from their snippet, where
+# the shares read within 2.1 ulp and betaincinv up to 57.
 TINY_BETA_QUANTILES = (
     (1.9300592530812632, 6.0699407469187365,
      1.1102230246251565e-16, "1.151348905602315809675729594725893540692e-9"),
@@ -1256,6 +1333,18 @@ TINY_BETA_QUANTILES = (
      1.1102230246251565e-16, "4.739321975089016840806324093099283587551e-7"),
     (2.761821043008646, 5.238178956991354,
      1e-10, "6.78870147416387206661986245882667897474e-5"),
+    (0.09, 12.41, 1.1102230246251565e-16, "2.686839561973567380941545506581044613769e-179"),
+    (0.09, 12.41, 1e-10, "3.902566318946103363604647578219652162958e-113"),
+    (12.41, 0.09, 1.1102230246251565e-16, "7.500291256391722401624440790285168327206e-2"),
+    (12.41, 0.09, 1e-10, "2.237645798301459162845603885589895814112e-1"),
+    (0.09, 0.09, 1.1102230246251565e-16, "1.034368075338330259954714333083377647945e-174"),
+    (0.09, 0.09, 1e-10, "1.502393395325546957402174184460384383238e-108"),
+    (0.1, 1.9, 1.1102230246251565e-16, "1.170044766972205485958772230798253050194e-160"),
+    (0.1, 1.9, 1e-10, "4.112445736222106885906543949730106501945e-101"),
+    (0.2, 3.8, 1.1102230246251565e-16, "3.226290205033355988019912901085473911093e-81"),
+    (0.2, 3.8, 1e-10, "1.91272388263270485863215710146939076837e-51"),
+    (6.25, 6.25, 1.1102230246251565e-16, "9.965856881017246554755529238641131892236e-4"),
+    (6.25, 6.25, 1e-10, "8.990273584363480582069970232164627803387e-3"),
 )
 
 
@@ -1269,6 +1358,7 @@ def test_beta_share_of_tiny_uniforms_within_4_ulp(a, b, u, quantile):
 @pytest.mark.parametrize("channels", [1, 2, 6, 8])
 def test_gate_passes_at_other_channel_counts(channels):
     # test_criterion_5 gates 4 channels; N also sets the Beta shape (on
-    # the share table or on betaincinv) and the Dirichlet splits
+    # the share tables up to 6 channels, on betaincinv at 8) and the
+    # Dirichlet splits
     report = validation.run_validation(channels=channels, seed=42, realizations=10_000)
     assert report.status == "pass", [c.name for c in report.checks if c.status != "pass"]
